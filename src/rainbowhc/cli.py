@@ -49,8 +49,11 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     parts = text.split(":")
     if len(parts) not in (3, 4):
         raise InvalidInput("--p-grid wants start:stop:points[:spacing]")
-    start, stop = float(parts[0]), float(parts[1])
-    points = int(parts[2])
+    try:
+        start, stop = float(parts[0]), float(parts[1])
+        points = int(parts[2])
+    except ValueError as exc:
+        raise InvalidInput(f"cannot parse --p-grid {text!r}") from exc
     spacing = parts[3] if len(parts) == 4 else "linear"
     return make_grid(start, stop, points, spacing)
 
@@ -374,10 +377,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (RainbowError, FileNotFoundError, ValueError) as exc:
+    except (RainbowError, OSError) as exc:
         print(f"rainbowhc: error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - internal failure path
+    except Exception as exc:
         print(f"rainbowhc: internal error: {exc!r}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,10 @@
 """Exact search for rainbow cycles plus brute-force moment oracles.
 
-The searcher backtracks over vertex placements one (k-ell)-block at a time,
-pruning on edge presence and on rainbow feasibility (an incremental
-distinct-representatives matcher).  Exhaustive mode proves absence; budgeted
-mode gives up after a node quota and reports Unknown.
+The searcher places one vertex per cycle position and extends only into
+edges that exist, using a per-instance vertex-bitmask index of the present
+edges; colors are pruned with a used-color bitmask (single-color) or an
+incremental distinct-representatives matcher (multi-color).  Exhaustive mode
+proves absence; budgeted mode gives up after a node quota and reports Unknown.
 
 The oracles enumerate all n! permutations outright and exist to pin the
 closed-form moment calculations to something independently computable, so
@@ -83,6 +84,55 @@ class _BudgetExceeded(Exception):
     pass
 
 
+@lru_cache(maxsize=None)
+def _search_plan(spec: CycleSpec):
+    """Per-position tables for the edge-driven search, positions 0..n-1.
+
+    member[p]: windows containing position p.
+    closing[p]: windows whose last position in placement order is p.
+    ordered[p]: p shares its window set with p-1, so the two positions are
+        interchangeable and the vertex at p must exceed the one at p-1.
+        A window starts at every block, so such runs never cross a block
+        boundary and sorting one keeps vertex 1 in the first block.
+    force_one: the last position of the first block that can hold the
+        minimum of its run; vertex 1 is forced there if still unplaced.
+    """
+    windows = spec.windows()
+    member = tuple(
+        tuple(j for j, w in enumerate(windows) if p in w) for p in range(spec.n)
+    )
+    closing = tuple(
+        tuple(j for j, w in enumerate(windows) if max(w) == p) for p in range(spec.n)
+    )
+    ordered = tuple(p > 0 and member[p] == member[p - 1] for p in range(spec.n))
+    force_one = max(p for p in range(spec.block_size) if not ordered[p])
+    return member, closing, ordered, force_one
+
+
+def _edge_index(H: ColoredHypergraph) -> tuple[dict[int, int], dict[int, object]]:
+    """Vertex-bitmask index of H's present edges (bit v for vertex v).
+
+    extend[T] is the set of vertices v outside T with T | {v} contained in
+    some present edge, for every proper subset T of every edge; colors maps
+    each edge's mask to its color (single-color) or color set (multi-color).
+    """
+    extend: dict[int, int] = {}
+    colors: dict[int, object] = {}
+    multi = H.multi_color
+    for edge, cset in H.items():
+        mask = 0
+        for v in edge:
+            mask |= 1 << v
+        colors[mask] = cset if multi else next(iter(cset))
+        sub = (mask - 1) & mask
+        while True:
+            extend[sub] = extend.get(sub, 0) | (mask ^ sub)
+            if not sub:
+                break
+            sub = (sub - 1) & mask
+    return extend, colors
+
+
 def find_rainbow_cycle(
     H: ColoredHypergraph,
     spec: CycleSpec,
@@ -91,14 +141,27 @@ def find_rainbow_cycle(
 ) -> SearchOutcome:
     """Search H for a rainbow ell-overlapping Hamilton cycle.
 
-    Placement proceeds block by block around the cycle, candidate blocks in
-    increasing lexicographic order; an edge is checked the moment its window
-    is fully placed (presence in H, then a color via the incremental
-    matcher).  Vertex 1 is fixed into the first block — the only symmetry
-    reduction applied, existence-preserving because rotating a permutation
-    by multiples of k-ell permutes the same edge set.  Exhaustive mode
-    returns NOT_FOUND only on full exhaustion; budgeted mode additionally
-    stops after ``budget`` node expansions and returns UNKNOWN.
+    The search places one vertex per cycle position, in position order, and
+    only extends into edges that exist: an index of H's present edges gives,
+    for the vertices already placed in a window, the vertices that can still
+    complete that window to a present edge.  A position's candidates are the
+    intersection of those sets over every window containing it, complete or
+    not, minus the vertices already used.  When a window completes its color
+    is checked: against a bitmask of used colors in single-color mode, via
+    the incremental matcher in multi-color mode.
+
+    Two symmetry reductions, both existence-preserving:
+
+    - vertex 1 lies in the first block (rotating a permutation by multiples
+      of k-ell permutes the same edge set);
+    - positions lying in exactly the same windows (the interior vertices of
+      an edge) are interchangeable, so their vertices are kept increasing.
+
+    The budget counts nodes: one node is one vertex placed after passing the
+    edge-index filter (and the symmetry rules), before its completed
+    windows' colors are checked.  Exhaustive mode returns NOT_FOUND only on
+    full exhaustion; budgeted mode additionally stops at node ``budget + 1``
+    and returns UNKNOWN.
     """
     if H.n != spec.n or H.k != spec.k:
         raise InvalidInput(
@@ -123,59 +186,80 @@ def find_rainbow_cycle(
             SearchStatus.NOT_FOUND, None, 0, False, reason="too_few_edges"
         )
 
-    n, bs = spec.n, spec.block_size
-    windows = spec.windows()
-    span = -(-spec.k // bs) - 1  # extra blocks an edge's window reaches into
-    perm = [0] * n
-    used = [False] * (n + 1)
+    n = spec.n
+    member, closing, ordered, force_one = _search_plan(spec)
+    extend, edge_colors = _edge_index(H)
+    extend_of = extend.get
+    multi = H.multi_color
     matcher = ColorMatcher()
+    window_mask = [0] * m  # vertices placed so far in each window
+    perm = [0] * n
     nodes = 0
 
-    def edges_ready(block: int) -> range:
-        if block < m - 1:
-            j = block - span
-            return range(j, j + 1) if j >= 0 else range(0)
-        return range(m - 1 - span, m)  # closing block: last regular + wrapped
+    def certificate() -> RainbowCertificate:
+        pi = Hamperm(tuple(perm), spec)
+        if multi:
+            colors = tuple(matcher.color_of(j) for j in range(m))
+        else:
+            colors = tuple(edge_colors[mask] for mask in window_mask)
+        return RainbowCertificate(pi, tuple(edges_of_hamperm(pi)), colors)
 
-    def place(block: int) -> Optional[RainbowCertificate]:
+    def place(p: int, free: int, used_colors: int) -> Optional[RainbowCertificate]:
         nonlocal nodes
-        base = block * bs
-        unused = [v for v in range(1, n + 1) if not used[v]]
-        for cand in itertools.permutations(unused, bs):
-            if block == 0 and 1 not in cand:
-                continue
+        wins, closes = member[p], closing[p]
+        cand = free
+        for j in wins:
+            cand &= extend_of(window_mask[j], 0)
+        if ordered[p]:
+            cand &= -(2 << perm[p - 1])  # vertices above perm[p - 1]
+        if p == force_one and free & 2:
+            cand &= 2
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
             nodes += 1
             if budget is not None and nodes > budget:
                 raise _BudgetExceeded
-            for off, v in enumerate(cand):
-                perm[base + off] = v
-                used[v] = True
-            added = []
+            colors_now = used_colors
             ok = True
-            for j in edges_ready(block):
-                key = tuple(sorted(perm[p] for p in windows[j]))
-                colors = H.colors_of(key)
-                if not colors or not matcher.add(j, colors):
-                    ok = False
-                    break
-                added.append(j)
-            if ok:
-                if block + 1 == m:
-                    pi = Hamperm(tuple(perm), spec)
-                    edges = edges_of_hamperm(pi)
-                    colors = tuple(matcher.color_of(j) for j in range(m))
-                    return RainbowCertificate(pi, tuple(edges), colors)
-                result = place(block + 1)
-                if result is not None:
-                    return result
-            for j in reversed(added):
-                matcher.remove(j)
-            for v in cand:
-                used[v] = False
+            if multi:
+                added = []
+                for j in closes:
+                    if not matcher.add(j, edge_colors[window_mask[j] | bit]):
+                        ok = False
+                        break
+                    added.append(j)
+                if not ok:
+                    for j in added:
+                        matcher.remove(j)
+                    continue
+            else:
+                for j in closes:
+                    cbit = 1 << edge_colors[window_mask[j] | bit]
+                    if colors_now & cbit:
+                        ok = False
+                        break
+                    colors_now |= cbit
+                if not ok:
+                    continue
+            for j in wins:
+                window_mask[j] |= bit
+            perm[p] = bit.bit_length() - 1
+            if p + 1 == n:
+                return certificate()
+            result = place(p + 1, free ^ bit, colors_now)
+            if result is not None:
+                return result
+            for j in wins:
+                window_mask[j] ^= bit
+            if multi:
+                for j in closes:
+                    matcher.remove(j)
         return None
 
+    all_vertices = (1 << (n + 1)) - 2
     try:
-        cert = place(0)
+        cert = place(0, all_vertices, 0)
     except _BudgetExceeded:
         return SearchOutcome(SearchStatus.UNKNOWN, None, nodes, True)
     if cert is not None:
@@ -192,7 +276,7 @@ def _colex_rank(edge: Edge) -> int:
     return sum(math.comb(v - 1, j + 1) for j, v in enumerate(edge))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=2)  # one table is n! x m int64: ~26 MB at n = 9
 def _perm_edge_table(n: int, k: int, ell: int) -> np.ndarray:
     """(n!, m) array: row = induced-edge colex ranks of each permutation of
     [n] in lexicographic permutation order."""

@@ -171,6 +171,26 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 1
 
 
+def test_unparsable_grid_is_invalid_input(capsys):
+    code, _, err = run(
+        capsys, "sweep", "--n", "6", "--k", "3", "--ell", "1", "--r", "3",
+        "--p-grid", "low:0.5:3", "--trials", "2",
+    )
+    assert code == 1 and "--p-grid" in err
+
+
+def test_internal_value_error_exits_2(monkeypatch, capsys):
+    # a bare ValueError is a bug in the program, not bad input
+    import rainbowhc.cli as cli
+
+    def broken(args):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(cli, "_cmd_overlap", broken)
+    code, _, err = run(capsys, "overlap", "--n", "4", "--k", "3", "--ell", "2")
+    assert code == 2 and "internal error" in err
+
+
 def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0

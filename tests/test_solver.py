@@ -19,6 +19,7 @@ from rainbowhc import (
     find_rainbow_cycle,
     overlap_profile,
     sample_colored,
+    sample_directed,
     second_moment_bruteforce,
     second_moment_from_profile,
     verify_certificate,
@@ -84,6 +85,29 @@ def test_unknown_iff_budget_hit():
         H = sample_colored(8, 3, 0.35, 4, seed=derive_seed(55, trial))
         out = find_rainbow_cycle(H, spec, mode="budgeted", budget=25)
         assert (out.status is SearchStatus.UNKNOWN) == out.budget_hit
+
+
+def test_budget_unit_is_one_placed_vertex():
+    # a node is one vertex placed after passing the edge-index filter.  On a
+    # complete rainbow hypergraph the first candidate always fits, so the
+    # search places exactly n vertices and never backtracks
+    spec = CycleSpec(6, 3, 1)
+    out = find_rainbow_cycle(ColoredHypergraph.complete_rainbow(6, 3), spec)
+    assert out.found and out.nodes_expanded == 6
+    # X > 0 but Y = 0: Hamilton cycles exist, none rainbow, so the exhaustive
+    # count below is pinned; a solver change that moves it changes --budget
+    spec = CycleSpec(8, 3, 1)
+    H = sample_colored(8, 3, 0.3, 4, seed=2)
+    assert count_hamperms(H, spec) == (56, 0)
+    full = find_rainbow_cycle(H, spec)
+    assert full.status is SearchStatus.NOT_FOUND and full.nodes_expanded == 642
+    for b in (1, 100, 641):
+        out = find_rainbow_cycle(H, spec, mode="budgeted", budget=b)
+        assert out.status is SearchStatus.UNKNOWN and out.budget_hit
+        assert out.nodes_expanded == b + 1
+    at_limit = find_rainbow_cycle(H, spec, mode="budgeted", budget=642)
+    assert at_limit.status is SearchStatus.NOT_FOUND and not at_limit.budget_hit
+    assert at_limit.nodes_expanded == 642
 
 
 def test_spec_mismatch():
@@ -211,7 +235,6 @@ def test_solver_oracle_equivalence_dense_tight():
 
 def test_solver_matches_slow_sdr_on_directed_instances():
     from rainbowhc.core import distinct_color_system
-    from rainbowhc import sample_directed
 
     spec = CycleSpec(6, 3, 1)
     for t in range(60):
@@ -227,6 +250,72 @@ def test_solver_matches_slow_sdr_on_directed_instances():
         assert out.found == exists
         if out.found:
             assert verify_certificate(H, out.certificate)
+
+
+_ORACLE_SPECS = enumerate_specs(8)
+
+
+@st.composite
+def _oracle_instances(draw):
+    """A spec from enumerate_specs(8) and a random instance on it: single-color
+    from sample_colored, or multi-color from sample_directed.  Multi-color
+    specs stop at n = 7 because the oracle's multi-color path is a pure-Python
+    loop over n! permutations (about a second per instance at n = 8)."""
+    multi = draw(st.booleans())
+    specs = [s for s in _ORACLE_SPECS if s.n <= 7] if multi else _ORACLE_SPECS
+    spec = draw(st.sampled_from(specs))
+    r = spec.m + draw(st.integers(0, 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if multi:
+        q = draw(st.floats(0.01, 0.3))
+        return spec, sample_directed(spec.n, spec.k, q, r, seed)
+    p = draw(st.floats(0.2, 1.0))
+    return spec, sample_colored(spec.n, spec.k, p, r, seed)
+
+
+@given(_oracle_instances())
+@settings(max_examples=150, deadline=None)
+def test_solver_matches_oracle_property(instance):
+    # small m is where the closing windows (those wrapping past position
+    # n-1) sit closest to the first block: the likely place for off-by-ones
+    spec, H = instance
+    outcome = find_rainbow_cycle(H, spec)
+    _, y_count = count_hamperms(H, spec)
+    assert outcome.found == (y_count > 0)
+    if outcome.found:
+        assert verify_certificate(H, outcome.certificate)
+
+
+@st.composite
+def _planted_instances(draw):
+    """Sparse random noise on a spec from enumerate_specs(8), plus a rainbow
+    cycle planted on a random permutation, so a cycle is known to exist
+    wherever vertex 1 and the closing windows happen to fall."""
+    spec = draw(st.sampled_from(_ORACLE_SPECS))
+    multi = draw(st.booleans())
+    r = spec.m + draw(st.integers(0, 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if multi:
+        noise = sample_directed(spec.n, spec.k, draw(st.floats(0.0, 0.05)), r, seed)
+    else:
+        noise = sample_colored(spec.n, spec.k, draw(st.floats(0.0, 0.3)), r, seed)
+    edges = {e: set(cs) for e, cs in noise.items()}
+    perm = draw(st.permutations(range(1, spec.n + 1)))
+    colors = draw(st.permutations(range(1, r + 1)))
+    for e, c in zip(edges_of_hamperm(Hamperm(tuple(perm), spec)), colors):
+        edges[e] = (edges.get(e, set()) | {c}) if multi else {c}
+    return spec, ColoredHypergraph(spec.n, spec.k, r, edges, multi_color=multi)
+
+
+@given(_planted_instances())
+@settings(max_examples=300, deadline=None)
+def test_solver_finds_planted_cycle_property(instance):
+    # rare cycles are where a wrong symmetry rule or closing window loses
+    # the only solution; a planted one makes them common and needs no oracle
+    spec, H = instance
+    outcome = find_rainbow_cycle(H, spec)
+    assert outcome.found
+    assert verify_certificate(H, outcome.certificate)
 
 
 # -- overlap profile -----------------------------------------------------------
