@@ -13,7 +13,7 @@ import io
 from pathlib import Path
 from typing import Sequence, TextIO, Union
 
-from .core import ColoredHypergraph
+from .core import ColoredHypergraph, kset_count
 from .errors import InvalidInput
 
 PathOrFile = Union[str, Path, TextIO]
@@ -46,6 +46,7 @@ def _parse(fh: TextIO) -> ColoredHypergraph:
                 n, k, r = (int(t) for t in tokens)
             except ValueError as exc:
                 raise InvalidInput(f"line {lineno}: non-integer header field") from exc
+            kset_count(n, k)  # refuse an oversized header before reading edges
             header = (n, k, r)
             continue
         if len(tokens) != k + 1:
@@ -91,8 +92,8 @@ def _emit(H: ColoredHypergraph, fh: TextIO, header_comments: Sequence[str]) -> N
         fh.write(f"# {comment}\n")
     tail = " multi" if H.multi_color else ""
     fh.write(f"{H.n} {H.k} {H.r}{tail}\n")
-    for edge in sorted(H.edges()):
-        for color in sorted(H.colors_of(edge)):
+    for edge, colors in H.items():  # lex order, i.e. sorted
+        for color in sorted(colors):
             fh.write(" ".join(str(v) for v in edge) + f" {color}\n")
 
 

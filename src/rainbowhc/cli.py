@@ -20,6 +20,7 @@ from .lab import (
     SweepConfig,
     couple_experiment,
     make_grid,
+    resolve_r,
     run_coupled_sweep,
     run_sweep,
     sweep_csv_text,
@@ -85,22 +86,16 @@ def _write_out(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _resolved_r(args) -> int:
-    if args.r is not None:
-        return args.r
-    return int(Fraction(args.c) * args.n)
-
-
 def _cmd_gen(args) -> int:
-    r = _resolved_r(args)
+    r = resolve_r(args.n, args.r, args.c)
     if args.model == "plain":
         if args.p is None:
             raise InvalidInput("plain model needs --p")
-        H = sample_colored(args.n, args.k, args.p, r, args.seed, mode=args.sampler_mode)
+        H = sample_colored(args.n, args.k, args.p, r, args.seed)
         meta = [
             "generator=sample_colored",
             f"n={args.n} k={args.k} p={args.p} r={r}",
-            f"seed={args.seed} mode={args.sampler_mode}",
+            f"seed={args.seed}",
         ]
     elif args.model == "coupled":
         if args.p is None:
@@ -198,7 +193,7 @@ def _cmd_overlap(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    params = MomentParams(args.n, args.k, args.ell, args.p, _resolved_r(args))
+    params = MomentParams(args.n, args.k, args.ell, args.p, resolve_r(args.n, args.r, args.c))
     c = params.c
     inv = Fraction(1, args.k - args.ell)
     record: dict = {
@@ -298,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--p", type=float, default=None)
     gen.add_argument("--q", type=float, default=None)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--sampler-mode", choices=("enumerate", "binomial"), default="enumerate")
     gen.add_argument("--out", default=None)
     gen.set_defaults(func=_cmd_gen)
 

@@ -1,7 +1,10 @@
 """Combinatorial objects: cycle geometry, colored hypergraphs, certificates.
 
 Vertices are 1-based everywhere; the canonical form of an edge is the strictly
-increasing tuple of its vertices, and every mapping keys on that form.  All
+increasing tuple of its vertices.  A colored hypergraph stores one array over
+all C(n, k) k-sets, indexed by the lex rank of each k-set (the order of
+itertools.combinations, which is also the order the samplers draw in), so
+samplers, the search index and the counting oracle all read it directly.  All
 types are immutable after construction and all operations are pure functions,
 so everything here can be shared freely across concurrent workers.
 """
@@ -9,13 +12,18 @@ so everything here can be shared freely across concurrent workers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .errors import InvalidInput, InvalidSpec
+import numpy as np
+
+from .errors import InvalidInput, InvalidSpec, TooLarge
 
 Edge = tuple  # canonical edge: strictly increasing tuple of vertex ids
+
+_ENUMERATION_CAP = 2_000_000  # refuse to index more k-sets than this
 
 
 def canonical_edge(vertices: Iterable[int]) -> Edge:
@@ -25,6 +33,63 @@ def canonical_edge(vertices: Iterable[int]) -> Edge:
         if a == b:
             raise InvalidInput(f"edge has a repeated vertex: {vs}")
     return vs
+
+
+def kset_count(n: int, k: int) -> int:
+    """C(n, k), the length of a rank-indexed array over the k-sets of [n].
+
+    Raises InvalidInput unless n >= k >= 1, and TooLarge when C(n, k)
+    exceeds the enumeration cap.
+    """
+    if k < 1 or n < k:
+        raise InvalidInput(f"need n >= k >= 1, got n={n}, k={k}")
+    total = math.comb(n, k)
+    if total > _ENUMERATION_CAP:
+        raise TooLarge(f"C({n},{k}) = {total} k-sets exceeds the enumeration cap")
+    return total
+
+
+def lex_rank(n: int, edge: Edge) -> int:
+    """Rank of a canonical k-set among all k-subsets of [n] in lex order,
+    the order of itertools.combinations(range(1, n + 1), k)."""
+    k = len(edge)
+    return math.comb(n, k) - 1 - sum(math.comb(n - v, k - j) for j, v in enumerate(edge))
+
+
+def kset_of_rank(n: int, k: int, rank: int) -> Edge:
+    """Inverse of lex_rank: the k-set of [n] with the given lex rank.
+
+    Walks the combinatorial number system of C(n, k) - 1 - rank, so it costs
+    at most n binomials and allocates nothing per (n, k).
+    """
+    rest = math.comb(n, k) - 1 - rank
+    edge = []
+    a = n - 1
+    for t in range(k, 0, -1):
+        while math.comb(a, t) > rest:
+            a -= 1
+        rest -= math.comb(a, t)
+        edge.append(n - a)
+        a -= 1
+    return tuple(edge)
+
+
+@lru_cache(maxsize=4)
+def kset_table(n: int, k: int) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
+    """Rank -> k-set and rank -> vertex bitmask (bit v for vertex v)."""
+    kset_count(n, k)
+    ksets = tuple(itertools.combinations(range(1, n + 1), k))
+    return ksets, tuple(sum(1 << v for v in e) for e in ksets)
+
+
+def color_bits(mask: int) -> tuple[int, ...]:
+    """The colors of a multi-color bitmask, ascending."""
+    colors = []
+    while mask:
+        low = mask & -mask
+        colors.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(colors)
 
 
 @dataclass(frozen=True)
@@ -131,11 +196,19 @@ class ColoredHypergraph:
 
     In single-color mode every edge has exactly one color (the plain randomly
     colored model).  Multi-color mode keeps a set of colors per edge and is
-    used for the orientation-dropped directed model.  Treat instances as
-    immutable once built.
+    used for the orientation-dropped directed model.
+
+    Storage is one read-only array over all C(n, k) k-sets of [n], indexed by
+    lex rank (see ``lex_rank``).  A single-color slot holds the edge's color;
+    a multi-color slot holds a Python-int bitmask of its colors, bit c for
+    color c.  Zero means absent.  Build from a mapping of edges to colors
+    (validated edge by edge), or pass such an array as ``by_rank`` (one
+    vectorised range check; this is what the samplers do).  Construction
+    refuses C(n, k) above the enumeration cap with TooLarge before it
+    allocates anything.
     """
 
-    __slots__ = ("n", "k", "r", "multi_color", "_edges")
+    __slots__ = ("n", "k", "r", "multi_color", "by_rank", "edge_count")
 
     def __init__(
         self,
@@ -145,17 +218,31 @@ class ColoredHypergraph:
         edges: Optional[Mapping[Edge, Iterable[int]]] = None,
         *,
         multi_color: bool = False,
+        by_rank: Optional[Sequence[int]] = None,
     ) -> None:
-        if k < 1 or n < k:
-            raise InvalidInput(f"need n >= k >= 1, got n={n}, k={k}")
+        total = kset_count(n, k)
         if r < 1:
             raise InvalidInput(f"need r >= 1 colors, got r={r}")
         self.n = n
         self.k = k
         self.r = r
         self.multi_color = multi_color
-        store: dict[Edge, frozenset[int]] = {}
-        for key, colors in (edges or {}).items():
+        if by_rank is None:
+            slots = self._slots_from_mapping(edges or {}, total)
+        elif edges is not None:
+            raise InvalidInput("give edges or by_rank, not both")
+        else:
+            slots = self._checked_slots(by_rank, total)
+        slots.flags.writeable = False
+        self.by_rank = slots
+        self.edge_count = int(np.count_nonzero(slots))
+
+    def _slots_from_mapping(
+        self, edges: Mapping[Edge, Iterable[int]], total: int
+    ) -> np.ndarray:
+        n, k, r = self.n, self.k, self.r
+        slots = np.zeros(total, dtype=object if self.multi_color else np.int64)
+        for key, colors in edges.items():
             edge = canonical_edge(key)
             if len(edge) != k:
                 raise InvalidInput(f"edge {edge} is not a {k}-set")
@@ -166,14 +253,33 @@ class ColoredHypergraph:
                 raise InvalidInput(f"edge {edge} has an empty color set")
             if any(c < 1 or c > r for c in cset):
                 raise InvalidInput(f"edge {edge} has a color outside [1, {r}]")
-            if not multi_color and len(cset) != 1:
+            if not self.multi_color and len(cset) != 1:
                 raise InvalidInput(
                     f"edge {edge} carries {len(cset)} colors in single-color mode"
                 )
-            if edge in store:
+            rank = lex_rank(n, edge)
+            if slots[rank]:
                 raise InvalidInput(f"edge {edge} given twice")
-            store[edge] = cset
-        self._edges = store
+            slots[rank] = sum(1 << c for c in cset) if self.multi_color else next(iter(cset))
+        return slots
+
+    def _checked_slots(self, by_rank: Sequence[int], total: int) -> np.ndarray:
+        if self.multi_color:
+            slots = np.array(by_rank, dtype=object)
+        else:
+            given = np.asarray(by_rank)
+            if given.dtype.kind not in "iu":
+                raise InvalidInput(f"colors by rank must be integers, got {given.dtype}")
+            slots = given.astype(np.int64)
+        if slots.shape != (total,):
+            raise InvalidInput(f"need {total} slots by rank, got shape {slots.shape}")
+        if self.multi_color:
+            bad = ((slots & 1) | (slots >> (self.r + 1))).any()
+        else:
+            bad = slots.min() < 0 or slots.max() > self.r
+        if bad:
+            raise InvalidInput(f"a slot by rank holds a color outside [1, {self.r}]")
+        return slots
 
     @classmethod
     def from_pairs(
@@ -203,28 +309,43 @@ class ColoredHypergraph:
     @classmethod
     def complete_rainbow(cls, n: int, k: int) -> "ColoredHypergraph":
         """All C(n, k) edges, every edge its own color (handy in tests)."""
-        pairs = [
-            (combo, i + 1)
-            for i, combo in enumerate(itertools.combinations(range(1, n + 1), k))
-        ]
-        return cls.from_pairs(n, k, len(pairs), pairs)
+        total = kset_count(n, k)
+        return cls(n, k, total, by_rank=np.arange(1, total + 1))
 
-    @property
-    def edge_count(self) -> int:
-        return len(self._edges)
+    def _rank(self, vertices: Iterable[int]) -> Optional[int]:
+        """Lex rank of a k-set of [n] given in any order; None if it is not one."""
+        vs = tuple(sorted(vertices))
+        if len(vs) != self.k or vs[0] < 1 or vs[-1] > self.n:
+            return None
+        if any(a == b for a, b in zip(vs, vs[1:])):
+            return None
+        return lex_rank(self.n, vs)
+
+    def _color_set(self, slot) -> frozenset[int]:
+        if not slot:
+            return frozenset()
+        if self.multi_color:
+            return frozenset(color_bits(int(slot)))
+        return frozenset((int(slot),))
 
     def has_edge(self, vertices: Iterable[int]) -> bool:
-        return tuple(sorted(vertices)) in self._edges
+        rank = self._rank(vertices)
+        return rank is not None and bool(self.by_rank[rank])
 
     def colors_of(self, vertices: Iterable[int]) -> frozenset[int]:
         """Colors carried by an edge; empty frozenset if absent."""
-        return self._edges.get(tuple(sorted(vertices)), frozenset())
+        rank = self._rank(vertices)
+        return frozenset() if rank is None else self._color_set(self.by_rank[rank])
 
     def items(self) -> Iterator[tuple[Edge, frozenset[int]]]:
-        return iter(self._edges.items())
+        """(edge, colors) pairs in lex order of the edges.  Unranks only the
+        present edges, so a sparse hypergraph near the cap stays cheap."""
+        slots = self.by_rank
+        for rank in np.flatnonzero(slots).tolist():
+            yield kset_of_rank(self.n, self.k, rank), self._color_set(slots[rank])
 
     def edges(self) -> Iterator[Edge]:
-        return iter(self._edges)
+        return (edge for edge, _ in self.items())
 
     def __contains__(self, vertices: Iterable[int]) -> bool:
         return self.has_edge(vertices)
@@ -235,7 +356,7 @@ class ColoredHypergraph:
         return (
             (self.n, self.k, self.r, self.multi_color)
             == (other.n, other.k, other.r, other.multi_color)
-            and self._edges == other._edges
+            and np.array_equal(self.by_rank, other.by_rank)
         )
 
     def __repr__(self) -> str:

@@ -21,7 +21,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from pathlib import Path
 from typing import Optional, Sequence, TextIO, Union
 
 from .core import CycleSpec
@@ -72,6 +71,13 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
     return lo, hi
 
 
+def resolve_r(n: int, r: Optional[int], c) -> int:
+    """The color count: r when given, else floor(c * n)."""
+    if r is not None:
+        return r
+    return int(Fraction(c) * n)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One sweep: cycle geometry, color rule, p-grid, effort knobs.
@@ -91,7 +97,6 @@ class SweepConfig:
     solver_mode: str = "exhaustive"
     budget: Optional[int] = None
     workers: int = 1
-    sampler_mode: str = "enumerate"
 
     def __post_init__(self) -> None:
         CycleSpec(self.n, self.k, self.ell)
@@ -118,9 +123,7 @@ class SweepConfig:
 
     @property
     def resolved_r(self) -> int:
-        if self.r is not None:
-            return self.r
-        return int(self.c * self.n)
+        return resolve_r(self.n, self.r, self.c)
 
     @property
     def spec(self) -> CycleSpec:
@@ -171,10 +174,7 @@ def _aggregate(config: SweepConfig, per_point: list[list[tuple[str, int]]]) -> l
 def _sweep_task(config: SweepConfig, task: tuple[int, int]) -> tuple[int, str, int]:
     point, trial = task
     seed = derive_seed(config.seed, point, trial)
-    H = sample_colored(
-        config.n, config.k, config.p_grid[point], config.resolved_r, seed,
-        mode=config.sampler_mode,
-    )
+    H = sample_colored(config.n, config.k, config.p_grid[point], config.resolved_r, seed)
     outcome = find_rainbow_cycle(H, config.spec, config.solver_mode, config.budget)
     return point, outcome.status.value, outcome.nodes_expanded
 
@@ -325,17 +325,6 @@ def estimate_crossing(
     if points and points[-1][1] == level:
         return points[-1][0]
     return None
-
-
-PathOrFile = Union[str, Path, TextIO]
-
-
-def write_sweep_csv(config: SweepConfig, rows: Sequence[SweepResult], target: PathOrFile) -> None:
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            _emit_csv(config, rows, fh)
-    else:
-        _emit_csv(config, rows, target)
 
 
 def _emit_csv(config: SweepConfig, rows: Sequence[SweepResult], fh: TextIO) -> None:

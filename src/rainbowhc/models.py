@@ -12,7 +12,9 @@ Also here: the reduction that turns a colored k-uniform instance into a
 plus the inverse map from a loose cycle of the reduced graph back to a
 rainbow certificate of the base instance.
 
-All samplers are pure functions of (parameters, seed).
+All samplers are pure functions of (parameters, seed).  They draw in lex
+order of the k-sets and write straight into the rank-indexed array that
+ColoredHypergraph stores, with no per-edge conversion.
 """
 
 from __future__ import annotations
@@ -28,21 +30,16 @@ import numpy as np
 from .core import (
     ColoredHypergraph,
     CycleSpec,
-    Edge,
     Hamperm,
     RainbowCertificate,
     canonical_edge,
+    kset_count,
+    kset_table,
 )
-from .errors import InvalidCycle, InvalidInput, NoRealRoot, TooLarge
+from .errors import InvalidCycle, InvalidInput, NoRealRoot
 from .seeds import derive_seed, mix64, unit_interval
 
-_ENUMERATION_CAP = 2_000_000  # refuse to materialize more k-sets than this
 _COLOR_SALT = 0xC2B2AE3D27D4EB4F
-
-# Rejection sampling degenerates as the expected density grows; above this
-# density the binomial path reuses the enumerate algorithm.
-_REJECTION_DENSITY_LIMIT = 0.5
-_REJECTION_RETRY_CAP = 100
 
 
 def _check_probability(p: float, name: str = "p") -> None:
@@ -50,80 +47,29 @@ def _check_probability(p: float, name: str = "p") -> None:
         raise InvalidInput(f"{name} must lie in [0, 1], got {p}")
 
 
-def _all_ksets(n: int, k: int) -> list[tuple[int, ...]]:
-    total = math.comb(n, k)
-    if total > _ENUMERATION_CAP:
-        raise TooLarge(f"C({n},{k}) = {total} k-sets exceeds the enumeration cap")
-    return list(itertools.combinations(range(1, n + 1), k))
+def _check_colors(r: int) -> None:
+    if r < 1:
+        raise InvalidInput(f"need r >= 1, got {r}")
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed & ((1 << 64) - 1)))
 
 
-def sample_colored(
-    n: int,
-    k: int,
-    p: float,
-    r: int,
-    seed: int,
-    mode: str = "enumerate",
-) -> ColoredHypergraph:
+def sample_colored(n: int, k: int, p: float, r: int, seed: int) -> ColoredHypergraph:
     """Sample the plain model: each k-set present independently with
     probability p, each present edge colored uniformly on [r].
 
-    Enumerate mode walks all C(n, k) subsets; binomial mode draws the edge
-    count from Binomial(C(n,k), p) and then picks that many distinct k-sets
-    by rejection.  Both produce the same distribution; output is
-    deterministic given (seed, mode).
+    Draws one uniform and then one color for every k-set in lex order, so
+    the result is a deterministic function of the seed.
     """
     _check_probability(p)
-    if r < 1:
-        raise InvalidInput(f"need r >= 1, got {r}")
-    if mode not in ("enumerate", "binomial"):
-        raise InvalidInput(f"unknown sampler mode {mode!r}")
+    _check_colors(r)
+    total = kset_count(n, k)
     rng = _rng(seed)
-    if mode == "enumerate" or p > _REJECTION_DENSITY_LIMIT:
-        edges = _sample_enumerate(rng, n, k, p, r)
-    else:
-        edges = _sample_binomial(rng, n, k, p, r)
-    return ColoredHypergraph(n, k, r, edges)
-
-
-def _sample_enumerate(
-    rng: np.random.Generator, n: int, k: int, p: float, r: int
-) -> dict[Edge, set[int]]:
-    ksets = _all_ksets(n, k)
-    us = rng.random(len(ksets))
-    colors = rng.integers(1, r + 1, size=len(ksets))
-    return {e: {int(c)} for e, u, c in zip(ksets, us, colors) if u < p}
-
-
-def _sample_binomial(
-    rng: np.random.Generator, n: int, k: int, p: float, r: int
-) -> dict[Edge, set[int]]:
-    total = math.comb(n, k)
-    if total > _ENUMERATION_CAP:
-        raise TooLarge(f"C({n},{k}) = {total} k-sets exceeds the enumeration cap")
-    count = int(rng.binomial(total, p))
-    chosen: set[Edge] = set()
-    exhausted = False
-    while len(chosen) < count and not exhausted:
-        for _ in range(_REJECTION_RETRY_CAP):
-            edge = tuple(sorted(int(v) + 1 for v in rng.choice(n, size=k, replace=False)))
-            if edge not in chosen:
-                chosen.add(edge)
-                break
-        else:
-            exhausted = True
-    if exhausted:
-        # deterministic completion from the complement, in lex order
-        remaining = [e for e in itertools.combinations(range(1, n + 1), k) if e not in chosen]
-        idx = rng.choice(len(remaining), size=count - len(chosen), replace=False)
-        chosen.update(remaining[int(i)] for i in idx)
-    ordered = sorted(chosen)
-    colors = rng.integers(1, r + 1, size=len(ordered))
-    return {e: {int(c)} for e, c in zip(ordered, colors)}
+    us = rng.random(total)
+    colors = rng.integers(1, r + 1, size=total)
+    return ColoredHypergraph(n, k, r, by_rank=np.where(us < p, colors, 0))
 
 
 @dataclass(frozen=True)
@@ -142,28 +88,24 @@ class CoupledInstance:
     r: int
     seed: int
 
-    def edge_table(self) -> tuple[tuple[Edge, float, int], ...]:
-        return _coupled_table(self)
-
     def realize(self, p: float) -> ColoredHypergraph:
         _check_probability(p)
-        edges = {e: {c} for e, u, c in self.edge_table() if u < p}
-        return ColoredHypergraph(self.n, self.k, self.r, edges)
+        us, colors = _coupled_arrays(self)
+        return ColoredHypergraph(self.n, self.k, self.r, by_rank=np.where(us < p, colors, 0))
 
 
-@lru_cache(maxsize=128)
-def _coupled_table(ci: CoupledInstance) -> tuple[tuple[Edge, float, int], ...]:
-    rows = []
-    for edge in _all_ksets(ci.n, ci.k):
+@lru_cache(maxsize=4)  # a coupled trial realizes one instance at every grid point
+def _coupled_arrays(ci: CoupledInstance) -> tuple[np.ndarray, np.ndarray]:
+    """(u_e, color_e) for every k-set of [n], by lex rank."""
+    _check_colors(ci.r)
+    ksets = kset_table(ci.n, ci.k)[0]
+    us = np.empty(len(ksets))
+    colors = np.empty(len(ksets), dtype=np.int64)
+    for rank, edge in enumerate(ksets):
         h = derive_seed(ci.seed, *edge)
-        u = unit_interval(h)
-        color = 1 + mix64(h ^ _COLOR_SALT) % ci.r
-        rows.append((edge, u, color))
-    return tuple(rows)
-
-
-def realize(ci: CoupledInstance, p: float) -> ColoredHypergraph:
-    return ci.realize(p)
+        us[rank] = unit_interval(h)
+        colors[rank] = 1 + mix64(h ^ _COLOR_SALT) % ci.r
+    return us, colors
 
 
 def q_from_p(p: float) -> float:
@@ -188,18 +130,17 @@ def sample_directed(n: int, k: int, q: float, r: int, seed: int) -> ColoredHyper
     records, per k-set, the set of colors received (multi-color mode).
     """
     _check_probability(q, "q")
-    if r < 1:
-        raise InvalidInput(f"need r >= 1, got {r}")
+    _check_colors(r)
+    total = kset_count(n, k)
     rng = _rng(seed)
-    ksets = _all_ksets(n, k)
-    kfact = math.factorial(k)
-    counts = rng.binomial(kfact, q, size=len(ksets))
-    edges: dict[Edge, set[int]] = {}
-    for edge, cnt in zip(ksets, counts):
-        if cnt:
-            colors = rng.integers(1, r + 1, size=int(cnt))
-            edges[edge] = {int(c) for c in colors}
-    return ColoredHypergraph(n, k, r, edges, multi_color=True)
+    counts = rng.binomial(math.factorial(k), q, size=total)
+    masks = np.zeros(total, dtype=object)
+    for rank in np.flatnonzero(counts):
+        mask = 0
+        for color in rng.integers(1, r + 1, size=int(counts[rank])):
+            mask |= 1 << int(color)
+        masks[rank] = mask
+    return ColoredHypergraph(n, k, r, by_rank=masks, multi_color=True)
 
 
 @dataclass(frozen=True)

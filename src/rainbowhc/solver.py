@@ -8,8 +8,9 @@ proves absence; budgeted mode gives up after a node quota and reports Unknown.
 
 The oracles enumerate all n! permutations outright and exist to pin the
 closed-form moment calculations to something independently computable, so
-they stay deliberately naive (with a cached numpy fast path for the counting
-loop, since Monte Carlo tests call it a hundred thousand times).
+they stay deliberately naive.  The counting oracle reads the hypergraph's
+rank-indexed color array through a cached (m, n!) table of induced-edge
+ranks, since Monte Carlo tests call it a hundred thousand times.
 """
 
 from __future__ import annotations
@@ -28,10 +29,13 @@ from .core import (
     ColorMatcher,
     ColoredHypergraph,
     CycleSpec,
-    Edge,
     Hamperm,
     RainbowCertificate,
+    color_bits,
+    distinct_color_system,
     edges_of_hamperm,
+    kset_table,
+    lex_rank,
     verify_certificate,
 )
 from .errors import InvalidInput, TooLarge
@@ -114,16 +118,18 @@ def _edge_index(H: ColoredHypergraph) -> tuple[dict[int, int], dict[int, object]
 
     extend[T] is the set of vertices v outside T with T | {v} contained in
     some present edge, for every proper subset T of every edge; colors maps
-    each edge's mask to its color (single-color) or color set (multi-color).
+    each edge's mask to its color (single-color) or ascending color tuple
+    (multi-color).
     """
     extend: dict[int, int] = {}
     colors: dict[int, object] = {}
+    masks = kset_table(H.n, H.k)[1]
+    slots = H.by_rank
     multi = H.multi_color
-    for edge, cset in H.items():
-        mask = 0
-        for v in edge:
-            mask |= 1 << v
-        colors[mask] = cset if multi else next(iter(cset))
+    for rank in np.flatnonzero(slots):
+        mask = masks[rank]
+        slot = int(slots[rank])
+        colors[mask] = color_bits(slot) if multi else slot
         sub = (mask - 1) & mask
         while True:
             extend[sub] = extend.get(sub, 0) | (mask ^ sub)
@@ -271,15 +277,11 @@ def find_rainbow_cycle(
 # permutation-enumeration machinery
 
 
-def _colex_rank(edge: Edge) -> int:
-    """Rank of a canonical edge in colex order over all k-subsets of [n]."""
-    return sum(math.comb(v - 1, j + 1) for j, v in enumerate(edge))
-
-
-@lru_cache(maxsize=2)  # one table is n! x m int64: ~26 MB at n = 9
+@lru_cache(maxsize=2)  # one table is m x n! int64: ~26 MB at n = 9
 def _perm_edge_table(n: int, k: int, ell: int) -> np.ndarray:
-    """(n!, m) array: row = induced-edge colex ranks of each permutation of
-    [n] in lexicographic permutation order."""
+    """(m, n!) array: column = induced-edge lex ranks (see core.lex_rank) of
+    each permutation of [n] in lexicographic permutation order, row i for
+    cycle edge i (window-major, so per-edge work runs over long rows)."""
     spec = CycleSpec(n, k, ell)
     perms = np.fromiter(
         itertools.chain.from_iterable(itertools.permutations(range(n))),
@@ -290,27 +292,14 @@ def _perm_edge_table(n: int, k: int, ell: int) -> np.ndarray:
     for v in range(n):
         for t in range(k + 1):
             comb[v, t] = math.comb(v, t)
-    table = np.empty((perms.shape[0], spec.m), dtype=np.int64)
+    table = np.empty((spec.m, perms.shape[0]), dtype=np.int64)
     for i, window in enumerate(spec.windows()):
-        vals = np.sort(perms[:, list(window)], axis=1)
-        rank = np.zeros(perms.shape[0], dtype=np.int64)
+        vals = np.sort(perms[:, list(window)], axis=1)  # 0-based vertices
+        rank = np.full(perms.shape[0], math.comb(n, k) - 1, dtype=np.int64)
         for j in range(k):
-            rank += comb[vals[:, j], j + 1]
-        table[:, i] = rank
+            rank -= comb[n - 1 - vals[:, j], k - j]
+        table[i] = rank
     return table
-
-
-def _presence_and_colors(
-    H: ColoredHypergraph,
-) -> tuple[np.ndarray, np.ndarray]:
-    total = math.comb(H.n, H.k)
-    present = np.zeros(total, dtype=bool)
-    color = np.zeros(total, dtype=np.int64)
-    for edge, colors in H.items():
-        rank = _colex_rank(edge)
-        present[rank] = True
-        color[rank] = next(iter(colors))
-    return present, color
 
 
 def count_hamperms(
@@ -325,32 +314,21 @@ def count_hamperms(
         raise InvalidInput("hypergraph does not match spec")
     if spec.n > limit:
         raise TooLarge(f"n = {spec.n} exceeds the enumeration limit {limit}")
+    table = _perm_edge_table(spec.n, spec.k, spec.ell)
+    colors = H.by_rank[table]  # (m, n!): the slot of each induced edge
+    present = np.logical_and.reduce(colors != 0, axis=0)
+    x_count = int(np.count_nonzero(present))
     if not H.multi_color:
-        table = _perm_edge_table(spec.n, spec.k, spec.ell)
-        present, color = _presence_and_colors(H)
-        ok = present[table].all(axis=1)
-        x_count = int(ok.sum())
-        if x_count == 0:
-            return 0, 0
-        cmat = np.sort(color[table[ok]], axis=1)
-        rainbow = (cmat[:, 1:] != cmat[:, :-1]).all(axis=1)
-        return x_count, int(rainbow.sum())
+        rainbow = present.copy()
+        for i, j in itertools.combinations(range(spec.m), 2):
+            rainbow &= colors[i] != colors[j]
+        return x_count, int(np.count_nonzero(rainbow))
 
-    from .core import distinct_color_system
-
-    x_count = y_count = 0
-    for perm in itertools.permutations(range(1, spec.n + 1)):
-        pi = Hamperm(perm, spec)
-        color_sets = []
-        for edge in edges_of_hamperm(pi):
-            colors = H.colors_of(edge)
-            if not colors:
-                break
-            color_sets.append(colors)
-        else:
-            x_count += 1
-            if distinct_color_system(color_sets) is not None:
-                y_count += 1
+    y_count = sum(
+        1
+        for column in colors[:, present].T.tolist()
+        if distinct_color_system([color_bits(mask) for mask in column]) is not None
+    )
     return x_count, y_count
 
 
@@ -398,10 +376,10 @@ def overlap_profile(spec: CycleSpec, limit: int = ENUMERATION_LIMIT) -> OverlapP
     total_ranks = math.comb(n, spec.k)
     ref_index = np.full(total_ranks, -1, dtype=np.int64)
     for i, e in enumerate(ref_edges):
-        ref_index[_colex_rank(e)] = i
+        ref_index[lex_rank(n, e)] = i
 
     table = _perm_edge_table(spec.n, spec.k, spec.ell)
-    idx_mat = ref_index[table]
+    idx_mat = ref_index[table].T  # one row per permutation
     counts: dict[tuple[int, int], int] = {}
     for row in idx_mat:
         shared = sorted(int(i) for i in row if i >= 0)
@@ -479,7 +457,7 @@ def second_moment_bruteforce(
     for perm in itertools.permutations(range(1, spec.n + 1)):
         mask = 0
         for edge in edges_of_hamperm(Hamperm(perm, spec)):
-            mask |= 1 << _colex_rank(edge)
+            mask |= 1 << lex_rank(spec.n, edge)
         masks.append(mask)
     pair_counts: dict[tuple[int, int], int] = {}
     for m1 in masks:

@@ -29,6 +29,7 @@ from rainbowhc import (
     gamma_cycle_to_rainbow,
     log_expected_Y,
     overlap_profile,
+    run_coupled_sweep,
     run_sweep,
     sample_colored,
     second_moment_bruteforce,
@@ -360,19 +361,22 @@ def test_criterion_10_coupling_inequality():
 # -- 11. determinism --------------------------------------------------------------------------------
 
 def test_criterion_11_determinism():
-    def csv_for(workers: int) -> str:
+    def csv_for(run, workers: int) -> str:
         config = SweepConfig(
             n=6, k=3, ell=1, r=3,
             p_grid=(0.1, 0.3, 0.5, 0.7, 0.9),
             trials=40, seed=1111, workers=workers,
         )
-        return sweep_csv_text(config, run_sweep(config))
+        return sweep_csv_text(config, run(config))
 
-    first = csv_for(1)
-    ok = all(csv_for(w) == first for w in (1, 2, 4))
+    first = csv_for(run_sweep, 1)
+    ok = all(csv_for(run_sweep, w) == first for w in (1, 2, 4))
+    # csweep realizes through a per-process cache of coupled arrays
+    coupled = csv_for(run_coupled_sweep, 1)
+    ok = ok and all(csv_for(run_coupled_sweep, w) == coupled for w in (1, 2))
     _report(
         11,
-        "sweep CSV byte-identical across reruns and worker counts",
+        "sweep and csweep CSV byte-identical across reruns and worker counts",
         ok,
         f"{len(first.splitlines()) - 1} rows",
     )

@@ -162,6 +162,10 @@ def test_exit_codes(tmp_path, capsys):
     # invalid input -> 1
     code, _, err = run(capsys, "gen", "--n", "4", "--k", "9", "--r", "2", "--p", "0.5")
     assert code == 1 and "error" in err
+    code, _, err = run(
+        capsys, "gen", "--n", "6", "--k", "3", "--r", "0", "--p", "0.5", "--model", "coupled"
+    )
+    assert code == 1 and "error" in err
     code, _, _ = run(capsys, "solve", "--infile", str(tmp_path / "nope.chg"), "--ell", "1")
     assert code == 1
     # bad flags -> 1 as well (argparse rerouted)

@@ -1,23 +1,40 @@
+import io
 import itertools
+import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowhc import (
     ColoredHypergraph,
+    CoupledInstance,
     CycleFailure,
     CycleSpec,
     Hamperm,
     InvalidInput,
     InvalidSpec,
     RainbowCertificate,
+    TooLarge,
     edges_of_hamperm,
+    read_chg,
+    sample_colored,
     validate_cycle,
     verify_certificate,
 )
-from rainbowhc.core import ColorMatcher, distinct_color_system
+from rainbowhc.core import (
+    _ENUMERATION_CAP,
+    ColorMatcher,
+    color_bits,
+    distinct_color_system,
+    kset_of_rank,
+    kset_table,
+    lex_rank,
+)
+from rainbowhc.models import _coupled_arrays
 
 from conftest import enumerate_specs
 
@@ -174,6 +191,90 @@ def test_complete_rainbow():
     assert H.edge_count == 10
     assert H.r == 10
     assert len({next(iter(cs)) for _, cs in H.items()}) == 10
+
+
+def test_lex_rank_is_combinations_order():
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            ksets, masks = kset_table(n, k)
+            combos = list(itertools.combinations(range(1, n + 1), k))
+            assert list(ksets) == combos
+            assert [lex_rank(n, e) for e in combos] == list(range(math.comb(n, k)))
+            assert [kset_of_rank(n, k, i) for i in range(len(combos))] == combos
+            assert list(masks) == [sum(1 << v for v in e) for e in combos]
+
+
+def test_storage_is_one_array_by_rank():
+    H = ColoredHypergraph(5, 3, 4, {(3, 5, 4): {2}, (1, 2, 3): {4}})
+    expected = np.zeros(10, dtype=np.int64)
+    expected[lex_rank(5, (1, 2, 3))] = 4
+    expected[lex_rank(5, (3, 4, 5))] = 2
+    assert np.array_equal(H.by_rank, expected)
+    assert not H.by_rank.flags.writeable
+    assert list(H.items()) == [((1, 2, 3), frozenset({4})), ((3, 4, 5), frozenset({2}))]
+    assert list(H.edges()) == [(1, 2, 3), (3, 4, 5)]
+    assert ColoredHypergraph(5, 3, 4, by_rank=expected) == H
+    for probe in [(1, 2), (1, 1, 2), (0, 1, 2), (4, 5, 6), (1, 2, 3, 4)]:
+        assert not H.has_edge(probe)
+        assert H.colors_of(probe) == frozenset()
+
+    multi = ColoredHypergraph(5, 3, 3, {(2, 3, 4): {1, 3}}, multi_color=True)
+    assert multi.by_rank[lex_rank(5, (2, 3, 4))] == 0b1010
+    assert color_bits(0b1010) == (1, 3)
+    assert multi.colors_of((4, 3, 2)) == frozenset({1, 3})
+
+
+def test_by_rank_constructor_checks_range_and_shape():
+    with pytest.raises(InvalidInput):
+        ColoredHypergraph(5, 3, 2, by_rank=[0] * 9)  # wrong length
+    with pytest.raises(InvalidInput):
+        ColoredHypergraph(5, 3, 2, by_rank=[3] + [0] * 9)  # color above r
+    with pytest.raises(InvalidInput):
+        ColoredHypergraph(5, 3, 2, by_rank=[-1] + [0] * 9)
+    with pytest.raises(InvalidInput):
+        ColoredHypergraph(5, 3, 2, by_rank=[0.5] * 10)
+    with pytest.raises(InvalidInput):
+        ColoredHypergraph(5, 3, 2, by_rank=[0b1000] + [0] * 9, multi_color=True)
+    with pytest.raises(InvalidInput):
+        ColoredHypergraph(5, 3, 2, by_rank=[0b1] + [0] * 9, multi_color=True)
+    with pytest.raises(InvalidInput):
+        ColoredHypergraph(5, 3, 2, {(1, 2, 3): {1}}, by_rank=[0] * 10)
+    given = np.zeros(10, dtype=np.int64)
+    H = ColoredHypergraph(5, 3, 2, by_rank=given)
+    given[0] = 1  # the hypergraph keeps its own copy
+    assert H.edge_count == 0
+
+
+def test_sparse_hypergraph_near_the_cap_lists_edges_cheaply():
+    H = ColoredHypergraph(2000, 2, 3, {(1, 2): {1}, (1999, 2000): {3}})
+    tracemalloc.start()
+    try:
+        assert list(H.items()) == [((1, 2), frozenset({1})), ((1999, 2000), frozenset({3}))]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_more_ksets_than_the_cap_is_too_large_before_allocating():
+    n, k = 200, 4
+    assert math.comb(n, k) > _ENUMERATION_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            ColoredHypergraph(n, k, 3)
+        with pytest.raises(TooLarge):
+            read_chg(io.StringIO(f"{n} {k} 3\n1 2 3 4 1\n"))
+        with pytest.raises(TooLarge):
+            sample_colored(n, k, 0.5, 3, seed=0)
+        with pytest.raises(TooLarge):
+            CoupledInstance(n, k, 3, seed=0).realize(0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert kset_table.cache_info().maxsize <= 8
+    assert _coupled_arrays.cache_info().maxsize <= 8
 
 
 # -- validate_cycle / verify_certificate -------------------------------------

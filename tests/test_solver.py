@@ -25,7 +25,8 @@ from rainbowhc import (
     verify_certificate,
 )
 from rainbowhc.seeds import derive_seed
-from rainbowhc.solver import falling_factorial, solver_agrees_with_oracle
+from rainbowhc.core import distinct_color_system, lex_rank
+from rainbowhc.solver import _perm_edge_table, falling_factorial, solver_agrees_with_oracle
 
 from conftest import enumerate_specs, planted_cycle_hypergraph, complete_single_color
 
@@ -206,6 +207,29 @@ def test_count_agrees_with_slow_enumeration():
                 if len({next(iter(c)) for c in colors}) == spec.m:
                     slow_y += 1
         assert fast == (slow_x, slow_y)
+
+
+def test_perm_edge_table_holds_lex_ranks_of_induced_edges():
+    for spec in (CycleSpec(6, 3, 1), CycleSpec(6, 4, 2), CycleSpec(7, 4, 3)):
+        table = _perm_edge_table(spec.n, spec.k, spec.ell)
+        for index, perm in enumerate(itertools.permutations(range(1, spec.n + 1))):
+            if index % 37:
+                continue
+            edges = edges_of_hamperm(Hamperm(perm, spec))
+            assert table[:, index].tolist() == [lex_rank(spec.n, e) for e in edges]
+
+
+def test_count_multi_color_agrees_with_slow_enumeration():
+    spec = CycleSpec(6, 3, 1)
+    for trial in range(6):
+        H = sample_directed(6, 3, 0.08, 3, seed=derive_seed(78, trial))
+        slow_x = slow_y = 0
+        for perm in itertools.permutations(range(1, 7)):
+            colors = [H.colors_of(e) for e in edges_of_hamperm(Hamperm(perm, spec))]
+            if all(colors):
+                slow_x += 1
+                slow_y += distinct_color_system(colors) is not None
+        assert count_hamperms(H, spec) == (slow_x, slow_y)
 
 
 # -- solver vs oracle ----------------------------------------------------------
