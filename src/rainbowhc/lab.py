@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Optional, Sequence, TextIO, Union
+from typing import Callable, Optional, Sequence, TextIO, Union
 
 from .core import CycleSpec
 from .errors import InvalidInput
@@ -171,63 +171,88 @@ def _aggregate(config: SweepConfig, per_point: list[list[tuple[str, int]]]) -> l
     return rows
 
 
-def _sweep_task(config: SweepConfig, task: tuple[int, int]) -> tuple[int, str, int]:
+def _run_tasks(fn: Callable, tasks: Sequence, workers: int) -> list:
+    """fn over tasks, results in task order; a process pool when workers > 1."""
+    if workers == 1:
+        return [fn(task) for task in tasks]
+    chunk = max(1, len(tasks) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=chunk))
+
+
+def _sweep_task(config: SweepConfig, task: tuple[int, int]) -> tuple[str, int]:
     point, trial = task
     seed = derive_seed(config.seed, point, trial)
     H = sample_colored(config.n, config.k, config.p_grid[point], config.resolved_r, seed)
     outcome = find_rainbow_cycle(H, config.spec, config.solver_mode, config.budget)
-    return point, outcome.status.value, outcome.nodes_expanded
+    return outcome.status.value, outcome.nodes_expanded
 
 
 def run_sweep(config: SweepConfig) -> list[SweepResult]:
     """Independent instances at every grid point; deterministic in config."""
     tasks = [(i, t) for i in range(len(config.p_grid)) for t in range(config.trials)]
+    results = _run_tasks(partial(_sweep_task, config), tasks, config.workers)
     per_point: list[list[tuple[str, int]]] = [[] for _ in config.p_grid]
-    worker = partial(_sweep_task, config)
-    if config.workers == 1:
-        results = map(worker, tasks)
-    else:
-        chunk = max(1, len(tasks) // (config.workers * 8))
-        pool = ProcessPoolExecutor(max_workers=config.workers)
-        try:
-            results = list(pool.map(worker, tasks, chunksize=chunk))
-        finally:
-            pool.shutdown()
-    for point, status, nodes in results:
-        per_point[point].append((status, nodes))
+    for (point, _), outcome in zip(tasks, results):
+        per_point[point].append(outcome)
     return _aggregate(config, per_point)
 
 
 def _coupled_task(config: SweepConfig, trial: int) -> list[tuple[str, int]]:
+    """One trial's outcomes at every grid point, searching as few as needed.
+
+    The instances realize(p) at increasing p are nested with identical
+    colors, so a rainbow cycle found at one point exists at every higher
+    point, and a proof of absence at one point holds at every lower point.
+    The grid is resolved by bisection: search the middle point still open;
+    FOUND there settles every open point above it, NOT_FOUND every open
+    point below it, UNKNOWN (budget hit) only itself.  A settled point is
+    neither realized nor searched and records 0 nodes.
+    """
     ci = CoupledInstance(config.n, config.k, config.resolved_r, derive_seed(config.seed, trial))
-    out = []
-    for p in config.p_grid:
-        outcome = find_rainbow_cycle(ci.realize(p), config.spec, config.solver_mode, config.budget)
-        out.append((outcome.status.value, outcome.nodes_expanded))
+    out: list[Optional[tuple[str, int]]] = [None] * len(config.p_grid)
+    open_points = list(range(len(config.p_grid)))
+    while open_points:
+        j = len(open_points) // 2
+        point = open_points[j]
+        outcome = find_rainbow_cycle(
+            ci.realize(config.p_grid[point]), config.spec, config.solver_mode, config.budget
+        )
+        out[point] = (outcome.status.value, outcome.nodes_expanded)
+        if outcome.status is SearchStatus.FOUND:
+            for above in open_points[j + 1:]:
+                out[above] = (SearchStatus.FOUND.value, 0)
+            open_points = open_points[:j]
+        elif outcome.status is SearchStatus.NOT_FOUND:
+            for below in open_points[:j]:
+                out[below] = (SearchStatus.NOT_FOUND.value, 0)
+            open_points = open_points[j + 1:]
+        else:
+            del open_points[j]
     return out
 
 
 def coupled_outcome_matrix(config: SweepConfig) -> list[list[tuple[str, int]]]:
-    """(trial, point) outcome matrix on shared coupled instances.
+    """(trial, point) matrix of (status, nodes expanded) on coupled instances.
 
     Within a trial the instances at increasing p are nested with identical
-    colors, so with an exhaustive solver the found column is monotone in p
-    exactly, trial by trial.
+    colors, so the found column is monotone in p exactly, trial by trial.
+    Each trial bisects its grid (see `_coupled_task`): a point settled by a
+    search at another point has the status that search implies and 0 nodes.
+    Exhaustive statuses equal per-point searches; budgeted ones equal them
+    at every searched point, and a settled point can only hold a true
+    verdict where a per-point search might have stopped at the budget.
     """
-    worker = partial(_coupled_task, config)
-    trials = range(config.trials)
-    if config.workers == 1:
-        return [worker(t) for t in trials]
-    chunk = max(1, config.trials // (config.workers * 8))
-    pool = ProcessPoolExecutor(max_workers=config.workers)
-    try:
-        return list(pool.map(worker, trials, chunksize=chunk))
-    finally:
-        pool.shutdown()
+    return _run_tasks(partial(_coupled_task, config), range(config.trials), config.workers)
 
 
 def run_coupled_sweep(config: SweepConfig) -> list[SweepResult]:
-    """Sweep on per-trial coupled instances shared across all grid points."""
+    """Sweep on per-trial coupled instances shared across all grid points.
+
+    Verdict counts are those of independent per-point searches on the
+    coupled instances (exhaustive mode); mean_nodes is the mean effort the
+    bisection actually spent, settled points counting 0.
+    """
     matrix = coupled_outcome_matrix(config)
     per_point = [
         [matrix[t][i] for t in range(config.trials)]

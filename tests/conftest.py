@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from rainbowhc import ColoredHypergraph, CycleSpec
+from rainbowhc import ColoredHypergraph, CoupledInstance, CycleSpec, find_rainbow_cycle
 from rainbowhc.seeds import derive_seed
 
 
@@ -36,3 +36,23 @@ def complete_single_color(n: int, k: int, r: int, seed: int = 0) -> ColoredHyper
     for combo in itertools.combinations(range(1, n + 1), k):
         pairs.append((combo, 1 + derive_seed(seed, *combo) % r))
     return ColoredHypergraph.from_pairs(n, k, r, pairs)
+
+
+def direct_coupled_matrix(config) -> list[list[tuple[str, int]]]:
+    """(status, nodes) of one search per (trial, point) of a coupled sweep.
+
+    Independent of the inference `coupled_outcome_matrix` draws from
+    monotonicity, so it can check that inference and the monotonicity
+    claim itself.
+    """
+    rows = []
+    for t in range(config.trials):
+        ci = CoupledInstance(config.n, config.k, config.resolved_r, derive_seed(config.seed, t))
+        row = []
+        for p in config.p_grid:
+            outcome = find_rainbow_cycle(
+                ci.realize(p), config.spec, config.solver_mode, config.budget
+            )
+            row.append((outcome.status.value, outcome.nodes_expanded))
+        rows.append(row)
+    return rows

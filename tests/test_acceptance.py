@@ -42,7 +42,7 @@ from rainbowhc import (
 from rainbowhc.lab import coupled_outcome_matrix, sweep_csv_text
 from rainbowhc.seeds import derive_seed
 
-from conftest import enumerate_specs
+from conftest import direct_coupled_matrix, enumerate_specs
 
 
 def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -246,7 +246,9 @@ def test_criterion_08_monotone_coupling():
         p_grid=tuple(0.08 + 0.05 * i for i in range(8)),
         trials=400, seed=808,
     )
-    matrix = coupled_outcome_matrix(config)
+    # one direct search per point, so the check does not lean on the
+    # monotone inference coupled_outcome_matrix itself draws
+    matrix = direct_coupled_matrix(config)
     pairs = violations = 0
     for row in matrix:
         founds = [s == "found" for s, _ in row]
@@ -263,12 +265,14 @@ def test_criterion_08_monotone_coupling():
         )
         if b.phat < a.phat - 3 * pooled:
             stat_ok = False
-    ok = pairs >= 10_000 and violations == 0 and stat_ok
+    inferred = [[s for s, _ in row] for row in coupled_outcome_matrix(config)]
+    same = inferred == [[s for s, _ in row] for row in matrix]
+    ok = pairs >= 10_000 and violations == 0 and stat_ok and same
     _report(
         8,
         "coupled sweeps exactly monotone; uncoupled monotone within 3 SE",
         ok,
-        f"{pairs} trial-pairs, {violations} violations",
+        f"{pairs} trial-pairs, {violations} violations, bisected statuses equal: {same}",
     )
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,8 @@ from rainbowhc import (
     wilson_interval,
 )
 from rainbowhc.lab import coupled_outcome_matrix, sweep_csv_text, sweep_records
+
+from conftest import direct_coupled_matrix
 
 
 def small_config(**overrides):
@@ -162,12 +165,66 @@ def test_sweep_csv_shape():
 
 def test_coupled_sweep_exactly_monotone_per_trial():
     cfg = small_config(p_grid=(0.1, 0.3, 0.5, 0.7), trials=40)
-    matrix = coupled_outcome_matrix(cfg)
+    matrix = direct_coupled_matrix(cfg)
     for row in matrix:
         founds = [s == "found" for s, _ in row]
         for i in range(len(founds)):
             for j in range(i + 1, len(founds)):
                 assert not (founds[i] and not founds[j])
+    bisected = coupled_outcome_matrix(cfg)
+    assert [[s for s, _ in row] for row in bisected] == [[s for s, _ in row] for row in matrix]
+
+
+def test_coupled_budgeted_inference_never_contradicts_exhaustive():
+    # tight (10, 4, 3) instances with a budget that censors about half the
+    # per-point searches
+    cfg = SweepConfig(
+        n=10, k=4, ell=3, r=10, p_grid=tuple(0.37 + 0.09 * i for i in range(8)),
+        trials=12, seed=2, solver_mode="budgeted", budget=5000,
+    )
+    bisected = coupled_outcome_matrix(cfg)
+    per_point = direct_coupled_matrix(cfg)
+    exhaustive = direct_coupled_matrix(replace(cfg, solver_mode="exhaustive", budget=None))
+    inferred = rescued = 0
+    for row, direct, truth in zip(bisected, per_point, exhaustive):
+        for cell, (d_status, d_nodes), (true_status, _) in zip(row, direct, truth):
+            status, nodes = cell
+            assert status in (true_status, "unknown")
+            assert status != "unknown" or d_status == "unknown"
+            # a point is either searched exactly as alone, or settled at 0 nodes
+            assert cell == (d_status, d_nodes) or (nodes == 0 and status == true_status)
+            if cell != (d_status, d_nodes):
+                inferred += 1
+                rescued += d_status == "unknown"
+    assert inferred > 0 and rescued > 0
+
+
+# `csweep --n 8 --k 3 --ell 1 --r 4 --p-grid 0.05:0.5:8 --trials 20 --seed 1`
+# from per-point searches, without its mean_nodes column
+CSWEEP_PIN = """\
+n,k,ell,r,p,trials,found,not_found,unknown,phat,ci_lo,ci_hi
+8,3,1,4,0.05,20,0,20,0,0.0,0.0,0.16113012549493322
+8,3,1,4,0.1142857142857143,20,1,19,0,0.05,0.008881219432873136,0.23613589351256675
+8,3,1,4,0.1785714285714286,20,4,16,0,0.2,0.0806563532712,0.41602172202575993
+8,3,1,4,0.24285714285714288,20,11,9,0,0.55,0.3420820083075997,0.7418049791429071
+8,3,1,4,0.30714285714285716,20,17,3,0,0.85,0.6395767041130426,0.9476322080405041
+8,3,1,4,0.37142857142857144,20,19,1,0,0.95,0.7638641064874331,0.9911187805671268
+8,3,1,4,0.4357142857142858,20,19,1,0,0.95,0.7638641064874331,0.9911187805671268
+8,3,1,4,0.5000000000000001,20,20,0,0,1.0,0.8388698745050667,1.0
+"""
+
+
+def test_coupled_sweep_csv_pinned_except_mean_nodes():
+    texts = []
+    for workers in (1, 2):
+        cfg = SweepConfig(
+            n=8, k=3, ell=1, r=4, p_grid=make_grid(0.05, 0.5, 8), trials=20, seed=1,
+            workers=workers,
+        )
+        texts.append(sweep_csv_text(cfg, run_coupled_sweep(cfg)))
+    assert texts[0] == texts[1]
+    stripped = "".join(line.rsplit(",", 1)[0] + "\n" for line in texts[0].splitlines())
+    assert stripped == CSWEEP_PIN
 
 
 def test_coupled_sweep_phat_nondecreasing():
