@@ -21,9 +21,12 @@ def main() -> int:
     ap.add_argument("--p", type=float, default=0.05)
     ap.add_argument("--trials", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=3)
+    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
-    outcome = couple_experiment(args.n, args.k, args.p, args.trials, args.seed)
+    outcome = couple_experiment(
+        args.n, args.k, args.p, args.trials, args.seed, workers=args.workers
+    )
     json.dump(outcome.to_record(), sys.stdout, indent=2)
     print()
     verdict = "holds" if outcome.holds else "VIOLATED"

@@ -276,7 +276,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_couple(args) -> int:
-    outcome = couple_experiment(args.n, args.k, args.p, args.trials, args.seed)
+    outcome = couple_experiment(
+        args.n, args.k, args.p, args.trials, args.seed, workers=args.workers
+    )
     _write_out(json.dumps(outcome.to_record(), indent=2) + "\n", args.out)
     return 0
 
@@ -358,6 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     couple.add_argument("--p", type=float, required=True)
     couple.add_argument("--trials", type=int, required=True)
     couple.add_argument("--seed", type=int, default=0)
+    couple.add_argument("--workers", type=int, default=1)
     couple.add_argument("--out", default=None)
     couple.set_defaults(func=_cmd_couple)
 

@@ -274,7 +274,9 @@ class ColoredHypergraph:
         if slots.shape != (total,):
             raise InvalidInput(f"need {total} slots by rank, got shape {slots.shape}")
         if self.multi_color:
-            bad = ((slots & 1) | (slots >> (self.r + 1))).any()
+            # a slot is out of range iff the union of all slots is
+            union = np.bitwise_or.reduce(slots)
+            bad = union < 0 or union & 1 or union >> (self.r + 1)
         else:
             bad = slots.min() < 0 or slots.max() > self.r
         if bad:
@@ -407,6 +409,10 @@ class ColorMatcher:
     feasibility only shrinks as slots are added, so the moment add() fails a
     search may prune: no completion of the current slot set exists.  remove()
     frees a slot again (any slot; the rest stay validly assigned).
+
+    It serves `distinct_color_system`, and through it the counting oracle
+    and `validate_cycle`.  The search keeps its own int-bitmask copy of the
+    same algorithm, so the solver-vs-oracle checks compare two matchers.
     """
 
     def __init__(self) -> None:

@@ -291,30 +291,42 @@ class CoupleOutcome:
         }
 
 
-def couple_experiment(n: int, k: int, p: float, trials: int, seed: int) -> CoupleOutcome:
+def _couple_task(
+    spec: CycleSpec, r: int, p: float, q: float, seed: int, trial: int
+) -> tuple[bool, bool]:
+    """One trial: (found in the undirected model, found in the directed model)."""
+    n, k = spec.n, spec.k
+    H_u = sample_colored(n, k, p, r, derive_seed(seed, 0, trial))
+    found_u = find_rainbow_cycle(H_u, spec).found
+    H_d = sample_directed(n, k, q, r, derive_seed(seed, 1, trial))
+    return found_u, find_rainbow_cycle(H_d, spec).found
+
+
+def couple_experiment(
+    n: int, k: int, p: float, trials: int, seed: int, workers: int = 1
+) -> CoupleOutcome:
     """Estimate rainbow loose-cycle probabilities in both models.
 
     The undirected model runs at p, the directed model at the matched
     q = q_from_p(p) with multi-color solving; the directed probability should
     dominate, and `holds` reports whether phat_directed >= phat_undirected
     minus two pooled standard errors.  Needs (k-1) | n, r = n/(k-1),
-    p <= 1/8, and exhaustive-feasible n.
+    p <= 1/8, and exhaustive-feasible n.  Trials run as one task each
+    (a process pool when workers > 1) and are summed in trial order, so the
+    outcome does not depend on the worker count.
     """
     if k < 2 or n % (k - 1) != 0:
         raise InvalidInput(f"k - 1 = {k - 1} must divide n = {n}")
     if trials < 1:
         raise InvalidInput(f"need trials >= 1, got {trials}")
+    if workers < 1:
+        raise InvalidInput(f"need workers >= 1, got {workers}")
     r = n // (k - 1)
     q = q_from_p(p)
     spec = CycleSpec(n, k, 1)
-    found_u = found_d = 0
-    for t in range(trials):
-        H_u = sample_colored(n, k, p, r, derive_seed(seed, 0, t))
-        if find_rainbow_cycle(H_u, spec).found:
-            found_u += 1
-        H_d = sample_directed(n, k, q, r, derive_seed(seed, 1, t))
-        if find_rainbow_cycle(H_d, spec).found:
-            found_d += 1
+    found = _run_tasks(partial(_couple_task, spec, r, p, q, seed), range(trials), workers)
+    found_u = sum(u for u, _ in found)
+    found_d = sum(d for _, d in found)
     phat_u = found_u / trials
     phat_d = found_d / trials
     se = math.sqrt(

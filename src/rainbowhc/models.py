@@ -134,12 +134,16 @@ def sample_directed(n: int, k: int, q: float, r: int, seed: int) -> ColoredHyper
     total = kset_count(n, k)
     rng = _rng(seed)
     counts = rng.binomial(math.factorial(k), q, size=total)
+    # one draw for every present ordering, in rank order: the same stream as
+    # one draw per k-set
+    colors = rng.integers(1, r + 1, size=int(counts.sum()))
     masks = np.zeros(total, dtype=object)
-    for rank in np.flatnonzero(counts):
-        mask = 0
-        for color in rng.integers(1, r + 1, size=int(counts[rank])):
-            mask |= 1 << int(color)
-        masks[rank] = mask
+    present = np.flatnonzero(counts)
+    if len(present):
+        bits = np.array([1 << c for c in colors.tolist()], dtype=object)
+        per_set = counts[present]
+        # Python-int masks, so any r fits; every k-set's run is non-empty
+        masks[present] = np.bitwise_or.reduceat(bits, np.cumsum(per_set) - per_set)
     return ColoredHypergraph(n, k, r, by_rank=masks, multi_color=True)
 
 

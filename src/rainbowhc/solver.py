@@ -3,8 +3,10 @@
 The searcher places one vertex per cycle position and extends only into
 edges that exist, using a per-instance vertex-bitmask index of the present
 edges; colors are pruned with a used-color bitmask (single-color) or an
-incremental distinct-representatives matcher (multi-color).  Exhaustive mode
-proves absence; budgeted mode gives up after a node quota and reports Unknown.
+incremental distinct-representatives matching over int color bitmasks,
+Kuhn augmenting paths trying colors in ascending order (multi-color).
+Exhaustive mode proves absence; budgeted mode gives up after a node quota and
+reports Unknown.
 
 The oracles enumerate all n! permutations outright and exist to pin the
 closed-form moment calculations to something independently computable, so
@@ -26,7 +28,6 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    ColorMatcher,
     ColoredHypergraph,
     CycleSpec,
     Hamperm,
@@ -113,23 +114,21 @@ def _search_plan(spec: CycleSpec):
     return member, closing, ordered, force_one
 
 
-def _edge_index(H: ColoredHypergraph) -> tuple[dict[int, int], dict[int, object]]:
+def _edge_index(H: ColoredHypergraph) -> tuple[dict[int, int], dict[int, int]]:
     """Vertex-bitmask index of H's present edges (bit v for vertex v).
 
     extend[T] is the set of vertices v outside T with T | {v} contained in
     some present edge, for every proper subset T of every edge; colors maps
-    each edge's mask to its color (single-color) or ascending color tuple
-    (multi-color).
+    each edge's mask to its slot in H.by_rank: the color (single-color) or
+    the color bitmask, bit c for color c (multi-color).
     """
     extend: dict[int, int] = {}
-    colors: dict[int, object] = {}
+    colors: dict[int, int] = {}
     masks = kset_table(H.n, H.k)[1]
     slots = H.by_rank
-    multi = H.multi_color
     for rank in np.flatnonzero(slots):
         mask = masks[rank]
-        slot = int(slots[rank])
-        colors[mask] = color_bits(slot) if multi else slot
+        colors[mask] = int(slots[rank])
         sub = (mask - 1) & mask
         while True:
             extend[sub] = extend.get(sub, 0) | (mask ^ sub)
@@ -153,8 +152,11 @@ def find_rainbow_cycle(
     complete that window to a present edge.  A position's candidates are the
     intersection of those sets over every window containing it, complete or
     not, minus the vertices already used.  When a window completes its color
-    is checked: against a bitmask of used colors in single-color mode, via
-    the incremental matcher in multi-color mode.
+    is checked: against a bitmask of used colors in single-color mode; in
+    multi-color mode the completed windows are matched to distinct colors by
+    Kuhn augmenting paths over int color bitmasks, each window trying its
+    colors in ascending order, and the window joins the matching or the
+    vertex is pruned.
 
     Two symmetry reductions, both existence-preserving:
 
@@ -197,15 +199,40 @@ def find_rainbow_cycle(
     extend, edge_colors = _edge_index(H)
     extend_of = extend.get
     multi = H.multi_color
-    matcher = ColorMatcher()
     window_mask = [0] * m  # vertices placed so far in each window
     perm = [0] * n
     nodes = 0
+    # multi-color matching of completed windows to distinct colors
+    held = [0] * m  # the color each matched window holds, as a bit
+    choices = [0] * m  # its candidate colors, bit c for color c
+    holder: dict[int, int] = {}  # color bit -> the window holding it
+    visited = 0  # colors the current augmenting-path search has tried
+
+    def augment(j: int) -> bool:
+        nonlocal visited
+        rest = choices[j] & ~visited
+        while rest:
+            low = rest & -rest  # ascending color order, as in core.ColorMatcher
+            visited |= low
+            h = holder.get(low)
+            if h is None or augment(h):
+                holder[low] = j
+                held[j] = low
+                return True
+            rest = choices[j] & ~visited
+        return False
+
+    def claim(j: int, colors: int) -> bool:
+        """Match window j into one of its colors; False leaves no change."""
+        nonlocal visited
+        choices[j] = colors
+        visited = 0
+        return augment(j)
 
     def certificate() -> RainbowCertificate:
         pi = Hamperm(tuple(perm), spec)
         if multi:
-            colors = tuple(matcher.color_of(j) for j in range(m))
+            colors = tuple(bit.bit_length() - 1 for bit in held)
         else:
             colors = tuple(edge_colors[mask] for mask in window_mask)
         return RainbowCertificate(pi, tuple(edges_of_hamperm(pi)), colors)
@@ -231,13 +258,13 @@ def find_rainbow_cycle(
             if multi:
                 added = []
                 for j in closes:
-                    if not matcher.add(j, edge_colors[window_mask[j] | bit]):
+                    if not claim(j, edge_colors[window_mask[j] | bit]):
                         ok = False
                         break
                     added.append(j)
                 if not ok:
                     for j in added:
-                        matcher.remove(j)
+                        del holder[held[j]]
                     continue
             else:
                 for j in closes:
@@ -260,7 +287,7 @@ def find_rainbow_cycle(
                 window_mask[j] ^= bit
             if multi:
                 for j in closes:
-                    matcher.remove(j)
+                    del holder[held[j]]
         return None
 
     all_vertices = (1 << (n + 1)) - 2

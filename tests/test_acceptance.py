@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to watch the lines appear;
 statistical criteria use fixed seeds, so the whole gate is deterministic.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -378,9 +379,17 @@ def test_criterion_11_determinism():
     # csweep realizes through a per-process cache of coupled arrays
     coupled = csv_for(run_coupled_sweep, 1)
     ok = ok and all(csv_for(run_coupled_sweep, w) == coupled for w in (1, 2))
+
+    def couple_json(workers: int) -> str:
+        outcome = couple_experiment(6, 3, 0.06, 200, seed=1111, workers=workers)
+        return json.dumps(outcome.to_record(), indent=2)
+
+    couple = couple_json(1)
+    ok = ok and all(couple_json(w) == couple for w in (1, 2))
     _report(
         11,
-        "sweep and csweep CSV byte-identical across reruns and worker counts",
+        "sweep and csweep CSV and couple JSON byte-identical across reruns "
+        "and worker counts",
         ok,
         f"{len(first.splitlines()) - 1} rows",
     )

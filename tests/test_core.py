@@ -238,6 +238,8 @@ def test_by_rank_constructor_checks_range_and_shape():
     with pytest.raises(InvalidInput):
         ColoredHypergraph(5, 3, 2, by_rank=[0b1] + [0] * 9, multi_color=True)
     with pytest.raises(InvalidInput):
+        ColoredHypergraph(5, 3, 2, by_rank=[-2] + [0] * 9, multi_color=True)
+    with pytest.raises(InvalidInput):
         ColoredHypergraph(5, 3, 2, {(1, 2, 3): {1}}, by_rank=[0] * 10)
     given = np.zeros(10, dtype=np.int64)
     H = ColoredHypergraph(5, 3, 2, by_rank=given)

@@ -270,6 +270,8 @@ def test_couple_requires_divisibility_and_root():
         couple_experiment(7, 3, 0.05, 10, seed=1)
     with pytest.raises(NoRealRoot):
         couple_experiment(6, 3, 0.2, 10, seed=1)
+    with pytest.raises(InvalidInput):
+        couple_experiment(6, 3, 0.05, 10, seed=1, workers=0)
 
 
 def test_couple_inequality_small():

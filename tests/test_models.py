@@ -198,6 +198,22 @@ def test_sample_directed_extremes():
     assert all(cs == frozenset({1}) for _, cs in H.items())
 
 
+# SHA-256 of dumps_chg output, recorded while each k-set drew its own colors
+MANY_COLOR_PINS = {
+    0: "1953a0850b54fd2ad7f550c8da41482f3e71a6cb76e6ce2a1c523a1be94b551b",
+    12345: "3baf91a13d81b778afb1387da1e25c01ed43f5aad2d737b5519bcec9ae27455d",
+}
+
+
+@pytest.mark.parametrize("seed", MANY_COLOR_PINS)
+def test_sample_directed_beyond_64_colors(seed):
+    # color bitmasks are Python ints: colors above 63 must survive intact
+    H = sample_directed(6, 3, 0.5, 70, seed)
+    colors = frozenset().union(*(cs for _, cs in H.items()))
+    assert min(colors) >= 1 and 63 < max(colors) <= 70
+    assert hashlib.sha256(dumps_chg(H).encode()).hexdigest() == MANY_COLOR_PINS[seed]
+
+
 def test_sample_directed_presence_frequency():
     # P(fixed k-set present) = 1 - (1-q)^(k!)
     q, trials = 0.05, 10_000

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from rainbowhc import (
     expected_Y_bruteforce,
     find_rainbow_cycle,
     overlap_profile,
+    q_from_p,
     sample_colored,
     sample_directed,
     second_moment_bruteforce,
@@ -117,8 +120,6 @@ def test_spec_mismatch():
 
 
 def test_to_record_round_trips_json():
-    import json
-
     spec = CycleSpec(6, 3, 1)
     out = find_rainbow_cycle(ColoredHypergraph.complete_rainbow(6, 3), spec)
     record = out.to_record(budget=None, provenance={"seed": 1})
@@ -142,6 +143,32 @@ def test_multi_color_search_uses_matching():
         6, 3, 3, {e1: {1, 2}, e2: {1, 2}, e3: {1, 2}}, multi_color=True
     )
     assert not find_rainbow_cycle(H_bad, spec).found
+
+
+# SHA-256 of the JSON of to_record() over 200 directed-model instances at
+# criterion 10's density, recorded with core.ColorMatcher in the search: pins
+# statuses, node counts and the colors of every certificate
+MULTI_COLOR_SEARCH_PINS = {
+    ("exhaustive", None): "38afa63cd1d5413c8b5a514434a728156c1db02ea6c9850244951fe3e9e2cd4c",
+    ("budgeted", 200): "52e6c021b75fe89147f7e43d33248dc41bb9dbb0a87ae7c5c7b1b861db568ab7",
+}
+
+
+@pytest.mark.parametrize("mode, budget", MULTI_COLOR_SEARCH_PINS)
+def test_multi_color_search_is_pinned(mode, budget):
+    spec = CycleSpec(8, 3, 1)
+    q = q_from_p(0.05)
+    records = [
+        find_rainbow_cycle(
+            sample_directed(8, 3, q, 4, derive_seed(1010, 1, t)), spec, mode, budget
+        ).to_record()
+        for t in range(200)
+    ]
+    statuses = {record["status"] for record in records}
+    assert {"found", "not_found"} <= statuses
+    assert ("unknown" in statuses) == (budget is not None)
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == MULTI_COLOR_SEARCH_PINS[mode, budget]
 
 
 # -- count_hamperms ------------------------------------------------------------
