@@ -1,10 +1,11 @@
 """Exact search for rainbow cycles plus brute-force moment oracles.
 
-The searcher places one vertex per cycle position and extends only into
-edges that exist, using a per-instance vertex-bitmask index of the present
-edges; colors are pruned with a used-color bitmask (single-color) or an
-incremental distinct-representatives matching over int color bitmasks,
-Kuhn augmenting paths trying colors in ascending order (multi-color).
+The searcher places one vertex per cycle position, in a per-spec placement
+order, and extends only into edges that exist, using a per-instance
+vertex-bitmask index of the present edges; colors are pruned with a
+used-color bitmask (single-color) or an incremental distinct-representatives
+matching over int color bitmasks, Kuhn augmenting paths trying colors in
+ascending order (multi-color).
 Exhaustive mode proves absence; budgeted mode gives up after a node quota and
 reports Unknown.
 
@@ -91,27 +92,46 @@ class _BudgetExceeded(Exception):
 
 @lru_cache(maxsize=None)
 def _search_plan(spec: CycleSpec):
-    """Per-position tables for the edge-driven search, positions 0..n-1.
+    """Per-step tables for the edge-driven search, steps 0..n-1.
 
-    member[p]: windows containing position p.
-    closing[p]: windows whose last position in placement order is p.
-    ordered[p]: p shares its window set with p-1, so the two positions are
-        interchangeable and the vertex at p must exceed the one at p-1.
-        A window starts at every block, so such runs never cross a block
-        boundary and sorting one keeps vertex 1 in the first block.
-    force_one: the last position of the first block that can hold the
-        minimum of its run; vertex 1 is forced there if still unplaced.
+    order[s]: the position placed at step s.  Tight specs (ell = k-1) place
+        0, n-1, 1, 2, ..., n-2, so both cycle neighbours of position 0 come
+        first and the reflection rule below prunes at step 2; every other
+        spec places positions in order.
+    member[s]: windows containing position order[s].
+    closing[s]: windows whose last-placed position is placed at step s.
+    ordered[s]: +1 if the vertex placed at step s must exceed the one
+        placed at step s-1, -1 if it must be below it, 0 if free.
+        +1 marks interchangeable positions: order[s] shares its window set
+        with order[s-1] = order[s]-1.  A window starts at every block, so
+        such runs never cross a block boundary and sorting one keeps
+        vertex 1 in the first block.  -1 is the tight reflection rule: the
+        vertex at position 1 lies below the one at position n-1.
+    force_one: the step placing the last position of the first block that
+        can hold the minimum of its run; vertex 1 is forced there if still
+        unplaced.
     """
-    windows = spec.windows()
+    n, windows = spec.n, spec.windows()
+    tight = spec.block_size == 1
+    order = (0, n - 1, *range(1, n - 1)) if tight else tuple(range(n))
+    step_of = {p: s for s, p in enumerate(order)}
     member = tuple(
-        tuple(j for j, w in enumerate(windows) if p in w) for p in range(spec.n)
+        tuple(j for j, w in enumerate(windows) if p in w) for p in order
     )
     closing = tuple(
-        tuple(j for j, w in enumerate(windows) if max(w) == p) for p in range(spec.n)
+        tuple(j for j, w in enumerate(windows) if max(step_of[q] for q in w) == s)
+        for s in range(n)
     )
-    ordered = tuple(p > 0 and member[p] == member[p - 1] for p in range(spec.n))
-    force_one = max(p for p in range(spec.block_size) if not ordered[p])
-    return member, closing, ordered, force_one
+    ordered = [
+        int(s > 0 and order[s - 1] == p - 1 and member[s] == member[s - 1])
+        for s, p in enumerate(order)
+    ]
+    if tight:
+        ordered[step_of[1]] = -1
+    force_one = max(
+        step_of[p] for p in range(spec.block_size) if ordered[step_of[p]] != 1
+    )
+    return order, member, closing, tuple(ordered), force_one
 
 
 def _edge_index(H: ColoredHypergraph) -> tuple[dict[int, int], dict[int, int]]:
@@ -125,10 +145,10 @@ def _edge_index(H: ColoredHypergraph) -> tuple[dict[int, int], dict[int, int]]:
     extend: dict[int, int] = {}
     colors: dict[int, int] = {}
     masks = kset_table(H.n, H.k)[1]
-    slots = H.by_rank
-    for rank in np.flatnonzero(slots):
+    ranks = np.flatnonzero(H.by_rank)
+    for rank, slot in zip(ranks.tolist(), H.by_rank[ranks].tolist()):
         mask = masks[rank]
-        colors[mask] = int(slots[rank])
+        colors[mask] = slot
         sub = (mask - 1) & mask
         while True:
             extend[sub] = extend.get(sub, 0) | (mask ^ sub)
@@ -146,24 +166,30 @@ def find_rainbow_cycle(
 ) -> SearchOutcome:
     """Search H for a rainbow ell-overlapping Hamilton cycle.
 
-    The search places one vertex per cycle position, in position order, and
-    only extends into edges that exist: an index of H's present edges gives,
-    for the vertices already placed in a window, the vertices that can still
-    complete that window to a present edge.  A position's candidates are the
-    intersection of those sets over every window containing it, complete or
-    not, minus the vertices already used.  When a window completes its color
+    The search places one vertex per cycle position, in the placement order
+    of _search_plan (0, n-1, 1, 2, ..., n-2 for tight specs, position order
+    otherwise), and only extends into edges that exist: an index of H's
+    present edges gives, for the vertices already placed in a window, the
+    vertices that can still complete that window to a present edge.  A
+    position's candidates are the intersection of those sets over every
+    window containing it, complete or not, minus the vertices already used.  When a window completes its color
     is checked: against a bitmask of used colors in single-color mode; in
     multi-color mode the completed windows are matched to distinct colors by
     Kuhn augmenting paths over int color bitmasks, each window trying its
     colors in ascending order, and the window joins the matching or the
     vertex is pruned.
 
-    Two symmetry reductions, both existence-preserving:
+    Three symmetry reductions, all existence-preserving:
 
     - vertex 1 lies in the first block (rotating a permutation by multiples
       of k-ell permutes the same edge set);
     - positions lying in exactly the same windows (the interior vertices of
-      an edge) are interchangeable, so their vertices are kept increasing.
+      an edge) are interchangeable, so their vertices are kept increasing;
+    - reflection, tight specs only: the vertex at position 1 is below the
+      one at position n-1.  With blocks of one vertex, vertex 1 sits at
+      position 0; reversing the cyclic order keeps it there, maps windows
+      to windows (so the same edges, and the same colors per window) and
+      swaps positions 1 and n-1, so exactly one orientation passes.
 
     The budget counts nodes: one node is one vertex placed after passing the
     edge-index filter (and the symmetry rules), before its completed
@@ -195,12 +221,12 @@ def find_rainbow_cycle(
         )
 
     n = spec.n
-    member, closing, ordered, force_one = _search_plan(spec)
+    order, member, closing, ordered, force_one = _search_plan(spec)
     extend, edge_colors = _edge_index(H)
     extend_of = extend.get
     multi = H.multi_color
     window_mask = [0] * m  # vertices placed so far in each window
-    perm = [0] * n
+    perm = [0] * n  # the vertex placed at each step
     nodes = 0
     # multi-color matching of completed windows to distinct colors
     held = [0] * m  # the color each matched window holds, as a bit
@@ -230,22 +256,28 @@ def find_rainbow_cycle(
         return augment(j)
 
     def certificate() -> RainbowCertificate:
-        pi = Hamperm(tuple(perm), spec)
+        at = [0] * n
+        for p, v in zip(order, perm):
+            at[p] = v
+        pi = Hamperm(tuple(at), spec)
         if multi:
             colors = tuple(bit.bit_length() - 1 for bit in held)
         else:
             colors = tuple(edge_colors[mask] for mask in window_mask)
         return RainbowCertificate(pi, tuple(edges_of_hamperm(pi)), colors)
 
-    def place(p: int, free: int, used_colors: int) -> Optional[RainbowCertificate]:
+    def place(s: int, free: int, used_colors: int) -> Optional[RainbowCertificate]:
         nonlocal nodes
-        wins, closes = member[p], closing[p]
+        wins, closes = member[s], closing[s]
         cand = free
         for j in wins:
             cand &= extend_of(window_mask[j], 0)
-        if ordered[p]:
-            cand &= -(2 << perm[p - 1])  # vertices above perm[p - 1]
-        if p == force_one and free & 2:
+        bound = ordered[s]
+        if bound:
+            prev = perm[s - 1]
+            # vertices above prev, or below it
+            cand &= -(2 << prev) if bound > 0 else (1 << prev) - 1
+        if s == force_one and free & 2:
             cand &= 2
         while cand:
             bit = cand & -cand
@@ -277,10 +309,10 @@ def find_rainbow_cycle(
                     continue
             for j in wins:
                 window_mask[j] |= bit
-            perm[p] = bit.bit_length() - 1
-            if p + 1 == n:
+            perm[s] = bit.bit_length() - 1
+            if s + 1 == n:
                 return certificate()
-            result = place(p + 1, free ^ bit, colors_now)
+            result = place(s + 1, free ^ bit, colors_now)
             if result is not None:
                 return result
             for j in wins:
@@ -479,7 +511,17 @@ def second_moment_bruteforce(
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise InvalidInput(f"p must lie in [0, 1], got {p}")
-    m = spec.m
+    total = Fraction(0)
+    for (union, b), count in _pair_counts(spec):
+        total += count * p**union * _both_rainbow_probability(b, spec.m, r)
+    return total
+
+
+@lru_cache(maxsize=8)
+def _pair_counts(spec: CycleSpec) -> tuple[tuple[tuple[int, int], int], ...]:
+    """((union, shared), count) over all ordered permutation pairs, measured
+    on induced-edge bitmasks; it does not depend on (p, r), so it is built
+    once per spec."""
     masks = []
     for perm in itertools.permutations(range(1, spec.n + 1)):
         mask = 0
@@ -491,10 +533,7 @@ def second_moment_bruteforce(
         for m2 in masks:
             key = ((m1 | m2).bit_count(), (m1 & m2).bit_count())
             pair_counts[key] = pair_counts.get(key, 0) + 1
-    total = Fraction(0)
-    for (union, b), count in pair_counts.items():
-        total += count * p**union * _both_rainbow_probability(b, m, r)
-    return total
+    return tuple(pair_counts.items())
 
 
 def expected_Y_bruteforce(

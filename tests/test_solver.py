@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,13 @@ from rainbowhc import (
 )
 from rainbowhc.seeds import derive_seed
 from rainbowhc.core import distinct_color_system, lex_rank
-from rainbowhc.solver import _perm_edge_table, falling_factorial, solver_agrees_with_oracle
+from rainbowhc.solver import (
+    _pair_counts,
+    _perm_edge_table,
+    _search_plan,
+    falling_factorial,
+    solver_agrees_with_oracle,
+)
 
 from conftest import enumerate_specs, planted_cycle_hypergraph, complete_single_color
 
@@ -112,6 +119,90 @@ def test_budget_unit_is_one_placed_vertex():
     at_limit = find_rainbow_cycle(H, spec, mode="budgeted", budget=642)
     assert at_limit.status is SearchStatus.NOT_FOUND and not at_limit.budget_hit
     assert at_limit.nodes_expanded == 642
+
+
+def test_tight_budget_unit_is_pinned():
+    # the tight budget unit: tight specs place positions 0, n-1, 1, ..., n-2
+    # under the reflection rule, so their node counts differ from a search
+    # in position order; as with the loose pin above, X > 0 but Y = 0, and a
+    # solver change that moves this count changes what --budget buys on
+    # tight sweeps
+    spec = CycleSpec(8, 4, 3)
+    H = sample_colored(8, 4, 0.6, 8, seed=0)
+    assert count_hamperms(H, spec) == (80, 0)
+    full = find_rainbow_cycle(H, spec)
+    assert full.status is SearchStatus.NOT_FOUND and full.nodes_expanded == 529
+    for b in (1, 528):
+        out = find_rainbow_cycle(H, spec, mode="budgeted", budget=b)
+        assert out.status is SearchStatus.UNKNOWN and out.nodes_expanded == b + 1
+    at_limit = find_rainbow_cycle(H, spec, mode="budgeted", budget=529)
+    assert at_limit.status is SearchStatus.NOT_FOUND and not at_limit.budget_hit
+
+
+@pytest.mark.parametrize("spec", enumerate_specs(9), ids=lambda s: f"{s.n}-{s.k}-{s.ell}")
+def test_search_plan_invariants(spec):
+    order, member, closing, ordered, force_one = _search_plan(spec)
+    n, windows = spec.n, spec.windows()
+    assert sorted(order) == list(range(n))
+    step_of = {p: s for s, p in enumerate(order)}
+    assert member == tuple(
+        tuple(j for j, w in enumerate(windows) if p in w) for p in order
+    )
+    # every window closes exactly once, at the step placing its last position
+    closes = [j for s in range(n) for j in closing[s]]
+    assert sorted(closes) == list(range(spec.m))
+    for s in range(n):
+        for j in closing[s]:
+            assert max(step_of[p] for p in windows[j]) == s
+    assert ordered[0] == 0 and set(ordered) <= {-1, 0, 1}
+    assert order[force_one] < spec.block_size
+    if spec.block_size == 1:
+        assert order == (0, n - 1, *range(1, n - 1))
+        assert [s for s in range(n) if ordered[s]] == [step_of[1]] == [2]
+        assert ordered[2] == -1 and force_one == 0
+    else:
+        assert order == tuple(range(n))
+        assert -1 not in ordered
+
+
+@pytest.mark.parametrize("multi", [False, True])
+def test_tight_planted_cycle_found_under_relabeling(multi):
+    # both orientations of the planted cycle occur across relabelings, so a
+    # reflection rule that drops one loses about half of these instances
+    rng = random.Random(6)
+    for spec in enumerate_specs(10, min_n=5):
+        if spec.block_size > 1:
+            continue
+        r = spec.m + 1
+        for t in range(6):
+            seed = derive_seed(606, spec.n, spec.k, t)
+            if multi:
+                noise = sample_directed(spec.n, spec.k, 0.01, r, seed)
+            else:
+                noise = sample_colored(spec.n, spec.k, 0.08, r, seed)
+            edges = {e: set(cs) for e, cs in noise.items()}
+            perm = list(range(1, spec.n + 1))
+            rng.shuffle(perm)
+            colors = rng.sample(range(1, r + 1), spec.m)
+            for e, c in zip(edges_of_hamperm(Hamperm(tuple(perm), spec)), colors):
+                edges[e] = (edges.get(e, set()) | {c}) if multi else {c}
+            H = ColoredHypergraph(spec.n, spec.k, r, edges, multi_color=multi)
+            out = find_rainbow_cycle(H, spec)
+            assert out.found, (spec, perm)
+            assert verify_certificate(H, out.certificate)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_tight_solver_matches_oracle_at_n9(k):
+    spec = CycleSpec(9, k, k - 1)
+    found = 0
+    for t in range(8):
+        p = (0.5, 0.6, 0.7, 0.8)[t % 4]
+        H = sample_colored(9, k, p, 9, seed=derive_seed(909, k, t))
+        agree, outcome, _ = solver_agrees_with_oracle(H, spec)
+        assert agree, t
+        found += outcome.found
+    assert 0 < found < 8
 
 
 def test_spec_mismatch():
@@ -440,6 +531,8 @@ def test_second_moment_identity(spec):
             lhs = second_moment_from_profile(profile, p, r)
             rhs = second_moment_bruteforce(spec, p, r)
             assert lhs == rhs
+    # the pair table is built once per spec and evaluated at each (p, r)
+    assert _pair_counts.cache_info().maxsize <= 8
 
 
 def test_second_moment_p_zero():
