@@ -1,8 +1,9 @@
 """Exact search for rainbow cycles plus brute-force moment oracles.
 
-The searcher places one vertex per cycle position, in a per-spec placement
-order, and extends only into edges that exist, using a per-instance
-vertex-bitmask index of the present edges; colors are pruned with a
+The searcher places one vertex per cycle position, in a placement order set
+by the spec and the anchor that fixes the rotation (the rarest color when
+r = m, vertex 1 otherwise), and extends only into edges that exist, using a
+per-instance vertex-bitmask index of the present edges; colors are pruned with a
 used-color bitmask (single-color) or an incremental distinct-representatives
 matching over int color bitmasks, Kuhn augmenting paths trying colors in
 ascending order (multi-color).
@@ -91,28 +92,34 @@ class _BudgetExceeded(Exception):
 
 
 @lru_cache(maxsize=None)
-def _search_plan(spec: CycleSpec):
+def _search_plan(spec: CycleSpec, anchored: bool):
     """Per-step tables for the edge-driven search, steps 0..n-1.
 
-    order[s]: the position placed at step s.  Tight specs (ell = k-1) place
+    order[s]: the position placed at step s.  The vertex-anchored plan
+        (anchored=False) places tight specs (ell = k-1) in the order
         0, n-1, 1, 2, ..., n-2, so both cycle neighbours of position 0 come
-        first and the reflection rule below prunes at step 2; every other
-        spec places positions in order.
+        first and the reflection rule below prunes at step 2, and every
+        other spec in position order.  The color-anchored plan
+        (anchored=True) places every spec in position order, so window 0,
+        which holds the anchor color's edge, is placed first.
     member[s]: windows containing position order[s].
     closing[s]: windows whose last-placed position is placed at step s.
-    ordered[s]: +1 if the vertex placed at step s must exceed the one
-        placed at step s-1, -1 if it must be below it, 0 if free.
-        +1 marks interchangeable positions: order[s] shares its window set
-        with order[s-1] = order[s]-1.  A window starts at every block, so
-        such runs never cross a block boundary and sorting one keeps
-        vertex 1 in the first block.  -1 is the tight reflection rule: the
-        vertex at position 1 lies below the one at position n-1.
+    ordered[s]: (ref, +1) if the vertex placed at step s must exceed the
+        one placed at step ref, (ref, -1) if it must be below it, None if
+        free.  (s-1, +1) marks interchangeable positions: order[s] shares
+        its window set with order[s-1] = order[s]-1.  A window starts at
+        every block, so such runs never cross a block boundary and sorting
+        one keeps vertex 1 in the first block.  The reflection rules are
+        the other entries: the vertex at position 1 lies below the one at
+        position n-1 (vertex-anchored, tight), and the first vertex of the
+        run holding position k-1 lies above the one at position 0
+        (color-anchored, every spec).
     force_one: the step placing the last position of the first block that
         can hold the minimum of its run; vertex 1 is forced there if still
-        unplaced.
+        unplaced.  -1 in the color-anchored plan, which has no vertex-1 rule.
     """
-    n, windows = spec.n, spec.windows()
-    tight = spec.block_size == 1
+    n, k, windows = spec.n, spec.k, spec.windows()
+    tight = spec.block_size == 1 and not anchored
     order = (0, n - 1, *range(1, n - 1)) if tight else tuple(range(n))
     step_of = {p: s for s, p in enumerate(order)}
     member = tuple(
@@ -123,38 +130,85 @@ def _search_plan(spec: CycleSpec):
         for s in range(n)
     )
     ordered = [
-        int(s > 0 and order[s - 1] == p - 1 and member[s] == member[s - 1])
+        (s - 1, 1) if s > 0 and order[s - 1] == p - 1 and member[s] == member[s - 1]
+        else None
         for s, p in enumerate(order)
     ]
+    if anchored:
+        # p -> k-1-p maps window i to window -i, fixing window 0, and the run
+        # holding position 0 to the one holding k-1; the runs are disjoint,
+        # so comparing their minima keeps exactly one orientation
+        first = k - 1
+        while ordered[step_of[first]] is not None:
+            first -= 1
+        ordered[step_of[first]] = (step_of[0], 1)
+        return order, member, closing, tuple(ordered), -1
     if tight:
-        ordered[step_of[1]] = -1
+        ordered[step_of[1]] = (step_of[n - 1], -1)
     force_one = max(
-        step_of[p] for p in range(spec.block_size) if ordered[step_of[p]] != 1
+        step_of[p] for p in range(spec.block_size) if ordered[step_of[p]] is None
     )
     return order, member, closing, tuple(ordered), force_one
 
 
-def _edge_index(H: ColoredHypergraph) -> tuple[dict[int, int], dict[int, int]]:
+def _rarest_color(H: ColoredHypergraph) -> Optional[int]:
+    """The color of [1, r] carried by the fewest present edges, ties going to
+    the smaller color; None if some color is carried by no edge."""
+    if H.multi_color:
+        counts = [0] * (H.r + 1)
+        for mask in H.by_rank[np.flatnonzero(H.by_rank)].tolist():
+            for c in color_bits(mask):
+                counts[c] += 1
+    else:
+        counts = np.bincount(H.by_rank, minlength=H.r + 1).tolist()
+    counts = counts[1:]
+    fewest = min(counts)
+    return counts.index(fewest) + 1 if fewest else None
+
+
+def _index_edge(
+    extend: dict[int, int], colors: dict[int, int], edge: int, tag: int, slot: int
+) -> None:
+    """Add one edge's vertex mask to the index, every key or-ed with tag."""
+    colors[edge | tag] = slot
+    sub = (edge - 1) & edge
+    while True:
+        key = sub | tag
+        extend[key] = extend.get(key, 0) | (edge ^ sub)
+        if not sub:
+            break
+        sub = (sub - 1) & edge
+
+
+def _edge_index(
+    H: ColoredHypergraph, anchor: int
+) -> tuple[dict[int, int], dict[int, int]]:
     """Vertex-bitmask index of H's present edges (bit v for vertex v).
 
     extend[T] is the set of vertices v outside T with T | {v} contained in
     some present edge, for every proper subset T of every edge; colors maps
     each edge's mask to its slot in H.by_rank: the color (single-color) or
     the color bitmask, bit c for color c (multi-color).
+
+    With an anchor color (anchor > 0; 0 means none), the edges carrying it
+    are indexed under keys tagged with bit 0, which is never a vertex bit,
+    with the anchor as their only color; the untagged keys index the other
+    edges, the anchor removed from their colors (single-color: anchor edges
+    leave; multi-color: an edge left with no color leaves).
     """
     extend: dict[int, int] = {}
     colors: dict[int, int] = {}
     masks = kset_table(H.n, H.k)[1]
     ranks = np.flatnonzero(H.by_rank)
+    multi = H.multi_color
+    anchor_bit = 1 << anchor
     for rank, slot in zip(ranks.tolist(), H.by_rank[ranks].tolist()):
-        mask = masks[rank]
-        colors[mask] = slot
-        sub = (mask - 1) & mask
-        while True:
-            extend[sub] = extend.get(sub, 0) | (mask ^ sub)
-            if not sub:
-                break
-            sub = (sub - 1) & mask
+        edge = masks[rank]
+        if anchor and (slot & anchor_bit if multi else slot == anchor):
+            _index_edge(extend, colors, edge, 1, anchor_bit if multi else anchor)
+            slot = slot ^ anchor_bit if multi else 0
+        if slot:
+            _index_edge(extend, colors, edge, 0, slot)
     return extend, colors
 
 
@@ -167,29 +221,39 @@ def find_rainbow_cycle(
     """Search H for a rainbow ell-overlapping Hamilton cycle.
 
     The search places one vertex per cycle position, in the placement order
-    of _search_plan (0, n-1, 1, 2, ..., n-2 for tight specs, position order
-    otherwise), and only extends into edges that exist: an index of H's
+    of _search_plan, and only extends into edges that exist: an index of H's
     present edges gives, for the vertices already placed in a window, the
     vertices that can still complete that window to a present edge.  A
     position's candidates are the intersection of those sets over every
-    window containing it, complete or not, minus the vertices already used.  When a window completes its color
-    is checked: against a bitmask of used colors in single-color mode; in
+    window containing it, complete or not, minus the vertices already used.
+    When a window completes its color is checked: against a bitmask of used colors in single-color mode; in
     multi-color mode the completed windows are matched to distinct colors by
     Kuhn augmenting paths over int color bitmasks, each window trying its
     colors in ascending order, and the window joins the matching or the
     vertex is pruned.
 
-    Three symmetry reductions, all existence-preserving:
+    Rotating a permutation by multiples of k-ell moves every edge to the
+    next window, so one rotation can be fixed.  With r = m colors a rainbow
+    cycle uses every color exactly once, so the search anchors on a color:
+    the rarest color c* (fewest present edges, ties to the smaller color)
+    sits in window 0, which reads only c*-edges, and no other window may use
+    c*.  If some color is on no edge there is nothing to search (NOT_FOUND,
+    reason "missing_color", 0 nodes).  With r > m it anchors on a vertex
+    instead.  All reductions are existence-preserving:
 
-    - vertex 1 lies in the first block (rotating a permutation by multiples
-      of k-ell permutes the same edge set);
+    - anchor: c* in window 0 (r = m), or vertex 1 in the first block
+      (r > m);
     - positions lying in exactly the same windows (the interior vertices of
       an edge) are interchangeable, so their vertices are kept increasing;
-    - reflection, tight specs only: the vertex at position 1 is below the
-      one at position n-1.  With blocks of one vertex, vertex 1 sits at
-      position 0; reversing the cyclic order keeps it there, maps windows
-      to windows (so the same edges, and the same colors per window) and
-      swaps positions 1 and n-1, so exactly one orientation passes.
+    - reflection.  r = m: the map p -> k-1-p (mod n) sends window i to
+      window -i, so it keeps window 0 and its color and maps the run of
+      interchangeable positions holding 0 onto the one holding k-1; the
+      first vertex of the latter must exceed the vertex at position 0.
+      r > m, tight specs only: the vertex at position 1 is below the one at
+      position n-1.  With blocks of one vertex, vertex 1 sits at position
+      0; reversing the cyclic order keeps it there, maps windows to windows
+      (so the same edges, and the same colors per window) and swaps
+      positions 1 and n-1.  Either way exactly one orientation passes.
 
     The budget counts nodes: one node is one vertex placed after passing the
     edge-index filter (and the symmetry rules), before its completed
@@ -220,12 +284,22 @@ def find_rainbow_cycle(
             SearchStatus.NOT_FOUND, None, 0, False, reason="too_few_edges"
         )
 
+    anchor = 0
+    if H.r == m:
+        anchor = _rarest_color(H)
+        if anchor is None:
+            return SearchOutcome(
+                SearchStatus.NOT_FOUND, None, 0, False, reason="missing_color"
+            )
+
     n = spec.n
-    order, member, closing, ordered, force_one = _search_plan(spec)
-    extend, edge_colors = _edge_index(H)
+    order, member, closing, ordered, force_one = _search_plan(spec, bool(anchor))
+    extend, edge_colors = _edge_index(H, anchor)
     extend_of = extend.get
     multi = H.multi_color
     window_mask = [0] * m  # vertices placed so far in each window
+    if anchor:
+        window_mask[0] = 1  # the tag bit: window 0 reads the anchor's edges
     perm = [0] * n  # the vertex placed at each step
     nodes = 0
     # multi-color matching of completed windows to distinct colors
@@ -272,11 +346,12 @@ def find_rainbow_cycle(
         cand = free
         for j in wins:
             cand &= extend_of(window_mask[j], 0)
-        bound = ordered[s]
-        if bound:
-            prev = perm[s - 1]
+        rule = ordered[s]
+        if rule is not None:
+            ref, sign = rule
+            prev = perm[ref]
             # vertices above prev, or below it
-            cand &= -(2 << prev) if bound > 0 else (1 << prev) - 1
+            cand &= -(2 << prev) if sign > 0 else (1 << prev) - 1
         if s == force_one and free & 2:
             cand &= 2
         while cand:
@@ -327,6 +402,9 @@ def find_rainbow_cycle(
         cert = place(0, all_vertices, 0)
     except _BudgetExceeded:
         return SearchOutcome(SearchStatus.UNKNOWN, None, nodes, True)
+    finally:
+        # the recursive closures reach themselves through their cells
+        del place, augment
     if cert is not None:
         return SearchOutcome(SearchStatus.FOUND, cert, nodes, False)
     return SearchOutcome(SearchStatus.NOT_FOUND, None, nodes, False, reason="exhausted")

@@ -195,6 +195,32 @@ def test_internal_value_error_exits_2(monkeypatch, capsys):
     assert code == 2 and "internal error" in err
 
 
+def test_cached_parser_gives_what_a_fresh_one_gives(capsys):
+    # main builds its parser once per process; consecutive commands, bad
+    # input among them, must read as they would through a fresh parser
+    import rainbowhc.cli as cli
+
+    calls = [
+        ("overlap", "--n", "4", "--k", "3", "--ell", "2"),
+        ("sweep", "--n", "6", "--k", "3", "--ell", "1", "--r", "3",
+         "--p-grid", "0.2:0.8:3", "--trials", "3", "--seed", "1"),
+        ("gen", "--n", "4", "--k", "9", "--r", "2", "--p", "0.5"),
+        ("csweep", "--n", "6", "--k", "3", "--ell", "1", "--r", "3",
+         "--p-grid", "0.2:0.8:3", "--trials", "3", "--seed", "1", "--format", "json"),
+        ("sweep", "--n", "6"),
+        ("moments", "--n", "20", "--k", "4", "--ell", "3", "--c", "1", "--p", "0.3"),
+        ("couple", "--n", "6", "--k", "3", "--p", "0.05", "--trials", "5", "--seed", "2"),
+    ]
+    cached = [run(capsys, *argv) for argv in calls]
+    assert cli._parser() is cli._parser()
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 0, 1, 0, 1, 0, 0]
+
+
 def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -111,38 +112,58 @@ def test_budget_unit_is_one_placed_vertex():
     H = sample_colored(8, 3, 0.3, 4, seed=2)
     assert count_hamperms(H, spec) == (56, 0)
     full = find_rainbow_cycle(H, spec)
-    assert full.status is SearchStatus.NOT_FOUND and full.nodes_expanded == 642
-    for b in (1, 100, 641):
+    assert full.status is SearchStatus.NOT_FOUND and full.nodes_expanded == 153
+    for b in (1, 100, 152):
         out = find_rainbow_cycle(H, spec, mode="budgeted", budget=b)
         assert out.status is SearchStatus.UNKNOWN and out.budget_hit
         assert out.nodes_expanded == b + 1
-    at_limit = find_rainbow_cycle(H, spec, mode="budgeted", budget=642)
+    at_limit = find_rainbow_cycle(H, spec, mode="budgeted", budget=153)
     assert at_limit.status is SearchStatus.NOT_FOUND and not at_limit.budget_hit
-    assert at_limit.nodes_expanded == 642
+    assert at_limit.nodes_expanded == 153
 
 
 def test_tight_budget_unit_is_pinned():
-    # the tight budget unit: tight specs place positions 0, n-1, 1, ..., n-2
-    # under the reflection rule, so their node counts differ from a search
-    # in position order; as with the loose pin above, X > 0 but Y = 0, and a
+    # the tight budget unit at r = m, where the search anchors on the rarest
+    # color in window 0; as with the loose pin above, X > 0 but Y = 0, and a
     # solver change that moves this count changes what --budget buys on
     # tight sweeps
     spec = CycleSpec(8, 4, 3)
     H = sample_colored(8, 4, 0.6, 8, seed=0)
     assert count_hamperms(H, spec) == (80, 0)
     full = find_rainbow_cycle(H, spec)
-    assert full.status is SearchStatus.NOT_FOUND and full.nodes_expanded == 529
-    for b in (1, 528):
+    assert full.status is SearchStatus.NOT_FOUND and full.nodes_expanded == 345
+    for b in (1, 344):
         out = find_rainbow_cycle(H, spec, mode="budgeted", budget=b)
         assert out.status is SearchStatus.UNKNOWN and out.nodes_expanded == b + 1
-    at_limit = find_rainbow_cycle(H, spec, mode="budgeted", budget=529)
+    at_limit = find_rainbow_cycle(H, spec, mode="budgeted", budget=345)
+    assert at_limit.status is SearchStatus.NOT_FOUND and not at_limit.budget_hit
+
+
+def test_vertex_anchored_budget_unit_is_pinned():
+    # with r = m + 1 the search anchors on vertex 1 and, tight, places
+    # 0, n-1, 1, ..., n-2 under the position-1 reflection rule; this pin is
+    # the budget unit of sweeps with spare colors
+    spec = CycleSpec(8, 4, 3)
+    H = sample_colored(8, 4, 0.6, 9, seed=0)
+    assert count_hamperms(H, spec) == (80, 0)
+    full = find_rainbow_cycle(H, spec)
+    assert full.status is SearchStatus.NOT_FOUND and full.nodes_expanded == 554
+    for b in (1, 553):
+        out = find_rainbow_cycle(H, spec, mode="budgeted", budget=b)
+        assert out.status is SearchStatus.UNKNOWN and out.nodes_expanded == b + 1
+    at_limit = find_rainbow_cycle(H, spec, mode="budgeted", budget=554)
     assert at_limit.status is SearchStatus.NOT_FOUND and not at_limit.budget_hit
 
 
 @pytest.mark.parametrize("spec", enumerate_specs(9), ids=lambda s: f"{s.n}-{s.k}-{s.ell}")
 def test_search_plan_invariants(spec):
-    order, member, closing, ordered, force_one = _search_plan(spec)
-    n, windows = spec.n, spec.windows()
+    for anchored in (False, True):
+        _check_search_plan(spec, anchored)
+
+
+def _check_search_plan(spec, anchored):
+    order, member, closing, ordered, force_one = _search_plan(spec, anchored)
+    n, k, windows = spec.n, spec.k, spec.windows()
     assert sorted(order) == list(range(n))
     step_of = {p: s for s, p in enumerate(order)}
     assert member == tuple(
@@ -154,15 +175,60 @@ def test_search_plan_invariants(spec):
     for s in range(n):
         for j in closing[s]:
             assert max(step_of[p] for p in windows[j]) == s
-    assert ordered[0] == 0 and set(ordered) <= {-1, 0, 1}
-    assert order[force_one] < spec.block_size
-    if spec.block_size == 1:
-        assert order == (0, n - 1, *range(1, n - 1))
-        assert [s for s in range(n) if ordered[s]] == [step_of[1]] == [2]
-        assert ordered[2] == -1 and force_one == 0
+    # a rule compares with an earlier step; the interchangeable-position
+    # rules are exactly the steps whose position shares its window set with
+    # the position placed just before it, one lower
+    assert ordered[0] is None
+    assert all(ref < s and sign in (-1, 1) for s, (ref, sign) in
+               ((s, rule) for s, rule in enumerate(ordered) if rule is not None))
+    runs = {
+        s for s in range(1, n)
+        if order[s - 1] == order[s] - 1 and member[s] == member[s - 1]
+    }
+    assert all(ordered[s] == (s - 1, 1) for s in runs)
+    reflection = {s: rule for s, rule in enumerate(ordered) if rule and s not in runs}
+    if anchored:
+        assert order == tuple(range(n)) and force_one == -1
+        # p -> k-1-p maps window i to window -i, and the run holding
+        # position 0 onto the one holding k-1, whose first position is
+        # compared with position 0
+        mirror = {p: (k - 1 - p) % n for p in range(n)}
+        for p in range(n):
+            assert member[mirror[p]] == tuple(
+                sorted((-j) % spec.m for j in member[p])
+            )
+        run0 = [p for p in range(n) if member[p] == member[0]]
+        run_last = [p for p in range(n) if member[p] == member[k - 1]]
+        assert sorted(mirror[p] for p in run0) == run_last
+        assert reflection == {run_last[0]: (0, 1)}
     else:
-        assert order == tuple(range(n))
-        assert -1 not in ordered
+        assert order[force_one] < spec.block_size
+        if spec.block_size == 1:
+            assert order == (0, n - 1, *range(1, n - 1)) and force_one == 0
+            assert reflection == {step_of[1]: (step_of[n - 1], -1)} == {2: (1, -1)}
+        else:
+            assert order == tuple(range(n)) and not reflection
+
+
+def test_missing_color_needs_no_search():
+    # with r = m a rainbow cycle needs every color, so an instance missing
+    # one is settled before the search: X > 0 here, but Y = 0
+    spec = CycleSpec(8, 3, 1)  # m = 4
+    dense = sample_colored(8, 3, 0.8, 4, seed=5)
+    H = ColoredHypergraph(8, 3, 4, {e: cs for e, cs in dense.items() if 4 not in cs})
+    assert count_hamperms(H, spec)[0] > 0 and count_hamperms(H, spec)[1] == 0
+    out = find_rainbow_cycle(H, spec)
+    assert out.status is SearchStatus.NOT_FOUND and out.reason == "missing_color"
+    assert out.nodes_expanded == 0
+    directed = sample_directed(8, 3, 0.2, 4, seed=5)
+    H = ColoredHypergraph(
+        8, 3, 4,
+        {e: cs - {2} for e, cs in directed.items() if cs - {2}},
+        multi_color=True,
+    )
+    assert count_hamperms(H, spec)[0] > 0 and count_hamperms(H, spec)[1] == 0
+    out = find_rainbow_cycle(H, spec)
+    assert out.reason == "missing_color" and out.nodes_expanded == 0
 
 
 @pytest.mark.parametrize("multi", [False, True])
@@ -190,6 +256,67 @@ def test_tight_planted_cycle_found_under_relabeling(multi):
             out = find_rainbow_cycle(H, spec)
             assert out.found, (spec, perm)
             assert verify_certificate(H, out.certificate)
+
+
+@pytest.mark.parametrize("multi", [False, True])
+def test_planted_cycle_found_under_relabeling(multi):
+    # with r = m the search anchors on the rarest color, ties going to the
+    # smaller one, so relabeling an instance's colors moves the anchor to
+    # another color and another window of the planted cycle; with r = m + 1
+    # it anchors on vertex 1, which relabeling the vertices moves along the
+    # cycle.  Either way both orientations of the cycle come up, so a
+    # reflection rule that drops one, or holds under the wrong anchor,
+    # loses some of these instances
+    rng = random.Random(7)
+    for spec in enumerate_specs(9):
+        for r in (spec.m, spec.m + 1):
+            for t in range(3):
+                seed = derive_seed(707, spec.n, spec.k, spec.ell, r, t)
+                if multi:
+                    noise = sample_directed(spec.n, spec.k, 0.01, r, seed)
+                else:
+                    noise = sample_colored(spec.n, spec.k, 0.08, r, seed)
+                edges = {e: set(cs) for e, cs in noise.items()}
+                perm = list(range(1, spec.n + 1))
+                rng.shuffle(perm)
+                colors = rng.sample(range(1, r + 1), spec.m)
+                for e, c in zip(edges_of_hamperm(Hamperm(tuple(perm), spec)), colors):
+                    edges[e] = (edges.get(e, set()) | {c}) if multi else {c}
+                for _ in range(3):
+                    vertex = [0, *rng.sample(range(1, spec.n + 1), spec.n)]
+                    color = [0, *rng.sample(range(1, r + 1), r)]
+                    relabeled = {
+                        tuple(sorted(vertex[v] for v in e)): {color[c] for c in cs}
+                        for e, cs in edges.items()
+                    }
+                    H = ColoredHypergraph(
+                        spec.n, spec.k, r, relabeled, multi_color=multi
+                    )
+                    out = find_rainbow_cycle(H, spec)
+                    assert out.found, (spec, r, perm, vertex, color)
+                    assert verify_certificate(H, out.certificate)
+
+
+def test_search_leaves_no_garbage():
+    # the recursive closures of a search reach themselves through their
+    # cells; the search breaks those cycles, so nothing waits for the
+    # collector, whatever the plan or the way the search ends
+    spec = CycleSpec(8, 3, 1)
+    instances = [
+        sample_colored(8, 3, 0.3, 4, seed=2),
+        sample_colored(8, 3, 0.3, 5, seed=0),
+        sample_directed(8, 3, 0.05, 4, seed=3),
+        sample_directed(8, 3, 0.05, 5, seed=3),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for H in instances:
+            for mode, budget in (("exhaustive", None), ("budgeted", 5)):
+                find_rainbow_cycle(H, spec, mode, budget)
+                assert gc.collect() == 0, (H, mode)
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("k", [4, 5])
@@ -237,11 +364,12 @@ def test_multi_color_search_uses_matching():
 
 
 # SHA-256 of the JSON of to_record() over 200 directed-model instances at
-# criterion 10's density, recorded with core.ColorMatcher in the search: pins
-# statuses, node counts and the colors of every certificate
+# criterion 10's density (r = m, so the search anchors on the rarest color):
+# pins statuses, node counts and the colors of every certificate.  Re-recorded
+# when the color anchor came in; the exhaustive statuses did not move
 MULTI_COLOR_SEARCH_PINS = {
-    ("exhaustive", None): "38afa63cd1d5413c8b5a514434a728156c1db02ea6c9850244951fe3e9e2cd4c",
-    ("budgeted", 200): "52e6c021b75fe89147f7e43d33248dc41bb9dbb0a87ae7c5c7b1b861db568ab7",
+    ("exhaustive", None): "4cfc047982e1f2684937ebf31ee5a05484841646d9cbbe652aa84b1e1765452d",
+    ("budgeted", 200): "b3b6738dd91ca805c2f77e6feec37f1ea3780913e442181237bb9b2a043f242c",
 }
 
 
