@@ -24,8 +24,8 @@ def main() -> int:
     ap.add_argument("--c", type=Fraction, default=Fraction(1))
     ap.add_argument("--trials", type=int, default=40)
     ap.add_argument("--points", type=int, default=8)
-    # about 4.5x the node count of the hardest instance at these defaults
-    # (31,158 in exhaustive mode; the median is 2,574), so only pathological
+    # about 5.6x the node count of the hardest instance at these defaults
+    # (25,030 in exhaustive mode; the median is 2,174), so only pathological
     # trials are censored
     ap.add_argument("--budget", type=int, default=140_000)
     ap.add_argument("--seed", type=int, default=2)

@@ -205,9 +205,11 @@ def _coupled_task(config: SweepConfig, trial: int) -> list[tuple[str, int]]:
     colors, so a rainbow cycle found at one point exists at every higher
     point, and a proof of absence at one point holds at every lower point.
     The grid is resolved by bisection: search the middle point still open;
-    FOUND there settles every open point above it, NOT_FOUND every open
-    point below it, UNKNOWN (budget hit) only itself.  A settled point is
-    neither realized nor searched and records 0 nodes.
+    FOUND there settles every open point above it, and every open point
+    below it whose p exceeds the largest u_e of the certificate's edges,
+    where the same cycle is present; NOT_FOUND settles every open point
+    below it, UNKNOWN (budget hit) only itself.  A settled point is neither
+    realized nor searched and records 0 nodes.
     """
     ci = CoupledInstance(config.n, config.k, config.resolved_r, derive_seed(config.seed, trial))
     out: list[Optional[tuple[str, int]]] = [None] * len(config.p_grid)
@@ -220,9 +222,13 @@ def _coupled_task(config: SweepConfig, trial: int) -> list[tuple[str, int]]:
         )
         out[point] = (outcome.status.value, outcome.nodes_expanded)
         if outcome.status is SearchStatus.FOUND:
-            for above in open_points[j + 1:]:
-                out[above] = (SearchStatus.FOUND.value, 0)
-            open_points = open_points[:j]
+            # the certificate's edges are present wherever p exceeds level,
+            # the searched point included
+            level = ci.level_of(outcome.certificate.edges)
+            for other in open_points:
+                if other != point and config.p_grid[other] > level:
+                    out[other] = (SearchStatus.FOUND.value, 0)
+            open_points = [i for i in open_points if config.p_grid[i] <= level]
         elif outcome.status is SearchStatus.NOT_FOUND:
             for below in open_points[:j]:
                 out[below] = (SearchStatus.NOT_FOUND.value, 0)

@@ -34,10 +34,10 @@ from .core import (
     RainbowCertificate,
     canonical_edge,
     kset_count,
-    kset_table,
+    lex_rank,
 )
 from .errors import InvalidCycle, InvalidInput, NoRealRoot
-from .seeds import derive_seed, mix64, unit_interval
+from .seeds import derive_seed_rows, mix64_array
 
 _COLOR_SALT = 0xC2B2AE3D27D4EB4F
 
@@ -93,19 +93,33 @@ class CoupledInstance:
         us, colors = _coupled_arrays(self)
         return ColoredHypergraph(self.n, self.k, self.r, by_rank=np.where(us < p, colors, 0))
 
+    def level_of(self, edges: Iterable[Sequence[int]]) -> float:
+        """The largest u_e over the given canonical k-sets: realize(p) holds
+        all of them, with the same colors, exactly when p exceeds it."""
+        us = _coupled_arrays(self)[0]
+        return max(float(us[lex_rank(self.n, edge)]) for edge in edges)
+
 
 @lru_cache(maxsize=4)  # a coupled trial realizes one instance at every grid point
 def _coupled_arrays(ci: CoupledInstance) -> tuple[np.ndarray, np.ndarray]:
-    """(u_e, color_e) for every k-set of [n], by lex rank."""
+    """(u_e, color_e) for every k-set of [n], by lex rank.
+
+    derive_seed and unit_interval evaluated over all k-sets at once in
+    uint64 arithmetic; the arrays equal the per-edge scalar definition bit
+    for bit.
+    """
     _check_colors(ci.r)
-    ksets = kset_table(ci.n, ci.k)[0]
-    us = np.empty(len(ksets))
-    colors = np.empty(len(ksets), dtype=np.int64)
-    for rank, edge in enumerate(ksets):
-        h = derive_seed(ci.seed, *edge)
-        us[rank] = unit_interval(h)
-        colors[rank] = 1 + mix64(h ^ _COLOR_SALT) % ci.r
-    return us, colors
+    n, k = ci.n, ci.k
+    total = kset_count(n, k)
+    ksets = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(1, n + 1), k)),
+        dtype=np.int32,
+        count=total * k,
+    ).reshape(total, k)
+    h = derive_seed_rows(ci.seed, ksets)
+    us = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53  # unit_interval
+    colors = mix64_array(h ^ np.uint64(_COLOR_SALT)) % np.uint64(ci.r)
+    return us, colors.astype(np.int64) + 1
 
 
 def q_from_p(p: float) -> float:

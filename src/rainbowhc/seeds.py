@@ -9,10 +9,14 @@ The mix is the SplitMix64 finalizer (Steele-Lea-Flood constants), chained as
     h0      = mix64(master + PHI)
     h_{j+1} = mix64(h_j XOR mix64(index_j + PHI))
 
-All arithmetic is modulo 2**64, pure Python ints, identical on every platform.
+All arithmetic is modulo 2**64, identical on every platform: pure Python
+ints in mix64 and derive_seed, numpy uint64 arrays (which wrap modulo 2**64)
+in their vectorised twins mix64_array and derive_seed_rows.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _PHI64 = 0x9E3779B97F4A7C15  # floor(2^64 / golden ratio), odd
@@ -28,11 +32,30 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def mix64_array(x: np.ndarray) -> np.ndarray:
+    """mix64 applied elementwise to a uint64 array."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
+    return x ^ (x >> np.uint64(31))
+
+
 def derive_seed(master: int, *indices: int) -> int:
     """Fold integer indices into a master seed, one avalanche round each."""
     h = mix64((master + _PHI64) & _MASK64)
     for idx in indices:
         h = mix64(h ^ mix64((idx + _PHI64) & _MASK64))
+    return h
+
+
+def derive_seed_rows(master: int, indices: np.ndarray) -> np.ndarray:
+    """derive_seed(master, *row) for every row of a 2-d array of
+    non-negative integer indices, as a uint64 array."""
+    top = int(indices.max(initial=0))
+    # mix64(index + PHI) for every index up to the largest
+    terms = mix64_array(np.arange(top + 1, dtype=np.uint64) + np.uint64(_PHI64))
+    h = np.full(len(indices), derive_seed(master), dtype=np.uint64)
+    for column in indices.T:
+        h = mix64_array(h ^ terms[column])
     return h
 
 

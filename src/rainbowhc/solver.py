@@ -6,7 +6,9 @@ r = m, vertex 1 otherwise), and extends only into edges that exist, using a
 per-instance vertex-bitmask index of the present edges; colors are pruned with a
 used-color bitmask (single-color) or an incremental distinct-representatives
 matching over int color bitmasks, Kuhn augmenting paths trying colors in
-ascending order (multi-color).
+ascending order (multi-color).  A window left half-placed by the order (the
+windows through position 0 wrap around the cycle) is watched: a remembered
+completion edge is re-checked, and the branch cut when none is left.
 Exhaustive mode proves absence; budgeted mode gives up after a node quota and
 reports Unknown.
 
@@ -103,6 +105,13 @@ def _search_plan(spec: CycleSpec, anchored: bool):
         (anchored=True) places every spec in position order, so window 0,
         which holds the anchor color's edge, is placed first.
     member[s]: windows containing position order[s].
+    filters[s]: the windows of member[s] whose extend sets the search
+        intersects at step s.  A window is dropped when another member
+        window of its edge class (window 0 of the color-anchored plan reads
+        the anchor's edges, so it is a class of its own) has already placed
+        a superset of its positions, ties keeping the lower index: the
+        larger placed set's extend set lies inside the smaller one's, so the
+        intersection does not change.
     closing[s]: windows whose last-placed position is placed at step s.
     ordered[s]: (ref, +1) if the vertex placed at step s must exceed the
         one placed at step ref, (ref, -1) if it must be below it, None if
@@ -114,6 +123,14 @@ def _search_plan(spec: CycleSpec, anchored: bool):
         position n-1 (vertex-anchored, tight), and the first vertex of the
         run holding position k-1 lies above the one at position 0
         (color-anchored, every spec).
+    watch[s]: (j, begins) or None.  After step s a window waits when some
+        but not all of its positions are placed and its next position is
+        not placed at step s+1, so no extend filter reads it; window j is
+        the waiting window with the fewest unplaced positions, ties going to
+        the higher index.  begins is True when window j was not watched
+        after step s-1, which happens only at a step placing one of j's
+        positions; its placed set does not change while it is watched, so
+        its completions are rebuilt only where a watch begins.
     force_one: the step placing the last position of the first block that
         can hold the minimum of its run; vertex 1 is forced there if still
         unplaced.  -1 in the color-anchored plan, which has no vertex-1 rule.
@@ -125,10 +142,38 @@ def _search_plan(spec: CycleSpec, anchored: bool):
     member = tuple(
         tuple(j for j, w in enumerate(windows) if p in w) for p in order
     )
+    steps = [sorted(step_of[q] for q in w) for w in windows]
     closing = tuple(
-        tuple(j for j, w in enumerate(windows) if max(step_of[q] for q in w) == s)
+        tuple(j for j in range(len(windows)) if steps[j][-1] == s) for s in range(n)
+    )
+
+    def implied(j: int, i: int, s: int) -> bool:
+        """Window i has placed, before step s, a superset of j's positions."""
+        if anchored and 0 in (i, j):
+            return False
+        mine = {t for t in steps[j] if t < s}
+        theirs = {t for t in steps[i] if t < s}
+        return mine < theirs or (mine == theirs and i < j)
+
+    filters = tuple(
+        tuple(j for j in member[s] if not any(implied(j, i, s) for i in member[s]))
         for s in range(n)
     )
+    watch: list = []
+    for s in range(n):
+        waiting = [
+            (sum(t > s for t in steps[j]), -j)
+            for j in range(len(windows))
+            if steps[j][0] <= s < steps[j][-1]
+            and min(t for t in steps[j] if t > s) > s + 1
+        ]
+        if not waiting:
+            watch.append(None)
+            continue
+        j = -min(waiting)[1]
+        previous = watch[-1] if watch else None
+        watch.append((j, previous is None or previous[0] != j))
+    watch = tuple(watch)
     ordered = [
         (s - 1, 1) if s > 0 and order[s - 1] == p - 1 and member[s] == member[s - 1]
         else None
@@ -142,13 +187,13 @@ def _search_plan(spec: CycleSpec, anchored: bool):
         while ordered[step_of[first]] is not None:
             first -= 1
         ordered[step_of[first]] = (step_of[0], 1)
-        return order, member, closing, tuple(ordered), -1
+        return order, member, filters, closing, tuple(ordered), watch, -1
     if tight:
         ordered[step_of[1]] = (step_of[n - 1], -1)
     force_one = max(
         step_of[p] for p in range(spec.block_size) if ordered[step_of[p]] is None
     )
-    return order, member, closing, tuple(ordered), force_one
+    return order, member, filters, closing, tuple(ordered), watch, force_one
 
 
 def _rarest_color(H: ColoredHypergraph) -> Optional[int]:
@@ -225,12 +270,26 @@ def find_rainbow_cycle(
     present edges gives, for the vertices already placed in a window, the
     vertices that can still complete that window to a present edge.  A
     position's candidates are the intersection of those sets over every
-    window containing it, complete or not, minus the vertices already used.
-    When a window completes its color is checked: against a bitmask of used colors in single-color mode; in
-    multi-color mode the completed windows are matched to distinct colors by
-    Kuhn augmenting paths over int color bitmasks, each window trying its
-    colors in ascending order, and the window joins the matching or the
-    vertex is pruned.
+    window containing it, complete or not, minus the vertices already used;
+    the plan's filters skip a window whose set contains another's.
+    When a window completes its color is checked: against a bitmask of
+    used colors in single-color mode; in multi-color mode the completed
+    windows are matched to distinct colors by Kuhn augmenting paths over int
+    color bitmasks, each window trying its colors in ascending order, and
+    the window joins the matching or the vertex is pruned.
+
+    A window whose next position comes more than one step later is read by
+    no extend filter until then; the windows through position 0 wait like
+    this for most of the search.  After each step the plan watches one such
+    window (see _search_plan's watch table), and the search keeps its
+    completions: the present edges containing its placed vertices, each as
+    the vertices still missing plus its color (multi-color: no color, as
+    the matching may still reassign colors).  A placement that passes the
+    color check descends only if some completion has all its missing
+    vertices free and its color unused.  The index of the first such
+    completion, the witness, is passed down the branch; free vertices only
+    shrink and used colors only grow along a branch, so it only moves
+    forward, a residual support in the sense of Lecoutre and Hemery.
 
     Rotating a permutation by multiples of k-ell moves every edge to the
     next window, so one rotation can be fixed.  With r = m colors a rainbow
@@ -257,9 +316,9 @@ def find_rainbow_cycle(
 
     The budget counts nodes: one node is one vertex placed after passing the
     edge-index filter (and the symmetry rules), before its completed
-    windows' colors are checked.  Exhaustive mode returns NOT_FOUND only on
-    full exhaustion; budgeted mode additionally stops at node ``budget + 1``
-    and returns UNKNOWN.
+    windows' colors and the watched window's completions are checked.
+    Exhaustive mode returns NOT_FOUND only on full exhaustion; budgeted mode
+    additionally stops at node ``budget + 1`` and returns UNKNOWN.
     """
     if H.n != spec.n or H.k != spec.k:
         raise InvalidInput(
@@ -293,10 +352,32 @@ def find_rainbow_cycle(
             )
 
     n = spec.n
-    order, member, closing, ordered, force_one = _search_plan(spec, bool(anchor))
+    order, member, filters, closing, ordered, watch, force_one = _search_plan(
+        spec, bool(anchor)
+    )
     extend, edge_colors = _edge_index(H, anchor)
     extend_of = extend.get
     multi = H.multi_color
+    all_vertices = (1 << (n + 1)) - 2
+    # a completion packs an edge's vertices outside a window's placed set
+    # with its color bit shifted past the vertex bits (multi-color: no color
+    # bit, as the matching may still reassign colors), so one AND against
+    # the placed vertices and used colors tests it; each list ends in a 0,
+    # which no AND blocks and no completion equals
+    shift = n + 1
+    completion_lists: dict[int, list[int]] = {}
+
+    def completions(placed: int) -> list[int]:
+        comps = completion_lists.get(placed)
+        if comps is None:
+            comps = completion_lists[placed] = [
+                (edge ^ placed) | (0 if multi else 1 << (color + shift))
+                for edge, color in edge_colors.items()
+                if not edge & 1 and edge & placed == placed
+            ]
+            comps.append(0)
+        return comps
+
     window_mask = [0] * m  # vertices placed so far in each window
     if anchor:
         window_mask[0] = 1  # the tag bit: window 0 reads the anchor's edges
@@ -340,11 +421,15 @@ def find_rainbow_cycle(
             colors = tuple(edge_colors[mask] for mask in window_mask)
         return RainbowCertificate(pi, tuple(edges_of_hamperm(pi)), colors)
 
-    def place(s: int, free: int, used_colors: int) -> Optional[RainbowCertificate]:
+    def place(
+        s: int, free: int, used_colors: int, comps: list[int], witness: int
+    ) -> Optional[RainbowCertificate]:
+        """Place step s.  comps and witness carry the watched window's
+        completions and the index of the first one that may still fit."""
         nonlocal nodes
-        wins, closes = member[s], closing[s]
+        wins, closes, watched = member[s], closing[s], watch[s]
         cand = free
-        for j in wins:
+        for j in filters[s]:
             cand &= extend_of(window_mask[j], 0)
         rule = ordered[s]
         if rule is not None:
@@ -354,6 +439,8 @@ def find_rainbow_cycle(
             cand &= -(2 << prev) if sign > 0 else (1 << prev) - 1
         if s == force_one and free & 2:
             cand &= 2
+        if watched is not None:
+            wj, begins = watched
         while cand:
             bit = cand & -cand
             cand ^= bit
@@ -382,12 +469,28 @@ def find_rainbow_cycle(
                     colors_now |= cbit
                 if not ok:
                     continue
+            w = witness
+            if watched is not None:
+                # the watched window still needs an edge through free
+                # vertices with an unused color; along a branch the free
+                # vertices only shrink and the used colors only grow, so
+                # the witness only moves forward
+                if begins:
+                    comps, w = completions(window_mask[wj] | bit), 0
+                blocked = (all_vertices ^ free ^ bit) | (colors_now << shift)
+                while comps[w] & blocked:
+                    w += 1
+                if not comps[w]:
+                    if multi:
+                        for j in closes:
+                            del holder[held[j]]
+                    continue
             for j in wins:
                 window_mask[j] |= bit
             perm[s] = bit.bit_length() - 1
             if s + 1 == n:
                 return certificate()
-            result = place(s + 1, free ^ bit, colors_now)
+            result = place(s + 1, free ^ bit, colors_now, comps, w)
             if result is not None:
                 return result
             for j in wins:
@@ -397,9 +500,8 @@ def find_rainbow_cycle(
                     del holder[held[j]]
         return None
 
-    all_vertices = (1 << (n + 1)) - 2
     try:
-        cert = place(0, all_vertices, 0)
+        cert = place(0, all_vertices, 0, [], 0)
     except _BudgetExceeded:
         return SearchOutcome(SearchStatus.UNKNOWN, None, nodes, True)
     finally:

@@ -29,7 +29,8 @@ from rainbowhc import (
     verify_certificate,
 )
 from rainbowhc.chgio import dumps_chg
-from rainbowhc.seeds import derive_seed
+from rainbowhc.models import _COLOR_SALT, _coupled_arrays
+from rainbowhc.seeds import derive_seed, mix64, unit_interval
 
 
 # -- sample_colored ----------------------------------------------------------
@@ -109,6 +110,32 @@ def test_realize_extremes_and_nesting():
     sub, sup = ci.realize(0.3), ci.realize(0.7)
     for edge, colors in sub.items():
         assert sup.colors_of(edge) == colors
+
+
+@pytest.mark.parametrize("n, k, r", [(6, 3, 3), (10, 4, 10), (12, 3, 6), (9, 1, 5)])
+@pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 2, 2**64 - 1, 2**64 + 5, -3])
+def test_coupled_arrays_match_scalar_definition(n, k, r, seed):
+    # the uint64 arrays must equal the per-edge definition in pure Python
+    # ints, wrap-around near 2^64 and seeds outside [0, 2^64) included
+    us, colors = _coupled_arrays(CoupledInstance(n, k, r, seed))
+    want_us, want_colors = [], []
+    for edge in itertools.combinations(range(1, n + 1), k):
+        h = derive_seed(seed, *edge)
+        want_us.append(unit_interval(h))
+        want_colors.append(1 + mix64(h ^ _COLOR_SALT) % r)
+    assert us.dtype == np.float64 and colors.dtype == np.int64
+    assert us.tolist() == want_us
+    assert colors.tolist() == want_colors
+
+
+def test_level_of_is_when_the_edges_all_appear():
+    # csweep settles every grid point above a certificate's level as found
+    ci = CoupledInstance(8, 3, 4, seed=3)
+    for edges in ([(1, 2, 3)], [(1, 2, 3), (3, 4, 5), (5, 6, 7), (1, 7, 8)]):
+        level = ci.level_of(edges)
+        below, above = ci.realize(level), ci.realize(math.nextafter(level, 1.0))
+        assert not all(below.has_edge(e) for e in edges)
+        assert all(above.has_edge(e) for e in edges)
 
 
 @given(st.integers(0, 2**63), st.floats(0, 1), st.floats(0, 1))

@@ -112,14 +112,14 @@ def test_budget_unit_is_one_placed_vertex():
     H = sample_colored(8, 3, 0.3, 4, seed=2)
     assert count_hamperms(H, spec) == (56, 0)
     full = find_rainbow_cycle(H, spec)
-    assert full.status is SearchStatus.NOT_FOUND and full.nodes_expanded == 153
-    for b in (1, 100, 152):
+    assert full.status is SearchStatus.NOT_FOUND and full.nodes_expanded == 104
+    for b in (1, 100, 103):
         out = find_rainbow_cycle(H, spec, mode="budgeted", budget=b)
         assert out.status is SearchStatus.UNKNOWN and out.budget_hit
         assert out.nodes_expanded == b + 1
-    at_limit = find_rainbow_cycle(H, spec, mode="budgeted", budget=153)
+    at_limit = find_rainbow_cycle(H, spec, mode="budgeted", budget=104)
     assert at_limit.status is SearchStatus.NOT_FOUND and not at_limit.budget_hit
-    assert at_limit.nodes_expanded == 153
+    assert at_limit.nodes_expanded == 104
 
 
 def test_tight_budget_unit_is_pinned():
@@ -131,11 +131,11 @@ def test_tight_budget_unit_is_pinned():
     H = sample_colored(8, 4, 0.6, 8, seed=0)
     assert count_hamperms(H, spec) == (80, 0)
     full = find_rainbow_cycle(H, spec)
-    assert full.status is SearchStatus.NOT_FOUND and full.nodes_expanded == 345
-    for b in (1, 344):
+    assert full.status is SearchStatus.NOT_FOUND and full.nodes_expanded == 251
+    for b in (1, 250):
         out = find_rainbow_cycle(H, spec, mode="budgeted", budget=b)
         assert out.status is SearchStatus.UNKNOWN and out.nodes_expanded == b + 1
-    at_limit = find_rainbow_cycle(H, spec, mode="budgeted", budget=345)
+    at_limit = find_rainbow_cycle(H, spec, mode="budgeted", budget=251)
     assert at_limit.status is SearchStatus.NOT_FOUND and not at_limit.budget_hit
 
 
@@ -147,11 +147,11 @@ def test_vertex_anchored_budget_unit_is_pinned():
     H = sample_colored(8, 4, 0.6, 9, seed=0)
     assert count_hamperms(H, spec) == (80, 0)
     full = find_rainbow_cycle(H, spec)
-    assert full.status is SearchStatus.NOT_FOUND and full.nodes_expanded == 554
-    for b in (1, 553):
+    assert full.status is SearchStatus.NOT_FOUND and full.nodes_expanded == 383
+    for b in (1, 382):
         out = find_rainbow_cycle(H, spec, mode="budgeted", budget=b)
         assert out.status is SearchStatus.UNKNOWN and out.nodes_expanded == b + 1
-    at_limit = find_rainbow_cycle(H, spec, mode="budgeted", budget=554)
+    at_limit = find_rainbow_cycle(H, spec, mode="budgeted", budget=383)
     assert at_limit.status is SearchStatus.NOT_FOUND and not at_limit.budget_hit
 
 
@@ -161,14 +161,80 @@ def test_search_plan_invariants(spec):
         _check_search_plan(spec, anchored)
 
 
+@pytest.mark.parametrize("spec", [CycleSpec(10, 4, 3), CycleSpec(12, 3, 1)])
+def test_bench_spec_plans(spec):
+    # the specs of the tight and loose benchmark workloads, beyond n = 9
+    for anchored in (False, True):
+        _check_search_plan(spec, anchored)
+
+
+def test_filters_halve_tight_anchored_lookups():
+    member, filters = _search_plan(CycleSpec(10, 4, 3), True)[1:3]
+    assert sum(map(len, member)) == 40 and sum(map(len, filters)) == 20
+
+
 def _check_search_plan(spec, anchored):
-    order, member, closing, ordered, force_one = _search_plan(spec, anchored)
+    order, member, filters, closing, ordered, watch, force_one = _search_plan(
+        spec, anchored
+    )
     n, k, windows = spec.n, spec.k, spec.windows()
     assert sorted(order) == list(range(n))
     step_of = {p: s for s, p in enumerate(order)}
     assert member == tuple(
         tuple(j for j, w in enumerate(windows) if p in w) for p in order
     )
+
+    def placed(j, s):
+        """Positions of window j placed at steps before s."""
+        return {p for p in windows[j] if step_of[p] < s}
+
+    def same_class(i, j):
+        return not (anchored and 0 in (i, j))
+
+    # a filter window is dropped only when a kept window of its edge class
+    # has placed a superset of its positions, so the candidates are the same
+    for s in range(n):
+        kept = filters[s]
+        assert kept and set(kept) <= set(member[s])
+        assert list(kept) == sorted(kept)
+        for j in member[s]:
+            implied_by = [
+                i for i in kept
+                if i != j and same_class(i, j) and placed(j, s) <= placed(i, s)
+            ]
+            assert bool(implied_by) == (j not in kept), (s, j)
+
+    # the watched window waits: it has placed positions, not all of them,
+    # and its next one is not placed at the following step; it has the
+    # fewest unplaced positions of the waiting windows, ties to the higher
+    # index, and its placed set does not change while it is watched
+    for s in range(n):
+        waiting = [
+            j for j, w in enumerate(windows)
+            if placed(j, s + 1) and len(placed(j, s + 1)) < len(w)
+            and min(step_of[p] for p in w if step_of[p] > s) > s + 1
+        ]
+        if not waiting:
+            assert watch[s] is None
+            continue
+        j, begins = watch[s]
+        assert j in waiting
+        unplaced = {i: len(windows[i]) - len(placed(i, s + 1)) for i in waiting}
+        assert all(
+            unplaced[i] > unplaced[j] or (unplaced[i] == unplaced[j] and i <= j)
+            for i in waiting
+        )
+        continued = s > 0 and watch[s - 1] is not None and watch[s - 1][0] == j
+        assert begins == (not continued)
+        if continued:
+            assert placed(j, s) == placed(j, s + 1)
+        else:
+            # the search rebuilds the completions with the vertex just placed
+            assert order[s] in windows[j]
+    if anchored:
+        # window 0 reads the anchor's edges and is never watched, so the
+        # completions need only the untagged keys
+        assert all(w is None or w[0] != 0 for w in watch)
     # every window closes exactly once, at the step placing its last position
     closes = [j for s in range(n) for j in closing[s]]
     assert sorted(closes) == list(range(spec.m))
@@ -366,10 +432,11 @@ def test_multi_color_search_uses_matching():
 # SHA-256 of the JSON of to_record() over 200 directed-model instances at
 # criterion 10's density (r = m, so the search anchors on the rarest color):
 # pins statuses, node counts and the colors of every certificate.  Re-recorded
-# when the color anchor came in; the exhaustive statuses did not move
+# when the color anchor came in and when the watched-window prune came in;
+# neither moved the exhaustive statuses, and the prune moved no certificate
 MULTI_COLOR_SEARCH_PINS = {
-    ("exhaustive", None): "4cfc047982e1f2684937ebf31ee5a05484841646d9cbbe652aa84b1e1765452d",
-    ("budgeted", 200): "b3b6738dd91ca805c2f77e6feec37f1ea3780913e442181237bb9b2a043f242c",
+    ("exhaustive", None): "8e8553701088594f6c0a46c96a29f12dfc7b70bfa2f0e533e491d4bbd86be888",
+    ("budgeted", 200): "0683fecad4228b9e3f54383c0a4e6e66feba0ad4a59342be9f50ce9fb44949c7",
 }
 
 
