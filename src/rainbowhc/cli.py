@@ -38,7 +38,10 @@ from .moments import (
     threshold_general,
     threshold_tight,
 )
-from .solver import count_hamperms, find_rainbow_cycle, overlap_profile
+from .solver import ENUMERATION_LIMIT, count_hamperms, find_rainbow_cycle, overlap_profile
+
+
+_LIMIT_HELP = f"largest n to enumerate; it can only lower the cap n <= {ENUMERATION_LIMIT}"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -314,12 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
     count = subs.add_parser("count", help="brute-force hamperm counts X and Y")
     count.add_argument("--infile", required=True)
     count.add_argument("--ell", type=int, required=True)
-    count.add_argument("--limit", type=int, default=9)
+    count.add_argument("--limit", type=int, default=ENUMERATION_LIMIT, help=_LIMIT_HELP)
     count.add_argument("--out", default=None)
 
     overlap = subs.add_parser("overlap", help="overlap table N(b, a)")
     _add_geometry(overlap)
-    overlap.add_argument("--limit", type=int, default=9)
+    overlap.add_argument("--limit", type=int, default=ENUMERATION_LIMIT, help=_LIMIT_HELP)
     overlap.add_argument("--format", choices=("csv", "json"), default="csv")
     overlap.add_argument("--out", default=None)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -120,6 +119,8 @@ class SweepConfig:
             raise InvalidInput(f"unknown solver mode {self.solver_mode!r}")
         if self.solver_mode == "budgeted" and (self.budget is None or self.budget <= 0):
             raise InvalidInput("budgeted mode needs a positive budget")
+        if self.solver_mode == "exhaustive" and self.budget is not None:
+            raise InvalidInput("a budget needs budgeted mode")
 
     @property
     def resolved_r(self) -> int:
@@ -175,6 +176,10 @@ def _run_tasks(fn: Callable, tasks: Sequence, workers: int) -> list:
     """fn over tasks, results in task order; a process pool when workers > 1."""
     if workers == 1:
         return [fn(task) for task in tasks]
+    # imported here: the pool brings in multiprocessing, which a one-worker
+    # run, and every import of the package, can do without
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(tasks) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=chunk))

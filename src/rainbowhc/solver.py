@@ -10,7 +10,8 @@ ascending order (multi-color).  A window left half-placed by the order (the
 windows through position 0 wrap around the cycle) is watched: a remembered
 completion edge is re-checked, and the branch cut when none is left.
 Exhaustive mode proves absence; budgeted mode gives up after a node quota and
-reports Unknown.
+reports Unknown.  Each search plan is compiled once into straight-line
+Python, one function per placement step.
 
 The oracles enumerate all n! permutations outright and exist to pin the
 closed-form moment calculations to something independently computable, so
@@ -22,7 +23,10 @@ ranks, since Monte Carlo tests call it a hundred thousand times.
 from __future__ import annotations
 
 import itertools
+import linecache
 import math
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -96,6 +100,9 @@ class _BudgetExceeded(Exception):
 @lru_cache(maxsize=None)
 def _search_plan(spec: CycleSpec, anchored: bool):
     """Per-step tables for the edge-driven search, steps 0..n-1.
+
+    The tables are the search's program: _search_source compiles them into
+    one Python function per step, so nothing here is read while searching.
 
     order[s]: the position placed at step s.  The vertex-anchored plan
         (anchored=False) places tight specs (ell = k-1) in the order
@@ -212,10 +219,10 @@ def _rarest_color(H: ColoredHypergraph) -> Optional[int]:
 
 
 def _index_edge(
-    extend: dict[int, int], colors: dict[int, int], edge: int, tag: int, slot: int
+    extend: dict[int, int], colors: dict[int, int], edge: int, tag: int, bits: int
 ) -> None:
     """Add one edge's vertex mask to the index, every key or-ed with tag."""
-    colors[edge | tag] = slot
+    colors[edge | tag] = bits
     sub = (edge - 1) & edge
     while True:
         key = sub | tag
@@ -232,14 +239,14 @@ def _edge_index(
 
     extend[T] is the set of vertices v outside T with T | {v} contained in
     some present edge, for every proper subset T of every edge; colors maps
-    each edge's mask to its slot in H.by_rank: the color (single-color) or
-    the color bitmask, bit c for color c (multi-color).
+    each edge's mask to its colors as a bitmask, bit c for color c: one bit
+    (single-color) or the edge's whole color set (multi-color).
 
     With an anchor color (anchor > 0; 0 means none), the edges carrying it
     are indexed under keys tagged with bit 0, which is never a vertex bit,
     with the anchor as their only color; the untagged keys index the other
-    edges, the anchor removed from their colors (single-color: anchor edges
-    leave; multi-color: an edge left with no color leaves).
+    edges, the anchor removed from their colors (an edge left with no color
+    leaves).
     """
     extend: dict[int, int] = {}
     colors: dict[int, int] = {}
@@ -249,12 +256,154 @@ def _edge_index(
     anchor_bit = 1 << anchor
     for rank, slot in zip(ranks.tolist(), H.by_rank[ranks].tolist()):
         edge = masks[rank]
-        if anchor and (slot & anchor_bit if multi else slot == anchor):
-            _index_edge(extend, colors, edge, 1, anchor_bit if multi else anchor)
-            slot = slot ^ anchor_bit if multi else 0
-        if slot:
-            _index_edge(extend, colors, edge, 0, slot)
+        bits = slot if multi else 1 << slot
+        if anchor and bits & anchor_bit:
+            _index_edge(extend, colors, edge, 1, anchor_bit)
+            bits ^= anchor_bit
+        if bits:
+            _index_edge(extend, colors, edge, 0, bits)
     return extend, colors
+
+
+def _search_source(spec: CycleSpec, anchored: bool, multi: bool) -> str:
+    """Python source of the search over _search_plan(spec, anchored).
+
+    The source defines a factory, search(extend_of, colors_of, completions,
+    claim, holder, held, choices, b, limit), binding one instance's edge
+    index, the watched windows' completions, the multi-color matching, the
+    list b of the vertex bit placed at each step and the node limit.  It
+    returns (step0, count): the first step and a reader of the nodes
+    expanded.
+
+    Step s is one function, step<s>(free[, used][, comps, w]): free vertices,
+    used color bits (single-color only), and the watched window's
+    completions and witness when its watch began at an earlier step.  It
+    returns True once the last step is placed.  Everything the plan fixes is
+    resolved here: each window mask the step reads is an OR of b at the
+    steps placing that window's positions (plus the tag bit for window 0 of
+    the color-anchored plan), computed once per call; filters and closing
+    windows are unrolled; rule, force-one and watch code appears only at the
+    steps that have it.  A multi-color window whose lowest color is free
+    takes it in place, which is what claim's first augmenting step does.
+    The candidates, their order, the prunes and the node count are those of
+    find_rainbow_cycle's description.
+    """
+    order, member, filters, closing, ordered, watch, force_one = _search_plan(
+        spec, anchored
+    )
+    n = spec.n
+    placed_at = [[s for s in range(n) if j in member[s]] for j in range(spec.m)]
+    all_vertices = (1 << (n + 1)) - 2
+    shift = n + 1  # completions carry their color bit past the vertex bits
+
+    def mask(j: int, s: int) -> str:
+        terms = [f"b[{t}]" for t in placed_at[j] if t < s]
+        if anchored and j == 0:
+            terms.append("1")  # the tag bit: window 0 reads the anchor's edges
+        return " | ".join(terms) or "0"
+
+    def carried(s: int) -> bool:
+        return watch[s] is not None and not watch[s][1]
+
+    lines = [
+        "def search(extend_of, colors_of, completions, claim, holder, held, choices, b, limit):",
+        "    nodes = 0",
+    ]
+    out = lines.append
+    for s in reversed(range(n)):
+        params = ["free"] + ([] if multi else ["used"])
+        params += ["comps", "w"] if carried(s) else []
+        out("")
+        out(f"    def step{s}({', '.join(params)}):")
+        out(f"        # position {order[s]}")
+        out("        nonlocal nodes")
+        wj, begins = watch[s] if watch[s] is not None else (None, False)
+        for j in sorted({*filters[s], *closing[s], *([wj] if begins else [])}):
+            out(f"        m{j} = {mask(j, s)}")
+        out("        cand = free" + "".join(f" & extend_of(m{j}, 0)" for j in filters[s]))
+        if ordered[s] is not None:
+            ref, sign = ordered[s]
+            if sign > 0:
+                out(f"        cand &= -(b[{ref}] << 1)  # above step {ref}'s vertex")
+            else:
+                out(f"        cand &= b[{ref}] - 1  # below step {ref}'s vertex")
+        if s == force_one:
+            out("        if free & 2:  # vertex 1")
+            out("            cand &= 2")
+        if wj is not None:
+            out(f"        taken = {all_vertices} ^ free")
+        out("        while cand:")
+        out("            bit = cand & -cand")
+        out("            cand ^= bit")
+        out("            nodes += 1")
+        out("            if nodes > limit:")
+        out("                raise _BudgetExceeded")
+        used = "used"
+        undo = []
+        for j in closing[s]:
+            out(f"            c = colors_of[m{j} | bit]")
+            if multi:
+                # the lowest color free is what the matching would take
+                out("            low = c & -c")
+                out("            if low in holder:")
+                out(f"                if not claim({j}, c):")
+                lines.extend(f"        {line}" for line in undo)
+                out("                    continue")
+                out("            else:")
+                out(f"                holder[low] = {j}")
+                out(f"                held[{j}] = low")
+                out(f"                choices[{j}] = c")
+                undo.append(f"            del holder[held[{j}]]")
+            else:
+                out(f"            if {used} & c:")
+                out("                continue")
+                out(f"            u = {used} | c")
+                used = "u"
+        if wj is not None:
+            if begins:
+                out(f"            comps = completions(m{wj} | bit)")
+                out("            x = 0")
+            else:
+                out("            x = w")
+            blocked = "taken | bit" if multi else f"taken | bit | ({used} << {shift})"
+            out(f"            blocked = {blocked}")
+            out("            while comps[x] & blocked:")
+            out("                x += 1")
+            out("            if not comps[x]:")
+            lines.extend(f"    {line}" for line in undo)
+            out("                continue")
+        out(f"            b[{s}] = bit")
+        if s + 1 == n:
+            out("            return True")
+            continue
+        args = ["free ^ bit"] + ([] if multi else [used])
+        args += ["comps", "x"] if carried(s + 1) else []
+        out(f"            if step{s + 1}({', '.join(args)}):")
+        out("                return True")
+        lines.extend(undo)
+    out("")
+    out("    def count():")
+    out("        return nodes")
+    out("")
+    out("    return step0, count")
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=None)
+def _compiled_search(spec: CycleSpec, anchored: bool, multi: bool):
+    """The search factory of _search_source, compiled once per plan.  The
+    source is registered with linecache under the code's filename, so
+    tracebacks and profilers show the generated lines."""
+    source = _search_source(spec, anchored, multi)
+    filename = (
+        f"<rainbowhc search n={spec.n} k={spec.k} ell={spec.ell}"
+        f" {'color' if anchored else 'vertex'}-anchored"
+        f" {'multi' if multi else 'single'}-color>"
+    )
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"_BudgetExceeded": _BudgetExceeded}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["search"]
 
 
 def find_rainbow_cycle(
@@ -276,7 +425,9 @@ def find_rainbow_cycle(
     used colors in single-color mode; in multi-color mode the completed
     windows are matched to distinct colors by Kuhn augmenting paths over int
     color bitmasks, each window trying its colors in ascending order, and
-    the window joins the matching or the vertex is pruned.
+    the window joins the matching or the vertex is pruned.  The plan is
+    compiled once into straight-line Python, one function per step (see
+    _search_source); this function binds it to the instance.
 
     A window whose next position comes more than one step later is read by
     no extend filter until then; the windows through position 0 wait like
@@ -330,8 +481,8 @@ def find_rainbow_cycle(
     if mode == "budgeted":
         if budget is None or budget <= 0:
             raise InvalidInput("budgeted mode needs a positive budget")
-    else:
-        budget = None
+    elif budget is not None:
+        raise InvalidInput("a budget needs budgeted mode")
 
     m = spec.m
     if H.r < m:
@@ -352,13 +503,9 @@ def find_rainbow_cycle(
             )
 
     n = spec.n
-    order, member, filters, closing, ordered, watch, force_one = _search_plan(
-        spec, bool(anchor)
-    )
-    extend, edge_colors = _edge_index(H, anchor)
-    extend_of = extend.get
+    anchored = bool(anchor)
+    extend, colors_of = _edge_index(H, anchor)
     multi = H.multi_color
-    all_vertices = (1 << (n + 1)) - 2
     # a completion packs an edge's vertices outside a window's placed set
     # with its color bit shifted past the vertex bits (multi-color: no color
     # bit, as the matching may still reassign colors), so one AND against
@@ -371,18 +518,13 @@ def find_rainbow_cycle(
         comps = completion_lists.get(placed)
         if comps is None:
             comps = completion_lists[placed] = [
-                (edge ^ placed) | (0 if multi else 1 << (color + shift))
-                for edge, color in edge_colors.items()
+                (edge ^ placed) | (0 if multi else bits << shift)
+                for edge, bits in colors_of.items()
                 if not edge & 1 and edge & placed == placed
             ]
             comps.append(0)
         return comps
 
-    window_mask = [0] * m  # vertices placed so far in each window
-    if anchor:
-        window_mask[0] = 1  # the tag bit: window 0 reads the anchor's edges
-    perm = [0] * n  # the vertex placed at each step
-    nodes = 0
     # multi-color matching of completed windows to distinct colors
     held = [0] * m  # the color each matched window holds, as a bit
     choices = [0] * m  # its candidate colors, bit c for color c
@@ -410,110 +552,49 @@ def find_rainbow_cycle(
         visited = 0
         return augment(j)
 
-    def certificate() -> RainbowCertificate:
-        at = [0] * n
-        for p, v in zip(order, perm):
-            at[p] = v
-        pi = Hamperm(tuple(at), spec)
-        if multi:
-            colors = tuple(bit.bit_length() - 1 for bit in held)
-        else:
-            colors = tuple(edge_colors[mask] for mask in window_mask)
-        return RainbowCertificate(pi, tuple(edges_of_hamperm(pi)), colors)
-
-    def place(
-        s: int, free: int, used_colors: int, comps: list[int], witness: int
-    ) -> Optional[RainbowCertificate]:
-        """Place step s.  comps and witness carry the watched window's
-        completions and the index of the first one that may still fit."""
-        nonlocal nodes
-        wins, closes, watched = member[s], closing[s], watch[s]
-        cand = free
-        for j in filters[s]:
-            cand &= extend_of(window_mask[j], 0)
-        rule = ordered[s]
-        if rule is not None:
-            ref, sign = rule
-            prev = perm[ref]
-            # vertices above prev, or below it
-            cand &= -(2 << prev) if sign > 0 else (1 << prev) - 1
-        if s == force_one and free & 2:
-            cand &= 2
-        if watched is not None:
-            wj, begins = watched
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise _BudgetExceeded
-            colors_now = used_colors
-            ok = True
-            if multi:
-                added = []
-                for j in closes:
-                    if not claim(j, edge_colors[window_mask[j] | bit]):
-                        ok = False
-                        break
-                    added.append(j)
-                if not ok:
-                    for j in added:
-                        del holder[held[j]]
-                    continue
-            else:
-                for j in closes:
-                    cbit = 1 << edge_colors[window_mask[j] | bit]
-                    if colors_now & cbit:
-                        ok = False
-                        break
-                    colors_now |= cbit
-                if not ok:
-                    continue
-            w = witness
-            if watched is not None:
-                # the watched window still needs an edge through free
-                # vertices with an unused color; along a branch the free
-                # vertices only shrink and the used colors only grow, so
-                # the witness only moves forward
-                if begins:
-                    comps, w = completions(window_mask[wj] | bit), 0
-                blocked = (all_vertices ^ free ^ bit) | (colors_now << shift)
-                while comps[w] & blocked:
-                    w += 1
-                if not comps[w]:
-                    if multi:
-                        for j in closes:
-                            del holder[held[j]]
-                    continue
-            for j in wins:
-                window_mask[j] |= bit
-            perm[s] = bit.bit_length() - 1
-            if s + 1 == n:
-                return certificate()
-            result = place(s + 1, free ^ bit, colors_now, comps, w)
-            if result is not None:
-                return result
-            for j in wins:
-                window_mask[j] ^= bit
-            if multi:
-                for j in closes:
-                    del holder[held[j]]
-        return None
-
+    placed = [0] * n  # the vertex bit placed at each step
+    step0, count = _compiled_search(spec, anchored, multi)(
+        extend.get, colors_of, completions, claim, holder, held, choices, placed,
+        sys.maxsize if budget is None else budget,
+    )
+    all_vertices = (1 << (n + 1)) - 2
     try:
-        cert = place(0, all_vertices, 0, [], 0)
+        found = step0(all_vertices) if multi else step0(all_vertices, 0)
     except _BudgetExceeded:
-        return SearchOutcome(SearchStatus.UNKNOWN, None, nodes, True)
+        return SearchOutcome(SearchStatus.UNKNOWN, None, count(), True)
     finally:
-        # the recursive closures reach themselves through their cells
-        del place, augment
-    if cert is not None:
-        return SearchOutcome(SearchStatus.FOUND, cert, nodes, False)
-    return SearchOutcome(SearchStatus.NOT_FOUND, None, nodes, False, reason="exhausted")
+        # the recursive matcher reaches itself through its cell
+        del augment
+    if not found:
+        return SearchOutcome(
+            SearchStatus.NOT_FOUND, None, count(), False, reason="exhausted"
+        )
+    at = [0] * n
+    for p, bit in zip(_search_plan(spec, anchored)[0], placed):
+        at[p] = bit.bit_length() - 1
+    pi = Hamperm(tuple(at), spec)
+    if multi:
+        bits = held
+    else:
+        bits = [
+            colors_of[sum(1 << at[p] for p in window) | (anchored and j == 0)]
+            for j, window in enumerate(spec.windows())
+        ]
+    colors = tuple(bit.bit_length() - 1 for bit in bits)
+    cert = RainbowCertificate(pi, tuple(edges_of_hamperm(pi)), colors)
+    return SearchOutcome(SearchStatus.FOUND, cert, count(), False)
 
 
 # ---------------------------------------------------------------------------
 # permutation-enumeration machinery
+
+
+def _check_limit(n: int, limit: int, cap: int, kind: str) -> None:
+    """TooLarge unless n <= limit and n <= cap: a limit may lower the cap,
+    never raise it, as the oracles' tables and loops grow with n!."""
+    bound = min(limit, cap)
+    if n > bound:
+        raise TooLarge(f"n = {n} exceeds the {kind} limit {bound}")
 
 
 @lru_cache(maxsize=2)  # one table is m x n! int64: ~26 MB at n = 9
@@ -548,11 +629,12 @@ def count_hamperms(
 
     Returns (X_count, Y_count): permutations whose induced edges all exist,
     and those additionally admitting a system of pairwise distinct colors.
+    limit may lower ENUMERATION_LIMIT, never raise it; a larger n is
+    TooLarge before anything is allocated.
     """
     if H.n != spec.n or H.k != spec.k:
         raise InvalidInput("hypergraph does not match spec")
-    if spec.n > limit:
-        raise TooLarge(f"n = {spec.n} exceeds the enumeration limit {limit}")
+    _check_limit(spec.n, limit, ENUMERATION_LIMIT, "enumeration")
     table = _perm_edge_table(spec.n, spec.k, spec.ell)
     colors = H.by_rank[table]  # (m, n!): the slot of each induced edge
     present = np.logical_and.reduce(colors != 0, axis=0)
@@ -563,9 +645,12 @@ def count_hamperms(
             rainbow &= colors[i] != colors[j]
         return x_count, int(np.count_nonzero(rainbow))
 
+    # whether a column has an SDR depends only on its multiset of color
+    # masks, so each distinct one is solved once
+    columns = Counter(tuple(sorted(column)) for column in colors[:, present].T.tolist())
     y_count = sum(
-        1
-        for column in colors[:, present].T.tolist()
+        count
+        for column, count in columns.items()
         if distinct_color_system([color_bits(mask) for mask in column]) is not None
     )
     return x_count, y_count
@@ -603,8 +688,7 @@ def overlap_profile(spec: CycleSpec, limit: int = ENUMERATION_LIMIT) -> OverlapP
     Fixing the reference permutation is sound because the table does not
     depend on it (relabeling vertices is a bijection on permutations).
     """
-    if spec.n > limit:
-        raise TooLarge(f"n = {spec.n} exceeds the enumeration limit {limit}")
+    _check_limit(spec.n, limit, ENUMERATION_LIMIT, "enumeration")
     n, m = spec.n, spec.m
     identity = Hamperm(tuple(range(1, n + 1)), spec)
     ref_edges = edges_of_hamperm(identity)
@@ -686,8 +770,7 @@ def second_moment_bruteforce(
     count b are measured directly on edge bitmasks; the pair contributes
     p^{|union|} * Pr(both rainbow).  No overlap table, no path counting.
     """
-    if spec.n > limit:
-        raise TooLarge(f"n = {spec.n} exceeds the pairwise limit {limit}")
+    _check_limit(spec.n, limit, PAIRWISE_LIMIT, "pairwise")
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise InvalidInput(f"p must lie in [0, 1], got {p}")
@@ -724,8 +807,7 @@ def expected_Y_bruteforce(
     Each permutation contributes p^d * (r)_d / r^d where d is its number of
     distinct induced edges (measured, not assumed).
     """
-    if spec.n > limit:
-        raise TooLarge(f"n = {spec.n} exceeds the enumeration limit {limit}")
+    _check_limit(spec.n, limit, ENUMERATION_LIMIT, "enumeration")
     p = Fraction(p)
     by_distinct: dict[int, int] = {}
     for perm in itertools.permutations(range(1, spec.n + 1)):

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +176,56 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 1
     code, _, _ = run(capsys, "nonsense")
     assert code == 1
+
+
+def test_budget_without_budgeted_mode_is_invalid_input(tmp_path, capsys):
+    chg = tmp_path / "h.chg"
+    run(capsys, "gen", "--n", "6", "--k", "3", "--r", "3", "--p", "0.6",
+        "--seed", "2", "--out", str(chg))
+    code, out, err = run(capsys, "solve", "--infile", str(chg), "--ell", "1", "--budget", "5")
+    assert (code, out) == (1, "") and "budget" in err
+    code, _, _ = run(
+        capsys, "solve", "--infile", str(chg), "--ell", "1", "--mode", "budgeted",
+        "--budget", "5",
+    )
+    assert code == 0
+    args = ["--n", "6", "--k", "3", "--ell", "1", "--r", "3", "--p-grid", "0.2:0.8:3",
+            "--trials", "2", "--budget", "5"]
+    for command in ("sweep", "csweep"):
+        code, out, err = run(capsys, command, *args)
+        assert (code, out) == (1, "") and "budget" in err, command
+        code, _, _ = run(capsys, command, *args, "--mode", "budgeted")
+        assert code == 0, command
+
+
+def test_limit_cannot_raise_the_enumeration_cap(tmp_path, capsys):
+    # n = 12 would enumerate 12! permutations: TooLarge, not an OOM
+    code, out, err = run(
+        capsys, "overlap", "--n", "12", "--k", "3", "--ell", "1", "--limit", "12"
+    )
+    assert (code, out) == (1, "") and "limit 9" in err
+    chg = tmp_path / "h.chg"
+    run(capsys, "gen", "--n", "12", "--k", "3", "--r", "6", "--p", "0.3",
+        "--seed", "1", "--out", str(chg))
+    code, out, err = run(capsys, "count", "--infile", str(chg), "--ell", "1", "--limit", "12")
+    assert (code, out) == (1, "") and "limit 9" in err
+    # a limit below the cap still applies
+    code, _, err = run(capsys, "overlap", "--n", "6", "--k", "3", "--ell", "1", "--limit", "5")
+    assert code == 1 and "limit 5" in err
+
+
+def test_import_leaves_the_process_pool_unimported():
+    # only a sweep with workers > 1 needs concurrent.futures (and with it
+    # multiprocessing), so importing the CLI does not pay for it
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import rainbowhc.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_unparsable_grid_is_invalid_input(capsys):

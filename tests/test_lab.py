@@ -52,6 +52,13 @@ def test_config_validation():
         small_config(n=7)  # divisibility
 
 
+def test_config_rejects_a_budget_without_budgeted_mode():
+    # the exhaustive search would ignore it
+    with pytest.raises(InvalidInput):
+        small_config(budget=50)
+    assert small_config(solver_mode="budgeted", budget=50).budget == 50
+
+
 def test_config_density_resolution():
     cfg = small_config(r=None, c=Fraction(1, 2))
     assert cfg.resolved_r == 3

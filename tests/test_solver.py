@@ -2,10 +2,13 @@ import gc
 import hashlib
 import itertools
 import json
+import linecache
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,11 +33,13 @@ from rainbowhc import (
     verify_certificate,
 )
 from rainbowhc.seeds import derive_seed
-from rainbowhc.core import distinct_color_system, lex_rank
+from rainbowhc.core import color_bits, distinct_color_system, lex_rank
 from rainbowhc.solver import (
+    _compiled_search,
     _pair_counts,
     _perm_edge_table,
     _search_plan,
+    _search_source,
     falling_factorial,
     solver_agrees_with_oracle,
 )
@@ -398,6 +403,26 @@ def test_tight_solver_matches_oracle_at_n9(k):
     assert 0 < found < 8
 
 
+def test_exhaustive_search_rejects_a_budget():
+    H = ColoredHypergraph.complete_rainbow(6, 3)
+    with pytest.raises(InvalidInput):
+        find_rainbow_cycle(H, CycleSpec(6, 3, 1), "exhaustive", 10)
+
+
+@pytest.mark.parametrize("anchored", [False, True])
+@pytest.mark.parametrize("multi", [False, True])
+def test_compiled_search_shows_its_source(anchored, multi):
+    # tracebacks and profilers read the generated lines through linecache
+    spec = CycleSpec(10, 4, 3)
+    code = _compiled_search(spec, anchored, multi).__code__
+    source = _search_source(spec, anchored, multi)
+    lines = [linecache.getline(code.co_filename, i + 1) for i in range(source.count("\n"))]
+    assert "".join(lines) == source
+    assert lines[0].startswith("def search(")
+    assert ("claim(" in source) == multi
+    assert _compiled_search(spec, anchored, multi) is _compiled_search(spec, anchored, multi)
+
+
 def test_spec_mismatch():
     with pytest.raises(InvalidInput):
         find_rainbow_cycle(ColoredHypergraph(8, 3, 4), CycleSpec(6, 3, 1))
@@ -457,6 +482,36 @@ def test_multi_color_search_is_pinned(mode, budget):
     assert digest == MULTI_COLOR_SEARCH_PINS[mode, budget]
 
 
+# SHA-256 of the JSON of to_record() over every spec with n <= 9, r in
+# {m, m+1}, single-color and directed multi-color instances at three edge
+# densities, each searched exhaustively and with a budget of 20 nodes: pins
+# every status, reason, node count and certificate of the search tree.
+# Recorded on the interpretive search loop, before the compiled search
+SEARCH_RECORD_PIN = "d74492c1f2c8908a975f163513a64f174832c6a16bcb5a1d53affc8521a68c9b"
+
+
+def test_search_records_are_pinned():
+    records = []
+    for spec in enumerate_specs(9):
+        for extra in (0, 1):
+            r = spec.m + extra
+            for t, p in enumerate((0.35, 0.6, 0.9)):
+                seed = derive_seed(1111, spec.n, spec.k, spec.ell, extra, t)
+                # q gives each k-set presence probability p
+                q = 1 - (1 - p) ** (1 / math.factorial(spec.k))
+                for H in (
+                    sample_colored(spec.n, spec.k, p, r, seed),
+                    sample_directed(spec.n, spec.k, q, r, seed),
+                ):
+                    for mode, budget in (("exhaustive", None), ("budgeted", 20)):
+                        outcome = find_rainbow_cycle(H, spec, mode, budget)
+                        records.append(outcome.to_record(budget))
+    statuses = {record["status"] for record in records}
+    assert statuses == {"found", "not_found", "unknown"}
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == SEARCH_RECORD_PIN
+
+
 # -- count_hamperms ------------------------------------------------------------
 
 def test_count_on_complete_rainbow():
@@ -474,6 +529,27 @@ def test_count_limit():
     spec = CycleSpec(10, 3, 1)
     with pytest.raises(TooLarge):
         count_hamperms(ColoredHypergraph(10, 3, 5), spec)
+
+
+def test_limit_only_lowers_the_enumeration_caps():
+    # a limit above a cap is the cap: TooLarge before any n! table or loop
+    spec = CycleSpec(12, 3, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            count_hamperms(ColoredHypergraph(12, 3, 4), spec, limit=12)
+        with pytest.raises(TooLarge):
+            overlap_profile(spec, limit=12)
+        with pytest.raises(TooLarge):
+            expected_Y_bruteforce(spec, 0.5, 4, limit=12)
+        with pytest.raises(TooLarge):
+            second_moment_bruteforce(CycleSpec(8, 3, 1), 0.5, 4, limit=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(TooLarge):
+        overlap_profile(CycleSpec(6, 3, 1), limit=5)
 
 
 def test_count_planted_single_cycle_multiplicity():
@@ -543,6 +619,28 @@ def test_count_multi_color_agrees_with_slow_enumeration():
                 slow_x += 1
                 slow_y += distinct_color_system(colors) is not None
         assert count_hamperms(H, spec) == (slow_x, slow_y)
+
+
+def test_count_multi_color_dense_agrees_with_per_permutation_sdr():
+    # count_hamperms solves one SDR per distinct multiset of column colors;
+    # here every present permutation gets its own, on dense directed
+    # instances where Y lies strictly between 0 and X
+    strict = 0
+    for spec in (CycleSpec(7, 4, 3), CycleSpec(7, 3, 2), CycleSpec(8, 4, 2)):
+        table = _perm_edge_table(spec.n, spec.k, spec.ell)
+        for t in range(3):
+            r = spec.m + t % 2
+            H = sample_directed(spec.n, spec.k, 0.05, r, derive_seed(79, spec.n, spec.k, t))
+            colors = H.by_rank[table]
+            present = np.logical_and.reduce(colors != 0, axis=0)
+            slow_y = sum(
+                distinct_color_system([color_bits(mask) for mask in column]) is not None
+                for column in colors[:, present].T.tolist()
+            )
+            x_count, y_count = count_hamperms(H, spec)
+            assert (x_count, y_count) == (int(present.sum()), slow_y), (spec, t)
+            strict += 0 < y_count < x_count
+    assert strict >= 3
 
 
 # -- solver vs oracle ----------------------------------------------------------
