@@ -39,7 +39,7 @@ def main() -> int:
         n=args.n, k=args.k, ell=args.k - 1, c=args.c,
         p_grid=make_grid(lo, hi, args.points),
         trials=args.trials, seed=args.seed,
-        solver_mode="budgeted", budget=args.budget,
+        budget=args.budget,
         workers=args.workers,
     )
     rows = run_sweep(config)

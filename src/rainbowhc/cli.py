@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -41,9 +42,6 @@ from .moments import (
 from .solver import ENUMERATION_LIMIT, count_hamperms, find_rainbow_cycle, overlap_profile
 
 
-_LIMIT_HELP = f"largest n to enumerate; it can only lower the cap n <= {ENUMERATION_LIMIT}"
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags by default; bad input is exit code 1 here
     def error(self, message: str):
@@ -63,86 +61,59 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return make_grid(start, stop, points, spacing)
 
 
-def _parse_perm(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise InvalidInput(f"cannot parse permutation {text!r}") from exc
+def _budget(args) -> Optional[int]:
+    """The node budget that --mode and --budget ask for; None is exhaustive."""
+    if args.mode == "exhaustive":
+        if args.budget is not None:
+            # an exhaustive search would ignore it
+            raise InvalidInput("a budget needs budgeted mode")
+        return None
+    if args.budget is None or args.budget <= 0:
+        raise InvalidInput("budgeted mode needs a positive budget")
+    return args.budget
 
 
-def _add_geometry(sub, ell_required: bool = True) -> None:
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--ell", type=int, required=ell_required, default=None)
+# Each _cmd_<command> returns its output, which main writes: a str as it
+# is, a (hypergraph, header comments) pair as .chg, anything else as JSON.
 
-
-def _add_colors(sub) -> None:
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--r", type=int, default=None, help="explicit color count")
-    group.add_argument("--c", type=Fraction, default=None, help="color density; r = floor(c*n)")
-
-
-def _write_out(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_gen(args) -> int:
+def _cmd_gen(args):
     r = resolve_r(args.n, args.r, args.c)
+    density = "q" if args.model == "directed" else "p"
+    value = getattr(args, density)
+    if value is None:
+        raise InvalidInput(f"{args.model} model needs --{density}")
     if args.model == "plain":
-        if args.p is None:
-            raise InvalidInput("plain model needs --p")
-        H = sample_colored(args.n, args.k, args.p, r, args.seed)
-        meta = [
-            "generator=sample_colored",
-            f"n={args.n} k={args.k} p={args.p} r={r}",
-            f"seed={args.seed}",
-        ]
+        generator = "sample_colored"
+        H = sample_colored(args.n, args.k, value, r, args.seed)
     elif args.model == "coupled":
-        if args.p is None:
-            raise InvalidInput("coupled model needs --p")
-        H = CoupledInstance(args.n, args.k, r, args.seed).realize(args.p)
-        meta = [
-            "generator=coupled_realize",
-            f"n={args.n} k={args.k} p={args.p} r={r}",
-            f"seed={args.seed}",
-        ]
+        generator = "coupled_realize"
+        H = CoupledInstance(args.n, args.k, r, args.seed).realize(value)
     else:
-        if args.q is None:
-            raise InvalidInput("directed model needs --q")
-        H = sample_directed(args.n, args.k, args.q, r, args.seed)
-        meta = [
-            "generator=sample_directed",
-            f"n={args.n} k={args.k} q={args.q} r={r}",
-            f"seed={args.seed}",
-        ]
-    if args.out:
-        write_chg(H, args.out, meta)
-    else:
-        from .chgio import dumps_chg
-
-        sys.stdout.write(dumps_chg(H, meta))
-    return 0
+        generator = "sample_directed"
+        H = sample_directed(args.n, args.k, value, r, args.seed)
+    meta = [
+        f"generator={generator}",
+        f"n={args.n} k={args.k} {density}={value} r={r}",
+        f"seed={args.seed}",
+    ]
+    return H, meta
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     H = read_chg(args.infile)
     spec = CycleSpec(H.n, H.k, args.ell)
-    pi = Hamperm(_parse_perm(args.perm), spec)
-    result = validate_cycle(H, pi)
+    try:
+        perm = tuple(int(tok) for tok in args.perm.replace(",", " ").split())
+    except ValueError as exc:
+        raise InvalidInput(f"cannot parse permutation {args.perm!r}") from exc
+    result = validate_cycle(H, Hamperm(perm, spec))
     if isinstance(result, CycleFailure):
-        record = {"valid": False, "reason": result.kind, "edge_index": result.edge_index}
-    else:
-        record = {
-            "valid": True,
-            "edges": [list(e) for e in result.edges],
-            "colors": list(result.colors),
-        }
-    _write_out(json.dumps(record, indent=2) + "\n", args.out)
-    return 0
+        return {"valid": False, "reason": result.kind, "edge_index": result.edge_index}
+    return {
+        "valid": True,
+        "edges": [list(e) for e in result.edges],
+        "colors": list(result.colors),
+    }
 
 
 def _header_comments(path: str) -> list[str]:
@@ -157,49 +128,37 @@ def _header_comments(path: str) -> list[str]:
     return comments
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args):
     H = read_chg(args.infile)
     spec = CycleSpec(H.n, H.k, args.ell)
-    outcome = find_rainbow_cycle(H, spec, mode=args.mode, budget=args.budget)
-    record = outcome.to_record(
-        budget=args.budget,
+    budget = _budget(args)
+    return find_rainbow_cycle(H, spec, budget).to_record(
+        budget=budget,
         provenance={"source": args.infile, "header": _header_comments(args.infile)},
     )
-    _write_out(json.dumps(record, indent=2) + "\n", args.out)
-    return 0
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args):
     H = read_chg(args.infile)
-    spec = CycleSpec(H.n, H.k, args.ell)
-    x_count, y_count = count_hamperms(H, spec, limit=args.limit)
-    record = {"n": H.n, "k": H.k, "ell": args.ell, "X_count": x_count, "Y_count": y_count}
-    _write_out(json.dumps(record, indent=2) + "\n", args.out)
-    return 0
+    x_count, y_count = count_hamperms(H, CycleSpec(H.n, H.k, args.ell), limit=args.limit)
+    return {"n": H.n, "k": H.k, "ell": args.ell, "X_count": x_count, "Y_count": y_count}
 
 
-def _cmd_overlap(args) -> int:
-    spec = CycleSpec(args.n, args.k, args.ell)
-    profile = overlap_profile(spec, limit=args.limit)
+def _cmd_overlap(args):
+    profile = overlap_profile(CycleSpec(args.n, args.k, args.ell), limit=args.limit)
     entries = sorted(profile.table.items())
     if args.format == "json":
-        record = {
+        return {
             "n": args.n, "k": args.k, "ell": args.ell,
             "table": [{"b": b, "a": a, "count": c} for (b, a), c in entries],
             "total": profile.total(),
         }
-        _write_out(json.dumps(record, indent=2) + "\n", args.out)
-    else:
-        lines = ["b,a,count"]
-        lines += [f"{b},{a},{c}" for (b, a), c in entries]
-        _write_out("\n".join(lines) + "\n", args.out)
-    return 0
+    return "b,a,count\n" + "".join(f"{b},{a},{c}\n" for (b, a), c in entries)
 
 
-def _cmd_moments(args) -> int:
+def _cmd_moments(args):
     params = MomentParams(args.n, args.k, args.ell, args.p, resolve_r(args.n, args.r, args.c))
     c = params.c
-    inv = Fraction(1, args.k - args.ell)
     record: dict = {
         "n": args.n, "k": args.k, "ell": args.ell, "m": params.m,
         "p": args.p, "r": params.r, "c": str(c),
@@ -207,7 +166,7 @@ def _cmd_moments(args) -> int:
     }
     if args.n <= 40:
         record["exact_expected_Y"] = str(exact_expected_Y(params))
-    if c >= inv and args.p > 0:
+    if c >= Fraction(1, args.k - args.ell) and args.p > 0:
         record["log_asymptotic_expected_Y"] = asymptotic_expected_Y(params)
     if args.ell >= 2:
         record["threshold_general"] = threshold_general(args.k, args.ell, c, args.n)
@@ -219,72 +178,48 @@ def _cmd_moments(args) -> int:
         b_star, value = claim_max(c, args.n)
         record["claim_max"] = {"b": b_star, "value": value}
     if args.format == "json":
-        _write_out(json.dumps(record, indent=2) + "\n", args.out)
-    else:
-        width = max(len(key) for key in record)
-        lines = [f"{key.ljust(width)}  {value}" for key, value in record.items()]
-        _write_out("\n".join(lines) + "\n", args.out)
-    return 0
+        return record
+    width = max(len(key) for key in record)
+    return "\n".join(f"{key.ljust(width)}  {value}" for key, value in record.items()) + "\n"
 
 
-def _sweep_config(args) -> SweepConfig:
-    return SweepConfig(
-        n=args.n,
-        k=args.k,
-        ell=args.ell,
-        p_grid=_parse_grid(args.p_grid),
-        trials=args.trials,
-        seed=args.seed,
-        r=args.r,
-        c=Fraction(args.c) if args.c is not None else None,
-        solver_mode=args.mode,
-        budget=args.budget,
-        workers=args.workers,
+def _cmd_sweep(args):
+    """sweep (independent instances per point) and csweep (coupled ones)."""
+    config = SweepConfig(
+        n=args.n, k=args.k, ell=args.ell, p_grid=_parse_grid(args.p_grid),
+        trials=args.trials, seed=args.seed, r=args.r, c=args.c,
+        budget=_budget(args), workers=args.workers,
     )
-
-
-def _emit_sweep(config: SweepConfig, rows, args) -> None:
+    rows = (run_sweep if args.command == "sweep" else run_coupled_sweep)(config)
     if args.format == "json":
-        _write_out(json.dumps(sweep_records(config, rows), indent=2) + "\n", args.out)
-    else:
-        _write_out(sweep_csv_text(config, rows), args.out)
+        return sweep_records(config, rows)
+    return sweep_csv_text(config, rows)
 
 
-def _cmd_sweep(args) -> int:
-    config = _sweep_config(args)
-    _emit_sweep(config, run_sweep(config), args)
-    return 0
+_cmd_csweep = _cmd_sweep
 
 
-def _cmd_csweep(args) -> int:
-    config = _sweep_config(args)
-    _emit_sweep(config, run_coupled_sweep(config), args)
-    return 0
-
-
-def _cmd_reduce(args) -> int:
-    H = read_chg(args.infile)
-    G = build_gamma(H)
+def _cmd_reduce(args):
+    G = build_gamma(read_chg(args.infile))
     meta = [
         "generator=build_gamma",
         f"base_n={G.base_n} base_k={G.base_k} m={G.m}",
         f"source={args.infile}",
     ]
-    if args.out:
-        write_chg(G.to_hypergraph(), args.out, meta)
-    else:
-        from .chgio import dumps_chg
-
-        sys.stdout.write(dumps_chg(G.to_hypergraph(), meta))
-    return 0
+    return G.to_hypergraph(), meta
 
 
-def _cmd_couple(args) -> int:
-    outcome = couple_experiment(
-        args.n, args.k, args.p, args.trials, args.seed, workers=args.workers
-    )
-    _write_out(json.dumps(outcome.to_record(), indent=2) + "\n", args.out)
-    return 0
+def _cmd_couple(args):
+    outcome = couple_experiment(args.n, args.k, args.p, args.trials, args.seed, args.workers)
+    return outcome.to_record()
+
+
+def _flags(*names: str, parents=(), **options) -> argparse.ArgumentParser:
+    """A parent parser: shared flags, each of `names` with `options`."""
+    group = argparse.ArgumentParser(add_help=False, parents=list(parents))
+    for name in names:
+        group.add_argument(name, **options)
+    return group
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,73 +227,60 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    gen = subs.add_parser("gen", parents=[], help="sample a model into .chg")
-    _add_geometry(gen, ell_required=False)
-    _add_colors(gen)
+    out = _flags("--out")
+    nk = _flags("--n", "--k", type=int, required=True)
+    ell = _flags("--ell", type=int, required=True)
+    colors = _flags()
+    group = colors.add_mutually_exclusive_group(required=True)
+    group.add_argument("--r", type=int, help="explicit color count")
+    group.add_argument("--c", type=Fraction, help="color density; r = floor(c*n)")
+    infile = _flags("--infile", required=True)
+    mode = _flags("--mode", choices=("exhaustive", "budgeted"), default="exhaustive")
+    effort = _flags("--budget", type=int, parents=[mode])
+    seed = _flags("--seed", type=int, default=0)
+    trials = _flags("--trials", type=int, required=True)
+    runs = _flags("--workers", type=int, default=1, parents=[trials, seed])
+    limit = _flags(
+        "--limit", type=int, default=ENUMERATION_LIMIT,
+        help=f"largest n to enumerate; it can only lower the cap n <= {ENUMERATION_LIMIT}",
+    )
+    table = _flags("--format", choices=("csv", "json"), default="csv")
+    grid = _flags("--p-grid", required=True, help="start:stop:points[:spacing]")
+    p = _flags("--p", type=float, required=True)
+
+    gen = subs.add_parser("gen", parents=[nk, colors, seed, out], help="sample a model into .chg")
     gen.add_argument("--model", choices=("plain", "coupled", "directed"), default="plain")
-    gen.add_argument("--p", type=float, default=None)
-    gen.add_argument("--q", type=float, default=None)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out", default=None)
+    gen.add_argument("--p", type=float)
+    gen.add_argument("--q", type=float)
 
-    check = subs.add_parser("check", help="validate a permutation against a .chg")
-    check.add_argument("--infile", required=True)
-    check.add_argument("--ell", type=int, required=True)
+    check = subs.add_parser(
+        "check", parents=[infile, ell, out], help="validate a permutation against a .chg"
+    )
     check.add_argument("--perm", required=True, help="comma or space separated vertices")
-    check.add_argument("--out", default=None)
 
-    solve = subs.add_parser("solve", help="search one instance for a rainbow cycle")
-    solve.add_argument("--infile", required=True)
-    solve.add_argument("--ell", type=int, required=True)
-    solve.add_argument("--mode", choices=("exhaustive", "budgeted"), default="exhaustive")
-    solve.add_argument("--budget", type=int, default=None)
-    solve.add_argument("--out", default=None)
+    subs.add_parser(
+        "solve", parents=[infile, ell, effort, out], help="search one instance for a rainbow cycle"
+    )
+    subs.add_parser(
+        "count", parents=[infile, ell, limit, out], help="brute-force hamperm counts X and Y"
+    )
+    subs.add_parser("overlap", parents=[nk, ell, limit, table, out], help="overlap table N(b, a)")
 
-    count = subs.add_parser("count", help="brute-force hamperm counts X and Y")
-    count.add_argument("--infile", required=True)
-    count.add_argument("--ell", type=int, required=True)
-    count.add_argument("--limit", type=int, default=ENUMERATION_LIMIT, help=_LIMIT_HELP)
-    count.add_argument("--out", default=None)
-
-    overlap = subs.add_parser("overlap", help="overlap table N(b, a)")
-    _add_geometry(overlap)
-    overlap.add_argument("--limit", type=int, default=ENUMERATION_LIMIT, help=_LIMIT_HELP)
-    overlap.add_argument("--format", choices=("csv", "json"), default="csv")
-    overlap.add_argument("--out", default=None)
-
-    moments = subs.add_parser("moments", help="moment and threshold table")
-    _add_geometry(moments)
-    _add_colors(moments)
-    moments.add_argument("--p", type=float, required=True)
+    moments = subs.add_parser(
+        "moments", parents=[nk, ell, colors, p, out], help="moment and threshold table"
+    )
     moments.add_argument("--format", choices=("text", "json"), default="text")
-    moments.add_argument("--out", default=None)
 
     for name in ("sweep", "csweep"):
-        sweep = subs.add_parser(name, help=f"{name}: Monte Carlo threshold sweep")
-        _add_geometry(sweep)
-        _add_colors(sweep)
-        sweep.add_argument("--p-grid", required=True, help="start:stop:points[:spacing]")
-        sweep.add_argument("--trials", type=int, required=True)
-        sweep.add_argument("--seed", type=int, default=0)
-        sweep.add_argument("--mode", choices=("exhaustive", "budgeted"), default="exhaustive")
-        sweep.add_argument("--budget", type=int, default=None)
-        sweep.add_argument("--workers", type=int, default=1)
-        sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-        sweep.add_argument("--out", default=None)
+        subs.add_parser(
+            name, parents=[nk, ell, colors, grid, runs, effort, table, out],
+            help=f"{name}: Monte Carlo threshold sweep",
+        )
 
-    reduce_ = subs.add_parser("reduce", help="base .chg to color-vertex reduced .chg")
-    reduce_.add_argument("--infile", required=True)
-    reduce_.add_argument("--out", default=None)
-
-    couple = subs.add_parser("couple", help="directed-vs-undirected coupling experiment")
-    couple.add_argument("--n", type=int, required=True)
-    couple.add_argument("--k", type=int, required=True)
-    couple.add_argument("--p", type=float, required=True)
-    couple.add_argument("--trials", type=int, required=True)
-    couple.add_argument("--seed", type=int, default=0)
-    couple.add_argument("--workers", type=int, default=1)
-    couple.add_argument("--out", default=None)
-
+    subs.add_parser("reduce", parents=[infile, out], help="base .chg to color-vertex reduced .chg")
+    subs.add_parser(
+        "couple", parents=[nk, p, runs, out], help="directed-vs-undirected coupling experiment"
+    )
     return parser
 
 
@@ -373,7 +295,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
         # looked up per call, so the cached parser holds no handler
-        return globals()[f"_cmd_{args.command}"](args)
+        result = globals()[f"_cmd_{args.command}"](args)
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+            if isinstance(result, str):
+                fh.write(result)
+            elif isinstance(result, tuple):
+                write_chg(result[0], fh, result[1])
+            else:
+                fh.write(json.dumps(result, indent=2) + "\n")
+        return 0
     except SystemExit as exc:
         return int(exc.code or 0)
     except (RainbowError, OSError) as exc:

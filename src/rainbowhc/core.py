@@ -349,9 +349,6 @@ class ColoredHypergraph:
     def edges(self) -> Iterator[Edge]:
         return (edge for edge, _ in self.items())
 
-    def __contains__(self, vertices: Iterable[int]) -> bool:
-        return self.has_edge(vertices)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ColoredHypergraph):
             return NotImplemented
@@ -401,69 +398,40 @@ class CycleFailure:
         return cls(cls.NOT_RAINBOW)
 
 
-class ColorMatcher:
-    """Incremental system-of-distinct-representatives solver.
-
-    Maintains a color assignment for a growing set of slots (edges), each slot
-    restricted to its own candidate set, via Kuhn augmenting paths.  SDR
-    feasibility only shrinks as slots are added, so the moment add() fails a
-    search may prune: no completion of the current slot set exists.  remove()
-    frees a slot again (any slot; the rest stay validly assigned).
-
-    It serves `distinct_color_system`, and through it the counting oracle
-    and `validate_cycle`.  The search keeps its own int-bitmask copy of the
-    same algorithm, so the solver-vs-oracle checks compare two matchers.
-    """
-
-    def __init__(self) -> None:
-        self._color_of: dict[int, int] = {}
-        self._slot_of: dict[int, int] = {}
-        self._candidates: dict[int, tuple[int, ...]] = {}
-
-    def add(self, slot: int, colors: Iterable[int]) -> bool:
-        if slot in self._candidates:
-            raise InvalidInput(f"slot {slot} already present")
-        self._candidates[slot] = tuple(sorted(colors))
-        if self._augment(slot, set()):
-            return True
-        del self._candidates[slot]
-        return False
-
-    def _augment(self, slot: int, visited: set[int]) -> bool:
-        for c in self._candidates[slot]:
-            if c in visited:
-                continue
-            visited.add(c)
-            holder = self._slot_of.get(c)
-            if holder is None or self._augment(holder, visited):
-                self._slot_of[c] = slot
-                self._color_of[slot] = c
-                return True
-        return False
-
-    def remove(self, slot: int) -> None:
-        c = self._color_of.pop(slot)
-        del self._slot_of[c]
-        del self._candidates[slot]
-
-    def color_of(self, slot: int) -> int:
-        return self._color_of[slot]
-
-    def __len__(self) -> int:
-        return len(self._color_of)
-
-
 def distinct_color_system(color_sets: Sequence[Iterable[int]]) -> Optional[list[int]]:
     """One distinct color per set (an SDR), or None if impossible.
 
-    Deterministic: slots are processed in order, candidates in ascending
-    color order.
+    Kuhn augmenting paths, deterministic: sets are matched in order, each
+    trying its colors in ascending order with a fresh visited set.  It
+    serves the counting oracle and `validate_cycle`; the search keeps its
+    own int-bitmask copy of the same algorithm, so the solver-vs-oracle
+    checks compare two matchers.
     """
-    matcher = ColorMatcher()
-    for i, cs in enumerate(color_sets):
-        if not matcher.add(i, cs):
+    candidates = [sorted(colors) for colors in color_sets]
+    holder: dict[int, int] = {}  # color -> the set it represents
+    for i in range(len(candidates)):
+        if not _augment(i, candidates, holder, set()):
             return None
-    return [matcher.color_of(i) for i in range(len(color_sets))]
+    chosen = [0] * len(candidates)
+    for color, i in holder.items():
+        chosen[i] = color
+    return chosen
+
+
+def _augment(
+    i: int, candidates: list[list[int]], holder: dict[int, int], visited: set[int]
+) -> bool:
+    """Give set i a color, moving the sets along one augmenting path over to
+    other colors; False when no path exists, and then nothing moved."""
+    for color in candidates[i]:
+        if color in visited:
+            continue
+        visited.add(color)
+        other = holder.get(color)
+        if other is None or _augment(other, candidates, holder, visited):
+            holder[color] = i
+            return True
+    return False
 
 
 def validate_cycle(

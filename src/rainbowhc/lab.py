@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Optional, Sequence, TextIO, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .core import CycleSpec
 from .errors import InvalidInput
@@ -79,10 +79,11 @@ def resolve_r(n: int, r: Optional[int], c) -> int:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One sweep: cycle geometry, color rule, p-grid, effort knobs.
+    """One sweep: cycle geometry, color rule, p-grid, search budget, workers.
 
     Exactly one of r (explicit color count) and c (density; r = floor(c*n))
-    must be given.
+    must be given.  budget=None searches exhaustively; a positive budget
+    caps each search at that many nodes (see find_rainbow_cycle).
     """
 
     n: int
@@ -93,7 +94,6 @@ class SweepConfig:
     seed: int
     r: Optional[int] = None
     c: Optional[Fraction] = None
-    solver_mode: str = "exhaustive"
     budget: Optional[int] = None
     workers: int = 1
 
@@ -115,12 +115,8 @@ class SweepConfig:
             raise InvalidInput(f"need trials >= 1, got {self.trials}")
         if self.workers < 1:
             raise InvalidInput(f"need workers >= 1, got {self.workers}")
-        if self.solver_mode not in ("exhaustive", "budgeted"):
-            raise InvalidInput(f"unknown solver mode {self.solver_mode!r}")
-        if self.solver_mode == "budgeted" and (self.budget is None or self.budget <= 0):
-            raise InvalidInput("budgeted mode needs a positive budget")
-        if self.solver_mode == "exhaustive" and self.budget is not None:
-            raise InvalidInput("a budget needs budgeted mode")
+        if self.budget is not None and self.budget <= 0:
+            raise InvalidInput(f"need a positive budget, got {self.budget}")
 
     @property
     def resolved_r(self) -> int:
@@ -189,7 +185,7 @@ def _sweep_task(config: SweepConfig, task: tuple[int, int]) -> tuple[str, int]:
     point, trial = task
     seed = derive_seed(config.seed, point, trial)
     H = sample_colored(config.n, config.k, config.p_grid[point], config.resolved_r, seed)
-    outcome = find_rainbow_cycle(H, config.spec, config.solver_mode, config.budget)
+    outcome = find_rainbow_cycle(H, config.spec, config.budget)
     return outcome.status.value, outcome.nodes_expanded
 
 
@@ -222,9 +218,7 @@ def _coupled_task(config: SweepConfig, trial: int) -> list[tuple[str, int]]:
     while open_points:
         j = len(open_points) // 2
         point = open_points[j]
-        outcome = find_rainbow_cycle(
-            ci.realize(config.p_grid[point]), config.spec, config.solver_mode, config.budget
-        )
+        outcome = find_rainbow_cycle(ci.realize(config.p_grid[point]), config.spec, config.budget)
         out[point] = (outcome.status.value, outcome.nodes_expanded)
         if outcome.status is SearchStatus.FOUND:
             # the certificate's edges are present wherever p exceeds level,
@@ -375,37 +369,24 @@ def estimate_crossing(
     return None
 
 
-def _emit_csv(config: SweepConfig, rows: Sequence[SweepResult], fh: TextIO) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                config.n, config.k, config.ell, config.resolved_r,
-                row.p, row.trials, row.found, row.not_found, row.unknown,
-                row.phat, row.ci_lo, row.ci_hi, row.mean_nodes,
-            ]
-        )
+def _sweep_table(config: SweepConfig, rows: Sequence[SweepResult]) -> list[list]:
+    """Each row's values in SWEEP_CSV_COLUMNS order: the config's geometry
+    and color count, then the SweepResult field of the same name."""
+    head = {"n": config.n, "k": config.k, "ell": config.ell, "r": config.resolved_r}
+    return [
+        [head[col] if col in head else getattr(row, col) for col in SWEEP_CSV_COLUMNS]
+        for row in rows
+    ]
 
 
 def sweep_csv_text(config: SweepConfig, rows: Sequence[SweepResult]) -> str:
     buf = io.StringIO()
-    _emit_csv(config, rows, buf)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(SWEEP_CSV_COLUMNS)
+    writer.writerows(_sweep_table(config, rows))
     return buf.getvalue()
 
 
 def sweep_records(config: SweepConfig, rows: Sequence[SweepResult]) -> list[dict]:
-    """JSON-ready sweep rows with the same fields as the CSV columns."""
-    out = []
-    for row in rows:
-        out.append(
-            {
-                "n": config.n, "k": config.k, "ell": config.ell,
-                "r": config.resolved_r, "p": row.p, "trials": row.trials,
-                "found": row.found, "not_found": row.not_found,
-                "unknown": row.unknown, "phat": row.phat,
-                "ci_lo": row.ci_lo, "ci_hi": row.ci_hi,
-                "mean_nodes": row.mean_nodes,
-            }
-        )
-    return out
+    """JSON-ready sweep rows, keyed by the CSV columns."""
+    return [dict(zip(SWEEP_CSV_COLUMNS, values)) for values in _sweep_table(config, rows)]

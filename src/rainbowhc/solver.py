@@ -9,9 +9,9 @@ matching over int color bitmasks, Kuhn augmenting paths trying colors in
 ascending order (multi-color).  A window left half-placed by the order (the
 windows through position 0 wrap around the cycle) is watched: a remembered
 completion edge is re-checked, and the branch cut when none is left.
-Exhaustive mode proves absence; budgeted mode gives up after a node quota and
-reports Unknown.  Each search plan is compiled once into straight-line
-Python, one function per placement step.
+Without a budget the search is exhaustive and proves absence; with one it
+gives up after a node quota and reports Unknown.  Each search plan is
+compiled once into straight-line Python, one function per placement step.
 
 The oracles enumerate all n! permutations outright and exist to pin the
 closed-form moment calculations to something independently computable, so
@@ -66,12 +66,16 @@ class SearchOutcome:
     status: SearchStatus
     certificate: Optional[RainbowCertificate]
     nodes_expanded: int
-    budget_hit: bool
     reason: Optional[str] = None
 
     @property
     def found(self) -> bool:
         return self.status is SearchStatus.FOUND
+
+    @property
+    def budget_hit(self) -> bool:
+        """Whether the search stopped at its node budget: UNKNOWN, exactly."""
+        return self.status is SearchStatus.UNKNOWN
 
     def to_record(self, budget: Optional[int] = None, provenance=None) -> dict:
         """JSON-ready record: status, certificate, effort, provenance."""
@@ -409,7 +413,6 @@ def _compiled_search(spec: CycleSpec, anchored: bool, multi: bool):
 def find_rainbow_cycle(
     H: ColoredHypergraph,
     spec: CycleSpec,
-    mode: str = "exhaustive",
     budget: Optional[int] = None,
 ) -> SearchOutcome:
     """Search H for a rainbow ell-overlapping Hamilton cycle.
@@ -468,39 +471,29 @@ def find_rainbow_cycle(
     The budget counts nodes: one node is one vertex placed after passing the
     edge-index filter (and the symmetry rules), before its completed
     windows' colors and the watched window's completions are checked.
-    Exhaustive mode returns NOT_FOUND only on full exhaustion; budgeted mode
-    additionally stops at node ``budget + 1`` and returns UNKNOWN.
+    ``budget=None`` searches exhaustively and returns NOT_FOUND only on full
+    exhaustion; a positive ``budget`` additionally stops the search at node
+    ``budget + 1`` and returns UNKNOWN.
     """
     if H.n != spec.n or H.k != spec.k:
         raise InvalidInput(
             f"hypergraph (n={H.n}, k={H.k}) does not match spec "
             f"(n={spec.n}, k={spec.k})"
         )
-    if mode not in ("exhaustive", "budgeted"):
-        raise InvalidInput(f"unknown search mode {mode!r}")
-    if mode == "budgeted":
-        if budget is None or budget <= 0:
-            raise InvalidInput("budgeted mode needs a positive budget")
-    elif budget is not None:
-        raise InvalidInput("a budget needs budgeted mode")
+    if budget is not None and budget <= 0:
+        raise InvalidInput(f"need a positive budget, got {budget}")
 
     m = spec.m
     if H.r < m:
-        return SearchOutcome(
-            SearchStatus.NOT_FOUND, None, 0, False, reason="insufficient_colors"
-        )
+        return SearchOutcome(SearchStatus.NOT_FOUND, None, 0, reason="insufficient_colors")
     if H.edge_count < m:
-        return SearchOutcome(
-            SearchStatus.NOT_FOUND, None, 0, False, reason="too_few_edges"
-        )
+        return SearchOutcome(SearchStatus.NOT_FOUND, None, 0, reason="too_few_edges")
 
     anchor = 0
     if H.r == m:
         anchor = _rarest_color(H)
         if anchor is None:
-            return SearchOutcome(
-                SearchStatus.NOT_FOUND, None, 0, False, reason="missing_color"
-            )
+            return SearchOutcome(SearchStatus.NOT_FOUND, None, 0, reason="missing_color")
 
     n = spec.n
     anchored = bool(anchor)
@@ -535,7 +528,7 @@ def find_rainbow_cycle(
         nonlocal visited
         rest = choices[j] & ~visited
         while rest:
-            low = rest & -rest  # ascending color order, as in core.ColorMatcher
+            low = rest & -rest  # ascending color order, as in core.distinct_color_system
             visited |= low
             h = holder.get(low)
             if h is None or augment(h):
@@ -561,14 +554,12 @@ def find_rainbow_cycle(
     try:
         found = step0(all_vertices) if multi else step0(all_vertices, 0)
     except _BudgetExceeded:
-        return SearchOutcome(SearchStatus.UNKNOWN, None, count(), True)
+        return SearchOutcome(SearchStatus.UNKNOWN, None, count())
     finally:
         # the recursive matcher reaches itself through its cell
         del augment
     if not found:
-        return SearchOutcome(
-            SearchStatus.NOT_FOUND, None, count(), False, reason="exhausted"
-        )
+        return SearchOutcome(SearchStatus.NOT_FOUND, None, count(), reason="exhausted")
     at = [0] * n
     for p, bit in zip(_search_plan(spec, anchored)[0], placed):
         at[p] = bit.bit_length() - 1
@@ -582,7 +573,7 @@ def find_rainbow_cycle(
         ]
     colors = tuple(bit.bit_length() - 1 for bit in bits)
     cert = RainbowCertificate(pi, tuple(edges_of_hamperm(pi)), colors)
-    return SearchOutcome(SearchStatus.FOUND, cert, count(), False)
+    return SearchOutcome(SearchStatus.FOUND, cert, count())
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +814,7 @@ def solver_agrees_with_oracle(
     H: ColoredHypergraph, spec: CycleSpec
 ) -> tuple[bool, SearchOutcome, tuple[int, int]]:
     """Cross-check: exhaustive search existence vs the counting oracle."""
-    outcome = find_rainbow_cycle(H, spec, mode="exhaustive")
+    outcome = find_rainbow_cycle(H, spec)
     counts = count_hamperms(H, spec)
     agree = outcome.found == (counts[1] > 0)
     if outcome.found and not verify_certificate(H, outcome.certificate):

@@ -50,9 +50,7 @@ def direct_coupled_matrix(config) -> list[list[tuple[str, int]]]:
         ci = CoupledInstance(config.n, config.k, config.resolved_r, derive_seed(config.seed, t))
         row = []
         for p in config.p_grid:
-            outcome = find_rainbow_cycle(
-                ci.realize(p), config.spec, config.solver_mode, config.budget
-            )
+            outcome = find_rainbow_cycle(ci.realize(p), config.spec, config.budget)
             row.append((outcome.status.value, outcome.nodes_expanded))
         rows.append(row)
     return rows

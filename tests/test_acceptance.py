@@ -223,7 +223,7 @@ def test_criterion_07_solver_oracle_equivalence():
             r = spec.m + 2 * (t % 2)
             p = p_ladder[t % len(p_ladder)]
             H = sample_colored(n, k, p, r, seed=derive_seed(7007, si, t))
-            outcome = find_rainbow_cycle(H, spec, mode="exhaustive")
+            outcome = find_rainbow_cycle(H, spec)
             _x, y_count = count_hamperms(H, spec)
             total += 1
             found += outcome.found
@@ -318,7 +318,7 @@ def test_criterion_09_gamma_round_trip():
         H2 = _restrict_to_x2(H, m)
         G = build_gamma(H2)
 
-        base_found = find_rainbow_cycle(H2, spec, mode="exhaustive").found
+        base_found = find_rainbow_cycle(H2, spec).found
         gamma_cycle = find_gamma_cycle(G)
         if base_found != (gamma_cycle is not None):
             mismatches += 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -13,6 +14,150 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+EMPTY = sha256("")
+
+
+# (command line, exit code, SHA-256 of stdout, SHA-256 of the --out file or
+# None), run in order in one directory: later lines read the .chg files that
+# earlier ones wrote, by relative path, since `solve` and `reduce` embed the
+# input path in their output.  The `check` line validates the permutation
+# that `solve` found on the dense directed instance, so the colours chosen
+# for its multi-colour edges are pinned too.
+PINNED_CALLS = (
+    ("gen --n 8 --k 3 --r 4 --p 0.5 --seed 7", 0,
+     "075eab414e74ca26e7b3d112830fe1a6eee5a20ebc8001a6665c0a9a1e1335a3",
+     None),
+    ("gen --n 8 --k 3 --r 4 --p 0.5 --seed 7 --out plain.chg", 0,
+     EMPTY,
+     "075eab414e74ca26e7b3d112830fe1a6eee5a20ebc8001a6665c0a9a1e1335a3"),
+    ("gen --model coupled --n 8 --k 3 --r 4 --p 0.5 --seed 7", 0,
+     "a36d28fc34ab3b9946e1bf1787b09c1eadb4b57da7b260f712dcb21d91ed6311",
+     None),
+    ("gen --model coupled --n 8 --k 3 --c 1/2 --p 0.6 --seed 2"
+     " --out coupled.chg", 0,
+     EMPTY,
+     "0fdcf61f01300f56df685c8d126d0c77c01945aab9400509b9c2e66b8c6f05e9"),
+    ("gen --model directed --n 8 --k 3 --r 4 --q 0.1 --seed 7", 0,
+     "5ae590c78a4c97fcc7155df3563f917b341529cca1bb5995ccff932c94c782f3",
+     None),
+    ("gen --model directed --n 8 --k 3 --r 4 --q 0.3 --seed 3"
+     " --out directed.chg", 0,
+     EMPTY,
+     "51b81dcd3d5878bce34bdf52f7940db8fde2e17bdac0151cca4e767d3342688a"),
+    ("solve --infile plain.chg --ell 1", 0,
+     "65826be92abddca68c40021906667b6d5aca697bbf88ec43151521dff66a5a36",
+     None),
+    ("solve --infile coupled.chg --ell 1 --mode budgeted --budget 5", 0,
+     "c4df60348d518a3a629b1ddfcd82322ac84ad0e0caf36b06a16acdc52dd32fbe",
+     None),
+    ("solve --infile directed.chg --ell 1 --out solved.json", 0,
+     EMPTY,
+     "4f5ef75d996718f52fd86c8a619eaebc2e9bfa922ca8c525af0aa083010990d1"),
+    ("check --infile directed.chg --ell 1 --perm 1,2,5,3,4,8,6,7", 0,
+     "8771d2b588cd129eb8bcf7f82ddf73d9d22678d1d11101604366f89792b56e94",
+     None),
+    ("check --infile plain.chg --ell 1 --perm 2,1,3,4,5,6,7,8"
+     " --out checked.json", 0,
+     EMPTY,
+     "debe3f6cd64d6a600d86e03e0cc5218430d6e6dc6707a932a9bf7ee041e00f52"),
+    ("count --infile plain.chg --ell 1", 0,
+     "a5906e36046c6bed577eca68843536226e1313abad1a401753cb2ade2a6bfa9a",
+     None),
+    ("count --infile directed.chg --ell 1 --limit 8 --out counted.json", 0,
+     EMPTY,
+     "08640e33d441866ca84f441dbd983eb7e4129f4525109f63b0061f1e6af113e5"),
+    ("overlap --n 6 --k 3 --ell 1", 0,
+     "d8f4834ef6a29e6aab136f2bfbfcf996e8bcda573de9a94efa497f62ea117a9a",
+     None),
+    ("overlap --n 6 --k 3 --ell 2 --format json --out overlap.json", 0,
+     EMPTY,
+     "b5e60ba685d1f98053a9d9e6766e11bc72a3f0f7499a4ab858add80cf1fdcc4b"),
+    ("moments --n 100 --k 4 --ell 3 --c 2 --p 0.037", 0,
+     "2b794e2bfa9c71fc4688ae085e1daf75b77f5ee60f242060e163571dd4aa4d6e",
+     None),
+    ("moments --n 30 --k 3 --ell 1 --r 20 --p 0.1 --format json"
+     " --out moments.json", 0,
+     EMPTY,
+     "323be00de06eb0d031b3d4a942911f5e2142943f9744b50166111b4e5e07b5ae"),
+    ("sweep --n 6 --k 3 --ell 1 --r 3 --p-grid 0.1:0.9:3 --trials 6 --seed 2", 0,
+     "afd5ff62f8a9c1dd73d0941f1d9bd2698c0eac55142e39bbf837e7374d00720e",
+     None),
+    ("sweep --n 8 --k 3 --ell 1 --c 1/2 --p-grid 0.1:0.5:3:geometric"
+     " --trials 4 --seed 5 --mode budgeted --budget 30 --format json --out sweep.json", 0,
+     EMPTY,
+     "88b60fbb59820cafbee28d91ea2ce843a1f210fe38cb33eb9211c006ce461e8b"),
+    ("csweep --n 8 --k 4 --ell 3 --r 8 --p-grid 0.4:1.0:4 --trials 3 --seed 1", 0,
+     "4f68e76b1ce760b0faf90bbfb8519a1227be258324ff79aa5b3cef63bac114cb",
+     None),
+    ("csweep --n 8 --k 4 --ell 3 --r 8 --p-grid 0.4:1.0:4 --trials 3"
+     " --seed 1 --mode budgeted --budget 300 --format json --out csweep.json", 0,
+     EMPTY,
+     "163de9961b2f2158c941815bb4d20665b6c516cb7b4839d776ec4b8ae0af80c0"),
+    ("reduce --infile plain.chg", 0,
+     "755c4f44346001ad25fb01b28c000a67a117a9b4cca7a77ac085a8b3fbf27e1d",
+     None),
+    ("reduce --infile coupled.chg --out gamma.chg", 0,
+     EMPTY,
+     "067f5e4dd3458f3aa661e5279f92f12c6be07d745499a312a20e8ec3f7d08c27"),
+    ("couple --n 6 --k 3 --p 0.05 --trials 20 --seed 3", 0,
+     "63c3dcb05d9d56211c373d3f4bfe83e9b1f0c8d45c9694b060a498e6a237f574",
+     None),
+    ("couple --n 6 --k 3 --p 0.1 --trials 10 --seed 4 --workers 1"
+     " --out couple.json", 0,
+     EMPTY,
+     "29e184d939dcaf6a26daf0aff2d1793d74687293696a5bdea35d7cc1cc106945"),
+)
+
+# (command line, exit code, stderr) of refused command lines, which write
+# nothing to stdout
+PINNED_ERRORS = (
+    ("solve --infile plain.chg --ell 1 --budget 5", 1,
+     "rainbowhc: error: a budget needs budgeted mode\n"),
+    ("gen --model directed --n 8 --k 3 --r 4 --seed 1", 1,
+     "rainbowhc: error: directed model needs --q\n"),
+    ("solve --infile plain.chg", 1,
+     "rainbowhc solve: error: the following arguments are required: --ell\n"),
+)
+
+
+def test_cli_outputs_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for line, *pins in PINNED_CALLS:
+        argv = line.split()
+        code, out, err = run(capsys, *argv)
+        written = None
+        if "--out" in argv:
+            written = sha256((tmp_path / argv[argv.index("--out") + 1]).read_text())
+        assert (line, code, sha256(out), written, err) == (line, *pins, "")
+    for line, *pins in PINNED_ERRORS:
+        code, out, err = run(capsys, *line.split())
+        assert (line, code, err, out) == (line, *pins, "")
+
+
+def test_readme_command_lines_parse():
+    # every `rainbowhc ...` line in README.md's command blocks parses, so a
+    # flag change that the README does not follow fails here
+    import rainbowhc.cli as cli
+
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    in_block, lines = False, []
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.startswith("rainbowhc "):
+            lines.append(line)
+    assert len(lines) >= 10
+    for line in lines:
+        try:
+            cli._parser().parse_args(line.split()[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_gen_writes_chg(tmp_path, capsys):

@@ -27,7 +27,6 @@ from rainbowhc import (
 )
 from rainbowhc.core import (
     _ENUMERATION_CAP,
-    ColorMatcher,
     color_bits,
     distinct_color_system,
     kset_of_rank,
@@ -382,17 +381,7 @@ def test_validate_verify_round_trip(case, seed):
     assert verify_certificate(H, result)
 
 
-# -- ColorMatcher ------------------------------------------------------------
-
-def test_matcher_add_remove():
-    m = ColorMatcher()
-    assert m.add(0, {1})
-    assert m.add(1, {1, 2})
-    assert not m.add(2, {1, 2})  # Hall violation
-    m.remove(1)
-    assert m.add(2, {1, 2})
-    assert len(m) == 2
-
+# -- distinct_color_system ---------------------------------------------------
 
 def test_distinct_color_system_examples():
     assert distinct_color_system([{1}, {1, 2}, {2, 3}]) is not None

@@ -47,16 +47,9 @@ def test_config_validation():
     with pytest.raises(InvalidInput):
         small_config(c=Fraction(1, 2))  # both r and c
     with pytest.raises(InvalidInput):
-        small_config(solver_mode="budgeted")  # missing budget
+        small_config(budget=0)  # not a positive budget
     with pytest.raises(Exception):
         small_config(n=7)  # divisibility
-
-
-def test_config_rejects_a_budget_without_budgeted_mode():
-    # the exhaustive search would ignore it
-    with pytest.raises(InvalidInput):
-        small_config(budget=50)
-    assert small_config(solver_mode="budgeted", budget=50).budget == 50
 
 
 def test_config_density_resolution():
@@ -146,7 +139,7 @@ def test_sweep_deterministic_across_worker_counts():
 def test_sweep_budgeted_reports_unknown_not_abort():
     cfg = SweepConfig(
         n=8, k=3, ell=1, p_grid=(0.3, 0.5), trials=15, seed=9, r=4,
-        solver_mode="budgeted", budget=5,
+        budget=5,
     )
     rows = run_sweep(cfg)
     assert all(row.found + row.not_found + row.unknown == 15 for row in rows)
@@ -187,11 +180,11 @@ def test_coupled_budgeted_inference_never_contradicts_exhaustive():
     # per-point searches
     cfg = SweepConfig(
         n=10, k=4, ell=3, r=10, p_grid=tuple(0.37 + 0.09 * i for i in range(8)),
-        trials=12, seed=2, solver_mode="budgeted", budget=5000,
+        trials=12, seed=2, budget=5000,
     )
     bisected = coupled_outcome_matrix(cfg)
     per_point = direct_coupled_matrix(cfg)
-    exhaustive = direct_coupled_matrix(replace(cfg, solver_mode="exhaustive", budget=None))
+    exhaustive = direct_coupled_matrix(replace(cfg, budget=None))
     inferred = rescued = 0
     for row, direct, truth in zip(bisected, per_point, exhaustive):
         for cell, (d_status, d_nodes), (true_status, _) in zip(row, direct, truth):

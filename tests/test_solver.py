@@ -85,13 +85,11 @@ def test_planted_cycle_found_and_verified():
 def test_budget_semantics():
     spec = CycleSpec(8, 3, 2)
     H = complete_single_color(8, 3, 8, seed=4)
-    with pytest.raises(InvalidInput):
-        find_rainbow_cycle(H, spec, mode="budgeted")
-    out = find_rainbow_cycle(H, spec, mode="budgeted", budget=3)
+    out = find_rainbow_cycle(H, spec, budget=3)
     if out.status is SearchStatus.UNKNOWN:
         assert out.budget_hit and out.nodes_expanded > 3
-    big = find_rainbow_cycle(H, spec, mode="budgeted", budget=10_000_000)
-    exhaustive = find_rainbow_cycle(H, spec, mode="exhaustive")
+    big = find_rainbow_cycle(H, spec, budget=10_000_000)
+    exhaustive = find_rainbow_cycle(H, spec)
     assert big.status == exhaustive.status
     assert not big.budget_hit
 
@@ -100,7 +98,7 @@ def test_unknown_iff_budget_hit():
     spec = CycleSpec(8, 3, 1)
     for trial in range(40):
         H = sample_colored(8, 3, 0.35, 4, seed=derive_seed(55, trial))
-        out = find_rainbow_cycle(H, spec, mode="budgeted", budget=25)
+        out = find_rainbow_cycle(H, spec, budget=25)
         assert (out.status is SearchStatus.UNKNOWN) == out.budget_hit
 
 
@@ -119,10 +117,10 @@ def test_budget_unit_is_one_placed_vertex():
     full = find_rainbow_cycle(H, spec)
     assert full.status is SearchStatus.NOT_FOUND and full.nodes_expanded == 104
     for b in (1, 100, 103):
-        out = find_rainbow_cycle(H, spec, mode="budgeted", budget=b)
+        out = find_rainbow_cycle(H, spec, budget=b)
         assert out.status is SearchStatus.UNKNOWN and out.budget_hit
         assert out.nodes_expanded == b + 1
-    at_limit = find_rainbow_cycle(H, spec, mode="budgeted", budget=104)
+    at_limit = find_rainbow_cycle(H, spec, budget=104)
     assert at_limit.status is SearchStatus.NOT_FOUND and not at_limit.budget_hit
     assert at_limit.nodes_expanded == 104
 
@@ -138,9 +136,9 @@ def test_tight_budget_unit_is_pinned():
     full = find_rainbow_cycle(H, spec)
     assert full.status is SearchStatus.NOT_FOUND and full.nodes_expanded == 251
     for b in (1, 250):
-        out = find_rainbow_cycle(H, spec, mode="budgeted", budget=b)
+        out = find_rainbow_cycle(H, spec, budget=b)
         assert out.status is SearchStatus.UNKNOWN and out.nodes_expanded == b + 1
-    at_limit = find_rainbow_cycle(H, spec, mode="budgeted", budget=251)
+    at_limit = find_rainbow_cycle(H, spec, budget=251)
     assert at_limit.status is SearchStatus.NOT_FOUND and not at_limit.budget_hit
 
 
@@ -154,9 +152,9 @@ def test_vertex_anchored_budget_unit_is_pinned():
     full = find_rainbow_cycle(H, spec)
     assert full.status is SearchStatus.NOT_FOUND and full.nodes_expanded == 383
     for b in (1, 382):
-        out = find_rainbow_cycle(H, spec, mode="budgeted", budget=b)
+        out = find_rainbow_cycle(H, spec, budget=b)
         assert out.status is SearchStatus.UNKNOWN and out.nodes_expanded == b + 1
-    at_limit = find_rainbow_cycle(H, spec, mode="budgeted", budget=383)
+    at_limit = find_rainbow_cycle(H, spec, budget=383)
     assert at_limit.status is SearchStatus.NOT_FOUND and not at_limit.budget_hit
 
 
@@ -383,9 +381,9 @@ def test_search_leaves_no_garbage():
     gc.disable()
     try:
         for H in instances:
-            for mode, budget in (("exhaustive", None), ("budgeted", 5)):
-                find_rainbow_cycle(H, spec, mode, budget)
-                assert gc.collect() == 0, (H, mode)
+            for budget in (None, 5):
+                find_rainbow_cycle(H, spec, budget)
+                assert gc.collect() == 0, (H, budget)
     finally:
         gc.enable()
 
@@ -403,10 +401,11 @@ def test_tight_solver_matches_oracle_at_n9(k):
     assert 0 < found < 8
 
 
-def test_exhaustive_search_rejects_a_budget():
+def test_search_rejects_a_non_positive_budget():
     H = ColoredHypergraph.complete_rainbow(6, 3)
-    with pytest.raises(InvalidInput):
-        find_rainbow_cycle(H, CycleSpec(6, 3, 1), "exhaustive", 10)
+    for budget in (0, -1):
+        with pytest.raises(InvalidInput):
+            find_rainbow_cycle(H, CycleSpec(6, 3, 1), budget)
 
 
 @pytest.mark.parametrize("anchored", [False, True])
@@ -471,7 +470,7 @@ def test_multi_color_search_is_pinned(mode, budget):
     q = q_from_p(0.05)
     records = [
         find_rainbow_cycle(
-            sample_directed(8, 3, q, 4, derive_seed(1010, 1, t)), spec, mode, budget
+            sample_directed(8, 3, q, 4, derive_seed(1010, 1, t)), spec, budget
         ).to_record()
         for t in range(200)
     ]
@@ -503,8 +502,8 @@ def test_search_records_are_pinned():
                     sample_colored(spec.n, spec.k, p, r, seed),
                     sample_directed(spec.n, spec.k, q, r, seed),
                 ):
-                    for mode, budget in (("exhaustive", None), ("budgeted", 20)):
-                        outcome = find_rainbow_cycle(H, spec, mode, budget)
+                    for budget in (None, 20):
+                        outcome = find_rainbow_cycle(H, spec, budget)
                         records.append(outcome.to_record(budget))
     statuses = {record["status"] for record in records}
     assert statuses == {"found", "not_found", "unknown"}
