@@ -214,6 +214,15 @@ def _cmd_couple(args):
     return outcome.to_record()
 
 
+def _fraction(text: str) -> Fraction:
+    """--c as an exact fraction; a zero denominator is bad input like any
+    other unparsable value, not an internal error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def _flags(*names: str, parents=(), **options) -> argparse.ArgumentParser:
     """A parent parser: shared flags, each of `names` with `options`."""
     group = argparse.ArgumentParser(add_help=False, parents=list(parents))
@@ -233,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     colors = _flags()
     group = colors.add_mutually_exclusive_group(required=True)
     group.add_argument("--r", type=int, help="explicit color count")
-    group.add_argument("--c", type=Fraction, help="color density; r = floor(c*n)")
+    group.add_argument("--c", type=_fraction, help="color density; r = floor(c*n)")
     infile = _flags("--infile", required=True)
     mode = _flags("--mode", choices=("exhaustive", "budgeted"), default="exhaustive")
     effort = _flags("--budget", type=int, parents=[mode])

@@ -278,7 +278,8 @@ class ColoredHypergraph:
             union = np.bitwise_or.reduce(slots)
             bad = union < 0 or union & 1 or union >> (self.r + 1)
         else:
-            bad = slots.min() < 0 or slots.max() > self.r
+            # a negative slot reads as above r once unsigned
+            bad = slots.view(np.uint64).max() > self.r
         if bad:
             raise InvalidInput(f"a slot by rank holds a color outside [1, {self.r}]")
         return slots

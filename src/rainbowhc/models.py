@@ -69,7 +69,8 @@ def sample_colored(n: int, k: int, p: float, r: int, seed: int) -> ColoredHyperg
     rng = _rng(seed)
     us = rng.random(total)
     colors = rng.integers(1, r + 1, size=total)
-    return ColoredHypergraph(n, k, r, by_rank=np.where(us < p, colors, 0))
+    colors[us >= p] = 0
+    return ColoredHypergraph(n, k, r, by_rank=colors)
 
 
 @dataclass(frozen=True)
@@ -151,13 +152,9 @@ def sample_directed(n: int, k: int, q: float, r: int, seed: int) -> ColoredHyper
     # one draw for every present ordering, in rank order: the same stream as
     # one draw per k-set
     colors = rng.integers(1, r + 1, size=int(counts.sum()))
-    masks = np.zeros(total, dtype=object)
-    present = np.flatnonzero(counts)
-    if len(present):
-        bits = np.array([1 << c for c in colors.tolist()], dtype=object)
-        per_set = counts[present]
-        # Python-int masks, so any r fits; every k-set's run is non-empty
-        masks[present] = np.bitwise_or.reduceat(bits, np.cumsum(per_set) - per_set)
+    masks = [0] * total  # Python-int masks, so any r fits
+    for rank, color in zip(np.repeat(np.arange(total), counts).tolist(), colors.tolist()):
+        masks[rank] |= 1 << color
     return ColoredHypergraph(n, k, r, by_rank=masks, multi_color=True)
 
 

@@ -3,15 +3,17 @@
 The searcher places one vertex per cycle position, in a placement order set
 by the spec and the anchor that fixes the rotation (the rarest color when
 r = m, vertex 1 otherwise), and extends only into edges that exist, using a
-per-instance vertex-bitmask index of the present edges; colors are pruned with a
-used-color bitmask (single-color) or an incremental distinct-representatives
+per-instance vertex-bitmask index of the present edges; colors are pruned with
+used-color bits kept in the same int as the placed vertices (single-color) or
+an incremental distinct-representatives
 matching over int color bitmasks, Kuhn augmenting paths trying colors in
 ascending order (multi-color).  A window left half-placed by the order (the
 windows through position 0 wrap around the cycle) is watched: a remembered
 completion edge is re-checked, and the branch cut when none is left.
 Without a budget the search is exhaustive and proves absence; with one it
 gives up after a node quota and reports Unknown.  Each search plan is
-compiled once into straight-line Python, one function per placement step.
+compiled once into Python source: one `while` loop per placement step, each
+nested in the previous step's, cut into functions of at most 15 steps.
 
 The oracles enumerate all n! permutations outright and exist to pin the
 closed-form moment calculations to something independently computable, so
@@ -51,6 +53,8 @@ from .errors import InvalidInput, TooLarge
 
 ENUMERATION_LIMIT = 9       # n! enumeration cap for counting oracles
 PAIRWISE_LIMIT = 7          # (n!)^2 cap for the pairwise second-moment oracle
+CHUNK_STEPS = 15            # placement steps per generated search function
+COLUMN_CHUNK = 1 << 14      # permutation columns per chunk of the multi-color oracle
 
 
 class SearchStatus(Enum):
@@ -106,7 +110,7 @@ def _search_plan(spec: CycleSpec, anchored: bool):
     """Per-step tables for the edge-driven search, steps 0..n-1.
 
     The tables are the search's program: _search_source compiles them into
-    one Python function per step, so nothing here is read while searching.
+    one nested loop per step, so nothing here is read while searching.
 
     order[s]: the position placed at step s.  The vertex-anchored plan
         (anchored=False) places tight specs (ell = k-1) in the order
@@ -212,28 +216,17 @@ def _rarest_color(H: ColoredHypergraph) -> Optional[int]:
     the smaller color; None if some color is carried by no edge."""
     if H.multi_color:
         counts = [0] * (H.r + 1)
-        for mask in H.by_rank[np.flatnonzero(H.by_rank)].tolist():
-            for c in color_bits(mask):
-                counts[c] += 1
+        # each distinct color mask once, its bits walked lowest first
+        for mask, times in Counter(H.by_rank[np.flatnonzero(H.by_rank)].tolist()).items():
+            while mask:
+                low = mask & -mask
+                counts[low.bit_length() - 1] += times
+                mask ^= low
     else:
         counts = np.bincount(H.by_rank, minlength=H.r + 1).tolist()
     counts = counts[1:]
     fewest = min(counts)
     return counts.index(fewest) + 1 if fewest else None
-
-
-def _index_edge(
-    extend: dict[int, int], colors: dict[int, int], edge: int, tag: int, bits: int
-) -> None:
-    """Add one edge's vertex mask to the index, every key or-ed with tag."""
-    colors[edge | tag] = bits
-    sub = (edge - 1) & edge
-    while True:
-        key = sub | tag
-        extend[key] = extend.get(key, 0) | (edge ^ sub)
-        if not sub:
-            break
-        sub = (sub - 1) & edge
 
 
 def _edge_index(
@@ -243,8 +236,10 @@ def _edge_index(
 
     extend[T] is the set of vertices v outside T with T | {v} contained in
     some present edge, for every proper subset T of every edge; colors maps
-    each edge's mask to its colors as a bitmask, bit c for color c: one bit
-    (single-color) or the edge's whole color set (multi-color).
+    each edge's mask to its colors as a bitmask past the vertex bits, bit
+    n + 1 + c for color c, so that one int can hold placed vertices and used
+    colors: one bit (single-color) or the edge's whole color set
+    (multi-color).
 
     With an anchor color (anchor > 0; 0 means none), the edges carrying it
     are indexed under keys tagged with bit 0, which is never a vertex bit,
@@ -257,139 +252,202 @@ def _edge_index(
     masks = kset_table(H.n, H.k)[1]
     ranks = np.flatnonzero(H.by_rank)
     multi = H.multi_color
-    anchor_bit = 1 << anchor
+    get = extend.get
+    shift = H.n + 1
+    # no edge carries color 0, so without an anchor no edge carries its bit
+    anchor_bit = 1 << (anchor + shift)
     for rank, slot in zip(ranks.tolist(), H.by_rank[ranks].tolist()):
         edge = masks[rank]
-        bits = slot if multi else 1 << slot
-        if anchor and bits & anchor_bit:
-            _index_edge(extend, colors, edge, 1, anchor_bit)
+        bits = slot << shift if multi else 1 << (slot + shift)
+        # each proper subset sub of the edge, largest first, gains edge ^ sub
+        if bits & anchor_bit:
+            colors[edge | 1] = anchor_bit
+            sub = edge
+            while sub:
+                sub = (sub - 1) & edge
+                extend[sub | 1] = get(sub | 1, 0) | (edge ^ sub)
             bits ^= anchor_bit
-        if bits:
-            _index_edge(extend, colors, edge, 0, bits)
+            if not bits:
+                continue
+        colors[edge] = bits
+        sub = edge
+        while sub:
+            sub = (sub - 1) & edge
+            extend[sub] = get(sub, 0) | (edge ^ sub)
     return extend, colors
 
 
 def _search_source(spec: CycleSpec, anchored: bool, multi: bool) -> str:
     """Python source of the search over _search_plan(spec, anchored).
 
-    The source defines a factory, search(extend_of, colors_of, completions,
+    The source defines a factory, search(extend, colors_of, completions,
     claim, holder, held, choices, b, limit), binding one instance's edge
     index, the watched windows' completions, the multi-color matching, the
-    list b of the vertex bit placed at each step and the node limit.  It
-    returns (step0, count): the first step and a reader of the nodes
-    expanded.
+    list b that receives the vertex bit placed at each step and the node
+    limit.  It returns chunk0, which runs the search and returns the nodes
+    expanded; b is written only when a cycle is found, at the leaf, so
+    b[0] != 0 exactly then.
 
-    Step s is one function, step<s>(free[, used][, comps, w]): free vertices,
-    used color bits (single-color only), and the watched window's
-    completions and witness when its watch began at an earlier step.  It
-    returns True once the last step is placed.  Everything the plan fixes is
-    resolved here: each window mask the step reads is an OR of b at the
-    steps placing that window's positions (plus the tag bit for window 0 of
-    the color-anchored plan), computed once per call; filters and closing
-    windows are unrolled; rule, force-one and watch code appears only at the
-    steps that have it.  A multi-color window whose lowest color is free
-    takes it in place, which is what claim's first augmenting step does.
-    The candidates, their order, the prunes and the node count are those of
-    find_rainbow_cycle's description.
+    Each placement step is one `while` loop over its candidate vertices, and
+    the loop of step s+1 sits in the body of step s's, so backtracking is
+    the fall-through of an inner loop and a failed check is a `continue`.
+    CPython allows 20 statically nested blocks in a function, so the steps
+    are cut into chunks of at most CHUNK_STEPS (15), one function each; the
+    watched window's scan adds one more block inside a step.  The last step
+    of a chunk calls the next chunk with what the steps after it read (the
+    taken set, the vertex bits of every earlier step, the watched window's
+    completions and witness when its watch carries over, and the node
+    count) and gets the node count back.  Step s's vertex bit v<s>,
+    candidates cand<s>, witness x<s>, taken set z<s> and the node count are
+    all fast locals.  z<s> holds the vertices placed up to step s and, in
+    single-color mode, the colors used, whose bits lie past the vertex bits
+    (see _edge_index): one AND tests a color, and one AND tests a
+    completion of the watched window.
+
+    Everything the plan fixes is resolved here: each window mask a step
+    reads is an OR of the bits of the steps placing that window's positions
+    (plus the tag bit for window 0 of the color-anchored plan), filters and
+    closing windows are unrolled, and rule, force-one and watch code appears
+    only at the steps that have it.  Filters subscript the index outright:
+    a window's placed vertices always lie in a present edge of its class,
+    put there by its own filter or by that of a window holding a superset
+    of them, so the key is there.  A multi-color window whose lowest color
+    is free takes it in place, which is what claim's first augmenting step
+    does.  The candidates, their order, the prunes and the node count are
+    those of find_rainbow_cycle's description.
     """
     order, member, filters, closing, ordered, watch, force_one = _search_plan(
         spec, anchored
     )
     n = spec.n
     placed_at = [[s for s in range(n) if j in member[s]] for j in range(spec.m)]
-    all_vertices = (1 << (n + 1)) - 2
-    shift = n + 1  # completions carry their color bit past the vertex bits
 
-    def mask(j: int, s: int) -> str:
-        terms = [f"b[{t}]" for t in placed_at[j] if t < s]
+    def placed(j: int, s: int) -> list[str]:
+        """Terms of window j's mask before step s."""
+        terms = [f"v{t}" for t in placed_at[j] if t < s]
         if anchored and j == 0:
             terms.append("1")  # the tag bit: window 0 reads the anchor's edges
-        return " | ".join(terms) or "0"
+        return terms
 
     def carried(s: int) -> bool:
         return watch[s] is not None and not watch[s][1]
 
+    def watch_begin(s: int) -> int:
+        while carried(s):
+            s -= 1
+        return s
+
+    def state(s: int) -> str:
+        """The vertices taken and colors used after step s (s = -1: none)."""
+        return f"z{s}" if s >= 0 else "z"
+
+    def handed_on(s: int) -> str:
+        """Parameters of the chunk starting at step s."""
+        names = [state(s - 1)] + [f"v{t}" for t in range(s)]
+        names += [f"comps{watch_begin(s)}", f"x{s - 1}"] if carried(s) else []
+        return ", ".join(names + ["nodes"])
+
     lines = [
-        "def search(extend_of, colors_of, completions, claim, holder, held, choices, b, limit):",
-        "    nodes = 0",
+        "def search(extend, colors_of, completions, claim, holder, held, choices, b, limit):",
     ]
     out = lines.append
-    for s in reversed(range(n)):
-        params = ["free"] + ([] if multi else ["used"])
-        params += ["comps", "w"] if carried(s) else []
-        out("")
-        out(f"    def step{s}({', '.join(params)}):")
-        out(f"        # position {order[s]}")
-        out("        nonlocal nodes")
+
+    def step(s: int, pad: str) -> None:
+        """Emit step s, its loop at indentation pad, and the steps it nests."""
         wj, begins = watch[s] if watch[s] is not None else (None, False)
-        for j in sorted({*filters[s], *closing[s], *([wj] if begins else [])}):
-            out(f"        m{j} = {mask(j, s)}")
-        out("        cand = free" + "".join(f" & extend_of(m{j}, 0)" for j in filters[s]))
+        z = state(s - 1)
+        # the masks that each candidate reads again (closing and
+        # watch-beginning windows) are kept when they are more than one bit,
+        # named where the filters compute them
+        reread = {*closing[s], *([wj] if begins else [])}
+        again = {j for j in reread if len(placed(j, s)) > 1}
+        before = {j: " | ".join(placed(j, s)) or "0" for j in {*filters[s], *reread}}
+        for j in sorted(again - set(filters[s])):
+            out(f"{pad}m{s}_{j} = {before[j]}")
+        reads = "".join(
+            f"extend[m{s}_{j} := {before[j]}] & " if j in again
+            else f"extend[{before[j]}] & "
+            for j in filters[s]
+        )
+        before.update((j, f"m{s}_{j}") for j in again)
+        out(f"{pad}cand{s} = {reads}~{z}  # position {order[s]}")
         if ordered[s] is not None:
             ref, sign = ordered[s]
             if sign > 0:
-                out(f"        cand &= -(b[{ref}] << 1)  # above step {ref}'s vertex")
+                out(f"{pad}cand{s} &= -(v{ref} << 1)  # above step {ref}'s vertex")
             else:
-                out(f"        cand &= b[{ref}] - 1  # below step {ref}'s vertex")
+                out(f"{pad}cand{s} &= v{ref} - 1  # below step {ref}'s vertex")
         if s == force_one:
-            out("        if free & 2:  # vertex 1")
-            out("            cand &= 2")
-        if wj is not None:
-            out(f"        taken = {all_vertices} ^ free")
-        out("        while cand:")
-        out("            bit = cand & -cand")
-        out("            cand ^= bit")
-        out("            nodes += 1")
-        out("            if nodes > limit:")
-        out("                raise _BudgetExceeded")
-        used = "used"
+            out(f"{pad}if not {z} & 2:  # vertex 1")
+            out(f"{pad}    cand{s} &= 2")
+        out(f"{pad}while cand{s}:")
+        body = pad + "    "
+        out(f"{body}v{s} = cand{s} & -cand{s}")
+        out(f"{body}cand{s} ^= v{s}")
+        out(f"{body}nodes += 1")
+        out(f"{body}if nodes > limit:")
+        out(f"{body}    raise _BudgetExceeded")
         undo = []
         for j in closing[s]:
-            out(f"            c = colors_of[m{j} | bit]")
+            out(f"{body}c = colors_of[{before[j]} | v{s}]")
             if multi:
                 # the lowest color free is what the matching would take
-                out("            low = c & -c")
-                out("            if low in holder:")
-                out(f"                if not claim({j}, c):")
-                lines.extend(f"        {line}" for line in undo)
-                out("                    continue")
-                out("            else:")
-                out(f"                holder[low] = {j}")
-                out(f"                held[{j}] = low")
-                out(f"                choices[{j}] = c")
-                undo.append(f"            del holder[held[{j}]]")
+                out(f"{body}low = c & -c")
+                out(f"{body}if low in holder:")
+                out(f"{body}    if not claim({j}, c):")
+                lines.extend(f"{body}        {line}" for line in undo)
+                out(f"{body}        continue")
+                out(f"{body}else:")
+                out(f"{body}    holder[low] = {j}")
+                out(f"{body}    held[{j}] = low")
+                out(f"{body}    choices[{j}] = c")
+                undo.append(f"del holder[held[{j}]]")
             else:
-                out(f"            if {used} & c:")
-                out("                continue")
-                out(f"            u = {used} | c")
-                used = "u"
+                out(f"{body}if {z} & c:")
+                out(f"{body}    continue")
+                if z == f"z{s}":
+                    out(f"{body}z{s} |= c")
+                else:
+                    out(f"{body}z{s} = {z} | c | v{s}")
+                    z = f"z{s}"
+        if z != f"z{s}":
+            out(f"{body}z{s} = {z} | v{s}")
         if wj is not None:
+            comps = f"comps{watch_begin(s)}"
             if begins:
-                out(f"            comps = completions(m{wj} | bit)")
-                out("            x = 0")
+                out(f"{body}{comps} = completions({before[wj]} | v{s})")
+                out(f"{body}x{s} = 0")
             else:
-                out("            x = w")
-            blocked = "taken | bit" if multi else f"taken | bit | ({used} << {shift})"
-            out(f"            blocked = {blocked}")
-            out("            while comps[x] & blocked:")
-            out("                x += 1")
-            out("            if not comps[x]:")
-            lines.extend(f"    {line}" for line in undo)
-            out("                continue")
-        out(f"            b[{s}] = bit")
+                out(f"{body}x{s} = x{s - 1}")
+            out(f"{body}while {comps}[x{s}] & z{s}:")
+            out(f"{body}    x{s} += 1")
+            out(f"{body}if not {comps}[x{s}]:")
+            lines.extend(f"{body}    {line}" for line in undo)
+            out(f"{body}    continue")
         if s + 1 == n:
-            out("            return True")
-            continue
-        args = ["free ^ bit"] + ([] if multi else [used])
-        args += ["comps", "x"] if carried(s + 1) else []
-        out(f"            if step{s + 1}({', '.join(args)}):")
-        out("                return True")
-        lines.extend(undo)
+            out(f"{body}b[:] = ({', '.join(f'v{t}' for t in range(n))})")
+            out(f"{body}return nodes")
+            return
+        if (s + 1) % CHUNK_STEPS:
+            step(s + 1, body)
+        else:
+            out(f"{body}nodes = chunk{(s + 1) // CHUNK_STEPS}({handed_on(s + 1)})")
+            out(f"{body}if b[0]:")
+            out(f"{body}    return nodes")
+        lines.extend(f"{body}{line}" for line in undo)
+
+    for first in reversed(range(0, n, CHUNK_STEPS)):
+        out("")
+        if first:
+            out(f"    def chunk{first // CHUNK_STEPS}({handed_on(first)}):")
+        else:
+            out("    def chunk0():")
+            out("        nodes = 0")
+            out("        z = 0")
+        step(first, "        ")
+        out("        return nodes")
     out("")
-    out("    def count():")
-    out("        return nodes")
-    out("")
-    out("    return step0, count")
+    out("    return chunk0")
     return "\n".join(lines) + "\n"
 
 
@@ -424,13 +482,15 @@ def find_rainbow_cycle(
     position's candidates are the intersection of those sets over every
     window containing it, complete or not, minus the vertices already used;
     the plan's filters skip a window whose set contains another's.
-    When a window completes its color is checked: against a bitmask of
-    used colors in single-color mode; in multi-color mode the completed
+    When a window completes its color is checked: against the used colors,
+    kept as bits in the same int as the placed vertices, in single-color
+    mode; in multi-color mode the completed
     windows are matched to distinct colors by Kuhn augmenting paths over int
     color bitmasks, each window trying its colors in ascending order, and
     the window joins the matching or the vertex is pruned.  The plan is
-    compiled once into straight-line Python, one function per step (see
-    _search_source); this function binds it to the instance.
+    compiled once into nested loops, one per step, in functions of at most
+    CHUNK_STEPS steps (see _search_source); this function binds it to the
+    instance.
 
     A window whose next position comes more than one step later is read by
     no extend filter until then; the windows through position 0 wait like
@@ -500,18 +560,17 @@ def find_rainbow_cycle(
     extend, colors_of = _edge_index(H, anchor)
     multi = H.multi_color
     # a completion packs an edge's vertices outside a window's placed set
-    # with its color bit shifted past the vertex bits (multi-color: no color
-    # bit, as the matching may still reassign colors), so one AND against
-    # the placed vertices and used colors tests it; each list ends in a 0,
-    # which no AND blocks and no completion equals
-    shift = n + 1
+    # with its color bit, which lies past the vertex bits (multi-color: no
+    # color bit, as the matching may still reassign colors), so one AND
+    # against the placed vertices and used colors tests it; each list ends
+    # in a 0, which no AND blocks and no completion equals
     completion_lists: dict[int, list[int]] = {}
 
     def completions(placed: int) -> list[int]:
         comps = completion_lists.get(placed)
         if comps is None:
             comps = completion_lists[placed] = [
-                (edge ^ placed) | (0 if multi else bits << shift)
+                (edge ^ placed) | (0 if multi else bits)
                 for edge, bits in colors_of.items()
                 if not edge & 1 and edge & placed == placed
             ]
@@ -520,7 +579,7 @@ def find_rainbow_cycle(
 
     # multi-color matching of completed windows to distinct colors
     held = [0] * m  # the color each matched window holds, as a bit
-    choices = [0] * m  # its candidate colors, bit c for color c
+    choices = [0] * m  # its candidate colors, as colors_of holds them
     holder: dict[int, int] = {}  # color bit -> the window holding it
     visited = 0  # colors the current augmenting-path search has tried
 
@@ -545,21 +604,21 @@ def find_rainbow_cycle(
         visited = 0
         return augment(j)
 
-    placed = [0] * n  # the vertex bit placed at each step
-    step0, count = _compiled_search(spec, anchored, multi)(
-        extend.get, colors_of, completions, claim, holder, held, choices, placed,
+    placed = [0] * n  # the vertex bit placed at each step, written if found
+    run = _compiled_search(spec, anchored, multi)(
+        extend, colors_of, completions, claim, holder, held, choices, placed,
         sys.maxsize if budget is None else budget,
     )
-    all_vertices = (1 << (n + 1)) - 2
     try:
-        found = step0(all_vertices) if multi else step0(all_vertices, 0)
+        nodes = run()
     except _BudgetExceeded:
-        return SearchOutcome(SearchStatus.UNKNOWN, None, count())
+        # raised at node budget + 1
+        return SearchOutcome(SearchStatus.UNKNOWN, None, budget + 1)
     finally:
         # the recursive matcher reaches itself through its cell
         del augment
-    if not found:
-        return SearchOutcome(SearchStatus.NOT_FOUND, None, count(), reason="exhausted")
+    if not placed[0]:
+        return SearchOutcome(SearchStatus.NOT_FOUND, None, nodes, reason="exhausted")
     at = [0] * n
     for p, bit in zip(_search_plan(spec, anchored)[0], placed):
         at[p] = bit.bit_length() - 1
@@ -571,9 +630,9 @@ def find_rainbow_cycle(
             colors_of[sum(1 << at[p] for p in window) | (anchored and j == 0)]
             for j, window in enumerate(spec.windows())
         ]
-    colors = tuple(bit.bit_length() - 1 for bit in bits)
+    colors = tuple(bit.bit_length() - 1 - (n + 1) for bit in bits)
     cert = RainbowCertificate(pi, tuple(edges_of_hamperm(pi)), colors)
-    return SearchOutcome(SearchStatus.FOUND, cert, count())
+    return SearchOutcome(SearchStatus.FOUND, cert, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -627,24 +686,33 @@ def count_hamperms(
         raise InvalidInput("hypergraph does not match spec")
     _check_limit(spec.n, limit, ENUMERATION_LIMIT, "enumeration")
     table = _perm_edge_table(spec.n, spec.k, spec.ell)
+    if H.multi_color:
+        return _count_multi_color(H.by_rank, table)
     colors = H.by_rank[table]  # (m, n!): the slot of each induced edge
     present = np.logical_and.reduce(colors != 0, axis=0)
     x_count = int(np.count_nonzero(present))
-    if not H.multi_color:
-        rainbow = present.copy()
-        for i, j in itertools.combinations(range(spec.m), 2):
-            rainbow &= colors[i] != colors[j]
-        return x_count, int(np.count_nonzero(rainbow))
+    rainbow = present.copy()
+    for i, j in itertools.combinations(range(spec.m), 2):
+        rainbow &= colors[i] != colors[j]
+    return x_count, int(np.count_nonzero(rainbow))
 
-    # whether a column has an SDR depends only on its multiset of color
-    # masks, so each distinct one is solved once
-    columns = Counter(tuple(sorted(column)) for column in colors[:, present].T.tolist())
+
+def _count_multi_color(slots: np.ndarray, table: np.ndarray) -> tuple[int, int]:
+    """count_hamperms for multi-color slots.  Whether a column has an SDR
+    depends only on its multiset of color masks, so each distinct one is
+    solved once.  The present columns are read COLUMN_CHUNK at a time: the
+    whole (m, n!) array of Python-int masks took ~100 MB at n = 9."""
+    present = np.flatnonzero(np.logical_and.reduce((slots != 0)[table], axis=0))
+    columns: Counter = Counter()
+    for start in range(0, len(present), COLUMN_CHUNK):
+        masks = slots[table[:, present[start:start + COLUMN_CHUNK]]]
+        columns.update(tuple(sorted(column)) for column in masks.T.tolist())
     y_count = sum(
         count
         for column, count in columns.items()
         if distinct_color_system([color_bits(mask) for mask in column]) is not None
     )
-    return x_count, y_count
+    return len(present), y_count
 
 
 @dataclass(frozen=True)

@@ -321,6 +321,14 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 1
     code, _, _ = run(capsys, "nonsense")
     assert code == 1
+    # a zero-denominator color density is bad input too, not an internal error
+    for argv in (
+        ("moments", "--n", "10", "--k", "3", "--ell", "1", "--c", "1/0", "--p", "0.1"),
+        ("gen", "--n", "8", "--k", "3", "--c", "1/0", "--p", "0.5"),
+        ("moments", "--n", "10", "--k", "3", "--ell", "1", "--c", "abc", "--p", "0.1"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "invalid Fraction value" in err, argv
 
 
 def test_budget_without_budgeted_mode_is_invalid_input(tmp_path, capsys):

@@ -35,6 +35,7 @@ from rainbowhc import (
 from rainbowhc.seeds import derive_seed
 from rainbowhc.core import color_bits, distinct_color_system, lex_rank
 from rainbowhc.solver import (
+    CHUNK_STEPS,
     _compiled_search,
     _pair_counts,
     _perm_edge_table,
@@ -511,6 +512,78 @@ def test_search_records_are_pinned():
     assert digest == SEARCH_RECORD_PIN
 
 
+
+# SHA-256 of [status, nodes, certificate permutation] over budgeted searches
+# (budgets 300 and 4,000) at n = 18-40, where the generated search spans two
+# or three functions of CHUNK_STEPS steps: tight, loose and general ell,
+# r in {m, m+1}, single-color, plus directed multi-color at n <= 24, at two
+# edge densities each.  Recorded before the search became nested loops
+CHUNK_RECORD_CASES = {
+    (18, 3, 2): (0.1, 0.9), (24, 4, 3): (0.05, 0.8), (40, 3, 2): (0.02, 0.8),
+    (20, 3, 1): (0.1, 0.2), (36, 4, 1): (0.05, 0.1), (40, 3, 1): (0.1, 0.4),
+    (18, 4, 2): (0.02, 0.4), (30, 4, 2): (0.05, 0.2), (31, 3, 2): (0.05, 0.8),
+    (40, 4, 2): (0.05, 0.2),
+}
+CHUNK_RECORD_PIN = "9cfaa165e215c8868c4e82f9807cff619b57ed08f7f0b6bf7117fbb1cd0465a0"
+
+
+def test_search_records_across_chunks_are_pinned():
+    records = []
+    for (n, k, ell), densities in CHUNK_RECORD_CASES.items():
+        spec = CycleSpec(n, k, ell)
+        for extra in (0, 1):
+            r = spec.m + extra
+            for t, p in enumerate(densities):
+                seed = derive_seed(1212, n, k, ell, extra, t)
+                instances = [sample_colored(n, k, p, r, seed)]
+                if n <= 24:
+                    q = 1 - (1 - p) ** (1 / math.factorial(k))
+                    instances.append(sample_directed(n, k, q, r, seed))
+                for H in instances:
+                    for budget in (300, 4000):
+                        outcome = find_rainbow_cycle(H, spec, budget)
+                        cert = outcome.certificate
+                        records.append([
+                            outcome.status.value,
+                            outcome.nodes_expanded,
+                            cert and list(cert.hamperm.pi),
+                        ])
+    statuses = {record[0] for record in records}
+    assert statuses == {"found", "not_found", "unknown"}
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == CHUNK_RECORD_PIN
+
+
+@pytest.mark.parametrize("n", [16, 30, 31, 64])
+def test_every_plan_shape_compiles_and_runs_up_to_n64(n):
+    # CPython rejects a function with more than 20 nested blocks, so every
+    # generated function must hold at most CHUNK_STEPS step loops, at any n;
+    # a planted cycle then has to come out through every chunk
+    specs = [CycleSpec(n, 3, 2)]
+    if n % 2 == 0:
+        specs += [CycleSpec(n, 3, 1), CycleSpec(n, 4, 2)]
+    rng = random.Random(n)
+    for spec in specs:
+        for anchored in (False, True):
+            for multi in (False, True):
+                source = _search_source(spec, anchored, multi)
+                chunks = source.split("\n    def chunk")[1:]
+                assert len(chunks) == -(-n // CHUNK_STEPS)
+                assert all(chunk.count("while cand") <= CHUNK_STEPS for chunk in chunks)
+                assert callable(_compiled_search(spec, anchored, multi))
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        for r in (spec.m, spec.m + 1):  # color- and vertex-anchored
+            for multi in (False, True):
+                edges = {
+                    e: {c + 1} for c, e in enumerate(edges_of_hamperm(Hamperm(tuple(perm), spec)))
+                }
+                H = ColoredHypergraph(n, spec.k, r, edges, multi_color=multi)
+                out = find_rainbow_cycle(H, spec)
+                assert out.found, (spec, r, multi)
+                assert verify_certificate(H, out.certificate)
+
+
 # -- count_hamperms ------------------------------------------------------------
 
 def test_count_on_complete_rainbow():
@@ -640,6 +713,23 @@ def test_count_multi_color_dense_agrees_with_per_permutation_sdr():
             assert (x_count, y_count) == (int(present.sum()), slow_y), (spec, t)
             strict += 0 < y_count < x_count
     assert strict >= 3
+
+
+def test_count_multi_color_streams_its_columns():
+    # a dense (9, 7, 6) directed instance: every permutation is present and
+    # rainbow.  Its (m, n!) array of Python-int color masks alone peaked at
+    # ~100 MB; read in chunks, the call stays far below that
+    spec = CycleSpec(9, 7, 6)
+    H = sample_directed(9, 7, 0.1, 9, 1)
+    _perm_edge_table(9, 7, 6)  # cached, and not part of the call's peak
+    tracemalloc.start()
+    try:
+        counts = count_hamperms(H, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts == (362880, 362880)
+    assert peak < 16 << 20
 
 
 # -- solver vs oracle ----------------------------------------------------------
