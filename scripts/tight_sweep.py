@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from rainbowhc import SweepConfig, estimate_crossing, make_grid, run_sweep
 from rainbowhc.lab import sweep_csv_text
-from rainbowhc.moments import threshold_tight
+from rainbowhc.moments import colors_at_density, threshold_tight
 
 
 def main() -> int:
@@ -36,7 +36,7 @@ def main() -> int:
     predicted = threshold_tight(args.k, args.c, args.n)
     lo, hi = 0.5 * predicted, min(1.0, 1.6 * predicted)
     config = SweepConfig(
-        n=args.n, k=args.k, ell=args.k - 1, c=args.c,
+        n=args.n, k=args.k, ell=args.k - 1, r=colors_at_density(args.n, args.c),
         p_grid=make_grid(lo, hi, args.points),
         trials=args.trials, seed=args.seed,
         budget=args.budget,

@@ -6,7 +6,6 @@ coupling, the color-vertex reduction, and a Monte Carlo sweep harness."""
 __version__ = "0.1.0"
 
 from .core import (
-    ColoredEdge,
     ColoredHypergraph,
     CycleFailure,
     CycleSpec,
@@ -40,11 +39,11 @@ from .models import (
 from .moments import (
     K_constant,
     MomentParams,
-    ThresholdSide,
     asymptotic_expected_Y,
     claim_derivative_sign,
     claim_f,
     claim_max,
+    colors_at_density,
     exact_expected_Y,
     log_expected_Y,
     threshold_general,

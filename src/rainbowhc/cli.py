@@ -22,7 +22,6 @@ from .lab import (
     SweepConfig,
     couple_experiment,
     make_grid,
-    resolve_r,
     run_coupled_sweep,
     run_sweep,
     sweep_csv_text,
@@ -34,6 +33,7 @@ from .moments import (
     MomentParams,
     asymptotic_expected_Y,
     claim_max,
+    colors_at_density,
     exact_expected_Y,
     log_expected_Y,
     threshold_general,
@@ -73,11 +73,16 @@ def _budget(args) -> Optional[int]:
     return args.budget
 
 
+def _colors(args) -> int:
+    """The color count that --r or --c asks for."""
+    return args.r if args.r is not None else colors_at_density(args.n, args.c)
+
+
 # Each _cmd_<command> returns its output, which main writes: a str as it
 # is, a (hypergraph, header comments) pair as .chg, anything else as JSON.
 
 def _cmd_gen(args):
-    r = resolve_r(args.n, args.r, args.c)
+    r = _colors(args)
     density = "q" if args.model == "directed" else "p"
     value = getattr(args, density)
     if value is None:
@@ -157,8 +162,9 @@ def _cmd_overlap(args):
 
 
 def _cmd_moments(args):
-    params = MomentParams(args.n, args.k, args.ell, args.p, resolve_r(args.n, args.r, args.c))
+    params = MomentParams(args.n, args.k, args.ell, args.p, _colors(args))
     c = params.c
+    boundary = Fraction(1, args.k - args.ell)
     record: dict = {
         "n": args.n, "k": args.k, "ell": args.ell, "m": params.m,
         "p": args.p, "r": params.r, "c": str(c),
@@ -166,9 +172,9 @@ def _cmd_moments(args):
     }
     if args.n <= 40:
         record["exact_expected_Y"] = str(exact_expected_Y(params))
-    if c >= Fraction(1, args.k - args.ell) and args.p > 0:
+    if c >= boundary and args.p > 0:
         record["log_asymptotic_expected_Y"] = asymptotic_expected_Y(params)
-    if args.ell >= 2:
+    if args.ell >= 2 and c >= boundary:
         record["threshold_general"] = threshold_general(args.k, args.ell, c, args.n)
     if args.k >= 4 and c >= 1:
         record["threshold_tight"] = threshold_tight(args.k, c, args.n)
@@ -187,7 +193,7 @@ def _cmd_sweep(args):
     """sweep (independent instances per point) and csweep (coupled ones)."""
     config = SweepConfig(
         n=args.n, k=args.k, ell=args.ell, p_grid=_parse_grid(args.p_grid),
-        trials=args.trials, seed=args.seed, r=args.r, c=args.c,
+        trials=args.trials, seed=args.seed, r=_colors(args),
         budget=_budget(args), workers=args.workers,
     )
     rows = (run_sweep if args.command == "sweep" else run_coupled_sweep)(config)

@@ -148,25 +148,6 @@ def _windows(n: int, k: int, ell: int) -> tuple[tuple[int, ...], ...]:
 
 
 @dataclass(frozen=True)
-class ColoredEdge:
-    """One colored edge: a canonical k-set and a color in [1, r].
-
-    Range checks against (n, r) happen where the edge meets a hypergraph;
-    here only the canonical-form invariant is enforced.
-    """
-
-    vertices: tuple[int, ...]
-    color: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", canonical_edge(self.vertices))
-        if self.vertices[0] < 1:
-            raise InvalidInput(f"vertex ids are 1-based, got {self.vertices}")
-        if self.color < 1:
-            raise InvalidInput(f"color ids are 1-based, got {self.color}")
-
-
-@dataclass(frozen=True)
 class Hamperm:
     """A permutation of [n] considered as a candidate cycle ordering."""
 
@@ -290,19 +271,15 @@ class ColoredHypergraph:
         n: int,
         k: int,
         r: int,
-        pairs: Iterable[Union["ColoredEdge", tuple[Iterable[int], int]]],
+        pairs: Iterable[tuple[Iterable[int], int]],
         *,
         multi_color: bool = False,
     ) -> "ColoredHypergraph":
-        """Build from ColoredEdge values or bare (vertices, color) pairs;
-        a repeated (k-set, color) pair is an error."""
+        """Build from (vertices, color) pairs, the vertices of each in any
+        order; a repeated (k-set, color) pair is an error."""
         acc: dict[Edge, set[int]] = {}
-        for item in pairs:
-            if isinstance(item, ColoredEdge):
-                edge, color = item.vertices, item.color
-            else:
-                vertices, color = item
-                edge = canonical_edge(vertices)
+        for vertices, color in pairs:
+            edge = canonical_edge(vertices)
             colors = acc.setdefault(edge, set())
             if color in colors:
                 raise InvalidInput(f"repeated (edge, color) pair: {edge} color {color}")

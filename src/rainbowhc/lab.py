@@ -17,8 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
@@ -70,20 +69,14 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
     return lo, hi
 
 
-def resolve_r(n: int, r: Optional[int], c) -> int:
-    """The color count: r when given, else floor(c * n)."""
-    if r is not None:
-        return r
-    return int(Fraction(c) * n)
-
-
 @dataclass(frozen=True)
 class SweepConfig:
-    """One sweep: cycle geometry, color rule, p-grid, search budget, workers.
+    """One sweep: cycle geometry, color count, p-grid, search budget, workers.
 
-    Exactly one of r (explicit color count) and c (density; r = floor(c*n))
-    must be given.  budget=None searches exhaustively; a positive budget
-    caps each search at that many nodes (see find_rainbow_cycle).
+    r is the color count itself; a color density c resolves to it through
+    moments.colors_at_density.  budget=None searches exhaustively; a
+    positive budget caps each search at that many nodes (see
+    find_rainbow_cycle).
     """
 
     n: int
@@ -92,18 +85,13 @@ class SweepConfig:
     p_grid: tuple[float, ...]
     trials: int
     seed: int
-    r: Optional[int] = None
-    c: Optional[Fraction] = None
+    r: int
     budget: Optional[int] = None
     workers: int = 1
 
     def __post_init__(self) -> None:
         CycleSpec(self.n, self.k, self.ell)
         object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
-        if (self.r is None) == (self.c is None):
-            raise InvalidInput("give exactly one of r and c")
-        if self.c is not None:
-            object.__setattr__(self, "c", Fraction(self.c))
         if not self.p_grid:
             raise InvalidInput("empty p grid")
         for p in self.p_grid:
@@ -117,10 +105,6 @@ class SweepConfig:
             raise InvalidInput(f"need workers >= 1, got {self.workers}")
         if self.budget is not None and self.budget <= 0:
             raise InvalidInput(f"need a positive budget, got {self.budget}")
-
-    @property
-    def resolved_r(self) -> int:
-        return resolve_r(self.n, self.r, self.c)
 
     @property
     def spec(self) -> CycleSpec:
@@ -169,8 +153,11 @@ def _aggregate(config: SweepConfig, per_point: list[list[tuple[str, int]]]) -> l
 
 
 def _run_tasks(fn: Callable, tasks: Sequence, workers: int) -> list:
-    """fn over tasks, results in task order; a process pool when workers > 1."""
-    if workers == 1:
+    """fn over tasks, results in task order; a process pool when more than
+    one worker has a task (under fork the pool starts every worker up
+    front, busy or not)."""
+    workers = min(workers, len(tasks))
+    if workers <= 1:
         return [fn(task) for task in tasks]
     # imported here: the pool brings in multiprocessing, which a one-worker
     # run, and every import of the package, can do without
@@ -184,7 +171,7 @@ def _run_tasks(fn: Callable, tasks: Sequence, workers: int) -> list:
 def _sweep_task(config: SweepConfig, task: tuple[int, int]) -> tuple[str, int]:
     point, trial = task
     seed = derive_seed(config.seed, point, trial)
-    H = sample_colored(config.n, config.k, config.p_grid[point], config.resolved_r, seed)
+    H = sample_colored(config.n, config.k, config.p_grid[point], config.r, seed)
     outcome = find_rainbow_cycle(H, config.spec, config.budget)
     return outcome.status.value, outcome.nodes_expanded
 
@@ -212,7 +199,7 @@ def _coupled_task(config: SweepConfig, trial: int) -> list[tuple[str, int]]:
     below it, UNKNOWN (budget hit) only itself.  A settled point is neither
     realized nor searched and records 0 nodes.
     """
-    ci = CoupledInstance(config.n, config.k, config.resolved_r, derive_seed(config.seed, trial))
+    ci = CoupledInstance(config.n, config.k, config.r, derive_seed(config.seed, trial))
     out: list[Optional[tuple[str, int]]] = [None] * len(config.p_grid)
     open_points = list(range(len(config.p_grid)))
     while open_points:
@@ -284,16 +271,7 @@ class CoupleOutcome:
     holds: bool
 
     def to_record(self) -> dict:
-        return {
-            "n": self.n, "k": self.k, "r": self.r,
-            "p": self.p, "q": self.q, "trials": self.trials,
-            "found_undirected": self.found_undirected,
-            "found_directed": self.found_directed,
-            "phat_undirected": self.phat_undirected,
-            "phat_directed": self.phat_directed,
-            "pooled_se": self.pooled_se,
-            "holds": self.holds,
-        }
+        return asdict(self)
 
 
 def _couple_task(
@@ -372,7 +350,7 @@ def estimate_crossing(
 def _sweep_table(config: SweepConfig, rows: Sequence[SweepResult]) -> list[list]:
     """Each row's values in SWEEP_CSV_COLUMNS order: the config's geometry
     and color count, then the SweepResult field of the same name."""
-    head = {"n": config.n, "k": config.k, "ell": config.ell, "r": config.resolved_r}
+    head = {"n": config.n, "k": config.k, "ell": config.ell, "r": config.r}
     return [
         [head[col] if col in head else getattr(row, col) for col in SWEEP_CSV_COLUMNS]
         for row in rows

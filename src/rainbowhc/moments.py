@@ -9,20 +9,21 @@ their colors pairwise distinct.  Exact rational evaluation exists for oracle
 cross-checks at tiny n; everything large runs in natural-log space through
 log-gamma, since n! overflows immediately otherwise.
 
-Threshold expressions are returned without their (1 +/- eps) factors; callers
-scale.  The color-ratio claim machinery evaluates
-f(x) = ((c-x)/c)^((c-x)/x) and its derivative sign, which drives the
-maximum-at-b=n argument behind the tight-cycle threshold prefactor
-((c-1)/c)^(c-1).
+Threshold expressions are returned bare, without (1 +/- eps) factors; a
+caller probing either side of a threshold multiplies by its own factor.
+A color density c becomes the color count r = floor(c*n) in
+colors_at_density, the one place that rounds.  The color-ratio claim
+machinery evaluates f(x) = ((c-x)/c)^((c-x)/x) and its derivative sign,
+which drives the maximum-at-b=n argument behind the tight-cycle threshold
+prefactor ((c-1)/c)^(c-1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .core import CycleSpec
 from .errors import InvalidInput
@@ -31,11 +32,9 @@ from .solver import falling_factorial
 Rational = Union[int, float, Fraction]
 
 
-class ThresholdSide(Enum):
-    """Which side of a sharp threshold a caller wants to probe."""
-
-    BELOW = "below"
-    ABOVE = "above"
+def colors_at_density(n: int, c: Rational) -> int:
+    """The color count r = floor(c*n) of color density c on n vertices."""
+    return int(Fraction(c) * n)
 
 
 @dataclass(frozen=True)
@@ -68,10 +67,8 @@ class MomentParams:
     def from_color_density(
         cls, n: int, k: int, ell: int, p: Rational, c: Rational
     ) -> "MomentParams":
-        """r = floor(c*n); rounding is the caller-visible convention for
-        color counts given as densities."""
-        r = int(Fraction(c) * n)
-        return cls(n, k, ell, p, r)
+        """Parameters with r = colors_at_density(n, c)."""
+        return cls(n, k, ell, p, colors_at_density(n, c))
 
 
 def exact_expected_Y(params: MomentParams) -> Fraction:
@@ -127,30 +124,11 @@ def asymptotic_expected_Y(params: MomentParams) -> float:
     return 0.5 * math.log(2 * math.pi * n * r / (r - m)) + n * bracket
 
 
-def _scale(base: float, side: Optional[ThresholdSide], epsilon: float) -> float:
-    if side is None:
-        return base
-    if epsilon < 0:
-        raise InvalidInput(f"epsilon must be nonnegative, got {epsilon}")
-    if side is ThresholdSide.BELOW:
-        return (1.0 - epsilon) * base
-    return (1.0 + epsilon) * base
-
-
-def threshold_general(
-    k: int,
-    ell: int,
-    c: Rational,
-    n: int,
-    side: Optional[ThresholdSide] = None,
-    epsilon: float = 0.0,
-) -> float:
+def threshold_general(k: int, ell: int, c: Rational, n: int) -> float:
     """First-moment threshold for rainbow ell-cycles, k > ell >= 2.
 
         c  = 1/(k-ell):  e^(k-ell+1) / n^(k-ell)
         c  > 1/(k-ell):  ((c - 1/(k-ell))/c)^((k-ell)c - 1) * e^(k-ell+1) / n^(k-ell)
-
-    Returned bare; pass side/epsilon to scale by (1 -/+ epsilon).
     """
     if not k > ell >= 2:
         raise InvalidInput(f"need k > ell >= 2, got k={k}, ell={ell}")
@@ -163,7 +141,7 @@ def threshold_general(
         ratio = float((c - boundary) / c)
         exponent = float((k - ell) * c - 1)
         base *= ratio**exponent
-    return _scale(base, side, epsilon)
+    return base
 
 
 def tight_prefactor(c: Rational) -> float:
@@ -177,19 +155,12 @@ def tight_prefactor(c: Rational) -> float:
     return float((c - 1) / c) ** float(c - 1)
 
 
-def threshold_tight(
-    k: int,
-    c: Rational,
-    n: int,
-    side: Optional[ThresholdSide] = None,
-    epsilon: float = 0.0,
-) -> float:
+def threshold_tight(k: int, c: Rational, n: int) -> float:
     """Sharp threshold for rainbow tight cycles, k >= 4:
     e^2/n at c = 1, ((c-1)/c)^(c-1) * e^2/n for c > 1."""
     if k < 4:
         raise InvalidInput(f"tight-cycle threshold needs k >= 4, got k={k}")
-    base = tight_prefactor(c) * math.exp(2) / n
-    return _scale(base, side, epsilon)
+    return tight_prefactor(c) * math.exp(2) / n
 
 
 def K_constant(k: int) -> float:

@@ -17,9 +17,11 @@ nested in the previous step's, cut into functions of at most 15 steps.
 
 The oracles enumerate all n! permutations outright and exist to pin the
 closed-form moment calculations to something independently computable, so
-they stay deliberately naive.  The counting oracle reads the hypergraph's
-rank-indexed color array through a cached (m, n!) table of induced-edge
-ranks, since Monte Carlo tests call it a hundred thousand times.
+they stay deliberately naive.  Every oracle reads the permutations of [n]
+from one cached (m, n!) table of induced-edge ranks, the only enumeration
+of them here; the counting oracle looks up the hypergraph's rank-indexed
+color array through it, since Monte Carlo tests call it a hundred thousand
+times.
 """
 
 from __future__ import annotations
@@ -845,10 +847,10 @@ def _pair_counts(spec: CycleSpec) -> tuple[tuple[tuple[int, int], int], ...]:
     on induced-edge bitmasks; it does not depend on (p, r), so it is built
     once per spec."""
     masks = []
-    for perm in itertools.permutations(range(1, spec.n + 1)):
+    for column in _perm_edge_table(spec.n, spec.k, spec.ell).T.tolist():
         mask = 0
-        for edge in edges_of_hamperm(Hamperm(perm, spec)):
-            mask |= 1 << lex_rank(spec.n, edge)
+        for rank in column:
+            mask |= 1 << rank
         masks.append(mask)
     pair_counts: dict[tuple[int, int], int] = {}
     for m1 in masks:
@@ -864,16 +866,15 @@ def expected_Y_bruteforce(
     """Exact E(Y) summed over all n! permutations.
 
     Each permutation contributes p^d * (r)_d / r^d where d is its number of
-    distinct induced edges (measured, not assumed).
+    distinct induced edges (measured, not assumed): the distinct ranks in
+    its column of the permutation table.
     """
     _check_limit(spec.n, limit, ENUMERATION_LIMIT, "enumeration")
     p = Fraction(p)
-    by_distinct: dict[int, int] = {}
-    for perm in itertools.permutations(range(1, spec.n + 1)):
-        d = len(set(edges_of_hamperm(Hamperm(perm, spec))))
-        by_distinct[d] = by_distinct.get(d, 0) + 1
+    ranks = np.sort(_perm_edge_table(spec.n, spec.k, spec.ell), axis=0)
+    distinct = 1 + np.count_nonzero(ranks[1:] != ranks[:-1], axis=0)
     total = Fraction(0)
-    for d, count in by_distinct.items():
+    for d, count in enumerate(np.bincount(distinct).tolist()):
         total += count * p**d * Fraction(falling_factorial(r, d), r**d)
     return total
 

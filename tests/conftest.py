@@ -47,7 +47,7 @@ def direct_coupled_matrix(config) -> list[list[tuple[str, int]]]:
     """
     rows = []
     for t in range(config.trials):
-        ci = CoupledInstance(config.n, config.k, config.resolved_r, derive_seed(config.seed, t))
+        ci = CoupledInstance(config.n, config.k, config.r, derive_seed(config.seed, t))
         row = []
         for p in config.p_grid:
             outcome = find_rainbow_cycle(ci.realize(p), config.spec, config.budget)

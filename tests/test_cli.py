@@ -255,6 +255,20 @@ def test_moments_command(capsys):
     assert record["claim_max"]["b"] == 100
 
 
+def test_moments_below_the_color_boundary(capsys):
+    # c < 1/(k-ell): the general and tight thresholds are undefined there, so
+    # the table leaves them out instead of refusing the whole command
+    for ell in ("2", "3"):
+        code, out, err = run(
+            capsys, "moments", "--n", "12", "--k", "4", "--ell", ell,
+            "--c", "1/4", "--p", "0.1", "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert record["r"] == 3 and record["log_expected_Y"] == float("-inf")
+        assert "threshold_general" not in record and "threshold_tight" not in record
+
+
 def test_sweep_commands(tmp_path, capsys):
     args = [
         "--n", "6", "--k", "3", "--ell", "1", "--r", "3",

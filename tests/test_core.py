@@ -159,21 +159,6 @@ def test_hypergraph_validation():
     assert multi.colors_of((3, 2, 1)) == frozenset({1, 2})
 
 
-def test_colored_edge_type():
-    from rainbowhc import ColoredEdge
-
-    e = ColoredEdge((3, 1, 2), 2)
-    assert e.vertices == (1, 2, 3)
-    with pytest.raises(InvalidInput):
-        ColoredEdge((1, 1, 2), 1)  # repeated vertex
-    with pytest.raises(InvalidInput):
-        ColoredEdge((0, 1, 2), 1)  # 0 is not a vertex id
-    with pytest.raises(InvalidInput):
-        ColoredEdge((1, 2, 3), 0)  # 0 is not a color id
-    H = ColoredHypergraph.from_pairs(5, 3, 2, [ColoredEdge((1, 2, 3), 2)])
-    assert H.colors_of((1, 2, 3)) == frozenset({2})
-
-
 def test_from_pairs_rejects_duplicates():
     with pytest.raises(InvalidInput):
         ColoredHypergraph.from_pairs(5, 3, 2, [((1, 2, 3), 1), ((3, 2, 1), 1)])

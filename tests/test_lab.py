@@ -13,6 +13,7 @@ from rainbowhc import (
     NoRealRoot,
     SweepConfig,
     SweepResult,
+    colors_at_density,
     couple_experiment,
     estimate_crossing,
     make_grid,
@@ -43,18 +44,16 @@ def test_config_validation():
     with pytest.raises(InvalidInput):
         small_config(trials=0)
     with pytest.raises(InvalidInput):
-        small_config(r=None)  # neither r nor c
-    with pytest.raises(InvalidInput):
-        small_config(c=Fraction(1, 2))  # both r and c
-    with pytest.raises(InvalidInput):
         small_config(budget=0)  # not a positive budget
     with pytest.raises(Exception):
         small_config(n=7)  # divisibility
 
 
 def test_config_density_resolution():
-    cfg = small_config(r=None, c=Fraction(1, 2))
-    assert cfg.resolved_r == 3
+    # a density reaches a sweep as the color count floor(c*n)
+    assert colors_at_density(6, Fraction(1, 2)) == 3
+    assert colors_at_density(9, Fraction(1, 2)) == 4
+    assert colors_at_density(10, Fraction(11, 10)) == 11
 
 
 # -- grid ----------------------------------------------------------------------
@@ -281,6 +280,34 @@ def test_couple_inequality_small():
     assert out.phat_directed >= out.phat_undirected - 2 * out.pooled_se
     record = out.to_record()
     assert record["trials"] == 800
+
+
+def test_pool_gets_no_more_workers_than_tasks(monkeypatch):
+    # a serial stand-in records the pool size asked for; no process starts
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    one = couple_experiment(6, 3, 0.05, 1, seed=1, workers=8)
+    assert sizes == []  # one task runs in-process
+    assert one == couple_experiment(6, 3, 0.05, 1, seed=1)
+    cfg = small_config(p_grid=(0.4,), trials=3)
+    assert run_sweep(replace(cfg, workers=8)) == run_sweep(cfg)
+    assert sizes == [3]
 
 
 # -- crossing estimation ------------------------------------------------------------------

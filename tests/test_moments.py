@@ -9,7 +9,6 @@ from rainbowhc import (
     InvalidInput,
     K_constant,
     MomentParams,
-    ThresholdSide,
     asymptotic_expected_Y,
     claim_derivative_sign,
     claim_f,
@@ -150,14 +149,6 @@ def test_threshold_general_domain():
         threshold_general(3, 1, 1, 100)  # ell < 2
     with pytest.raises(InvalidInput):
         threshold_general(4, 3, Fraction(1, 2), 100)  # c below 1/(k-ell)
-
-
-def test_threshold_sides():
-    base = threshold_general(4, 3, 1, 100)
-    lo = threshold_general(4, 3, 1, 100, ThresholdSide.BELOW, 0.1)
-    hi = threshold_general(4, 3, 1, 100, ThresholdSide.ABOVE, 0.1)
-    assert lo == pytest.approx(0.9 * base)
-    assert hi == pytest.approx(1.1 * base)
 
 
 def test_threshold_tight_examples():
