@@ -33,10 +33,12 @@ def main() -> int:
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 
-    predicted = threshold_tight(args.k, args.c, args.n)
+    # predict at the density actually swept, r/n, not the --c given
+    r = colors_at_density(args.n, args.c)
+    predicted = threshold_tight(args.k, Fraction(r, args.n), args.n)
     lo, hi = 0.5 * predicted, min(1.0, 1.6 * predicted)
     config = SweepConfig(
-        n=args.n, k=args.k, ell=args.k - 1, r=colors_at_density(args.n, args.c),
+        n=args.n, k=args.k, ell=args.k - 1, r=r,
         p_grid=make_grid(lo, hi, args.points),
         trials=args.trials, seed=args.seed,
         budget=args.budget,

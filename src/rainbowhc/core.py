@@ -4,14 +4,14 @@ Vertices are 1-based everywhere; the canonical form of an edge is the strictly
 increasing tuple of its vertices.  A colored hypergraph stores one array over
 all C(n, k) k-sets, indexed by the lex rank of each k-set (the order of
 itertools.combinations, which is also the order the samplers draw in), so
-samplers, the search index and the counting oracle all read it directly.  All
+samplers, the search index and the counting oracle all read it directly;
+lex_rank, lex_ranks and ksets_of_ranks here are its only converters.  All
 types are immutable after construction and all operations are pure functions,
 so everything here can be shared freely across concurrent workers.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,6 +24,7 @@ from .errors import InvalidInput, InvalidSpec, TooLarge
 Edge = tuple  # canonical edge: strictly increasing tuple of vertex ids
 
 _ENUMERATION_CAP = 2_000_000  # refuse to index more k-sets than this
+_UNRANK_CHUNK = 1 << 14       # present edges unranked at a time by items()
 
 
 def canonical_edge(vertices: Iterable[int]) -> Edge:
@@ -56,30 +57,34 @@ def lex_rank(n: int, edge: Edge) -> int:
     return math.comb(n, k) - 1 - sum(math.comb(n - v, k - j) for j, v in enumerate(edge))
 
 
-def kset_of_rank(n: int, k: int, rank: int) -> Edge:
-    """Inverse of lex_rank: the k-set of [n] with the given lex rank.
-
-    Walks the combinatorial number system of C(n, k) - 1 - rank, so it costs
-    at most n binomials and allocates nothing per (n, k).
-    """
-    rest = math.comb(n, k) - 1 - rank
-    edge = []
-    a = n - 1
-    for t in range(k, 0, -1):
-        while math.comb(a, t) > rest:
-            a -= 1
-        rest -= math.comb(a, t)
-        edge.append(n - a)
-        a -= 1
-    return tuple(edge)
+def _comb_column(n: int, k: int, t: int) -> np.ndarray:
+    """C(n - v, t), all below C(n, k), for each vertex v that index k-t of a
+    k-set of [n] can hold, ascending (a = n - v from t-1 to n-k+t-1)."""
+    return np.array([math.comb(a, t) for a in range(t - 1, n - k + t)], dtype=np.int64)
 
 
-@lru_cache(maxsize=4)
-def kset_table(n: int, k: int) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
-    """Rank -> k-set and rank -> vertex bitmask (bit v for vertex v)."""
-    kset_count(n, k)
-    ksets = tuple(itertools.combinations(range(1, n + 1), k))
-    return ksets, tuple(sum(1 << v for v in e) for e in ksets)
+def lex_ranks(n: int, rows: np.ndarray) -> np.ndarray:
+    """lex_rank of each row of an (N, k) array of ascending k-sets, as int64."""
+    k = rows.shape[1]
+    ranks = np.full(len(rows), math.comb(n, k) - 1, dtype=np.int64)
+    for j, column in enumerate(rows.T):
+        ranks -= _comb_column(n, k, k - j)[n - k + j + 1 - column]
+    return ranks
+
+
+def ksets_of_ranks(n: int, k: int, ranks: np.ndarray) -> np.ndarray:
+    """Inverse of lex_ranks: the ascending k-sets of [n] with the given lex
+    ranks, as an (N, k) int32 array.  Greedy in the combinatorial number
+    system of C(n, k) - 1 - rank: one searchsorted per vertex index picks
+    the largest value of its _comb_column not above what is left."""
+    rest = math.comb(n, k) - 1 - np.asarray(ranks, dtype=np.int64)
+    ksets = np.empty((len(rest), k), dtype=np.int32)
+    for j in range(k):
+        column = _comb_column(n, k, k - j)
+        index = np.searchsorted(column, rest, side="right") - 1
+        rest -= column[index]
+        ksets[:, j] = n - k + j + 1 - index
+    return ksets
 
 
 def color_bits(mask: int) -> tuple[int, ...]:
@@ -320,9 +325,11 @@ class ColoredHypergraph:
     def items(self) -> Iterator[tuple[Edge, frozenset[int]]]:
         """(edge, colors) pairs in lex order of the edges.  Unranks only the
         present edges, so a sparse hypergraph near the cap stays cheap."""
-        slots = self.by_rank
-        for rank in np.flatnonzero(slots).tolist():
-            yield kset_of_rank(self.n, self.k, rank), self._color_set(slots[rank])
+        ranks = np.flatnonzero(self.by_rank)
+        for chunk in np.array_split(ranks, len(ranks) // _UNRANK_CHUNK + 1):
+            ksets = ksets_of_ranks(self.n, self.k, chunk).tolist()
+            for edge, slot in zip(ksets, self.by_rank[chunk].tolist()):
+                yield tuple(edge), self._color_set(slot)
 
     def edges(self) -> Iterator[Edge]:
         return (edge for edge, _ in self.items())

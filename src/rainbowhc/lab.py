@@ -19,7 +19,7 @@ import io
 import math
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .core import CycleSpec
 from .errors import InvalidInput
@@ -54,11 +54,12 @@ def make_grid(start: float, stop: float, points: int, spacing: str = "linear") -
     raise InvalidInput(f"unknown spacing {spacing!r}")
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion; (0, 1) when empty."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval (z = WILSON_Z) for a proportion; (0, 1) when empty."""
     if trials == 0:
         return 0.0, 1.0
     phat = successes / trials
+    z = WILSON_Z
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
@@ -99,10 +100,9 @@ class SweepConfig:
                 raise InvalidInput(f"grid point {p} outside [0, 1]")
         if any(b <= a for a, b in zip(self.p_grid, self.p_grid[1:])):
             raise InvalidInput("p grid must be strictly increasing")
-        if self.trials < 1:
-            raise InvalidInput(f"need trials >= 1, got {self.trials}")
-        if self.workers < 1:
-            raise InvalidInput(f"need workers >= 1, got {self.workers}")
+        for name in ("r", "trials", "workers"):
+            if getattr(self, name) < 1:
+                raise InvalidInput(f"need {name} >= 1, got {getattr(self, name)}")
         if self.budget is not None and self.budget <= 0:
             raise InvalidInput(f"need a positive budget, got {self.budget}")
 
@@ -135,7 +135,7 @@ def _aggregate(config: SweepConfig, per_point: list[list[tuple[str, int]]]) -> l
         nodes_total = sum(nodes for _, nodes in outcomes)
         effective = config.trials - unknown
         phat = found / effective if effective else 0.0
-        lo, hi = wilson_interval(found, effective) if effective else (0.0, 1.0)
+        lo, hi = wilson_interval(found, effective)
         rows.append(
             SweepResult(
                 p=p,
@@ -323,18 +323,13 @@ def couple_experiment(
     )
 
 
-def estimate_crossing(
-    rows: Sequence[Union[SweepResult, tuple[float, float]]], level: float = 0.5
-) -> Optional[float]:
+def estimate_crossing(rows: Sequence[SweepResult], level: float = 0.5) -> Optional[float]:
     """Linear interpolation of the p where phat crosses `level`.
 
     Rows must be sorted by p.  Returns None when phat never crosses (the
     no-bracket case).
     """
-    points = [
-        (row.p, row.phat) if isinstance(row, SweepResult) else (float(row[0]), float(row[1]))
-        for row in rows
-    ]
+    points = [(row.p, row.phat) for row in rows]
     if any(b <= a for (a, _), (b, _) in zip(points, points[1:])):
         raise InvalidInput("rows must be sorted by strictly increasing p")
     for (p0, y0), (p1, y1) in zip(points, points[1:]):

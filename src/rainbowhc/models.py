@@ -34,6 +34,7 @@ from .core import (
     RainbowCertificate,
     canonical_edge,
     kset_count,
+    ksets_of_ranks,
     lex_rank,
 )
 from .errors import InvalidCycle, InvalidInput, NoRealRoot
@@ -111,12 +112,7 @@ def _coupled_arrays(ci: CoupledInstance) -> tuple[np.ndarray, np.ndarray]:
     """
     _check_colors(ci.r)
     n, k = ci.n, ci.k
-    total = kset_count(n, k)
-    ksets = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(1, n + 1), k)),
-        dtype=np.int32,
-        count=total * k,
-    ).reshape(total, k)
+    ksets = ksets_of_ranks(n, k, np.arange(kset_count(n, k)))
     h = derive_seed_rows(ci.seed, ksets)
     us = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53  # unit_interval
     colors = mix64_array(h ^ np.uint64(_COLOR_SALT)) % np.uint64(ci.r)

@@ -3,9 +3,10 @@
 The searcher places one vertex per cycle position, in a placement order set
 by the spec and the anchor that fixes the rotation (the rarest color when
 r = m, vertex 1 otherwise), and extends only into edges that exist, using a
-per-instance vertex-bitmask index of the present edges; colors are pruned with
-used-color bits kept in the same int as the placed vertices (single-color) or
-an incremental distinct-representatives
+per-instance vertex-bitmask index of the present edges.  Core owns the order
+of the k-sets by rank; the solver owns its rank -> bitmask table,
+_vertex_masks.  Colors are pruned with used-color bits kept in the same int as
+the placed vertices (single-color) or an incremental distinct-representatives
 matching over int color bitmasks, Kuhn augmenting paths trying colors in
 ascending order (multi-color).  A window left half-placed by the order (the
 windows through position 0 wrap around the cycle) is watched: a remembered
@@ -47,8 +48,9 @@ from .core import (
     color_bits,
     distinct_color_system,
     edges_of_hamperm,
-    kset_table,
-    lex_rank,
+    kset_count,
+    ksets_of_ranks,
+    lex_ranks,
     verify_certificate,
 )
 from .errors import InvalidInput, TooLarge
@@ -231,6 +233,15 @@ def _rarest_color(H: ColoredHypergraph) -> Optional[int]:
     return counts.index(fewest) + 1 if fewest else None
 
 
+@lru_cache(maxsize=4)
+def _vertex_masks(n: int, k: int) -> tuple[int, ...]:
+    """Rank -> vertex bitmask (bit v for vertex v) of every k-set of [n], the
+    search's bit layout over core's rank order; int64 while the bits fit."""
+    ksets = ksets_of_ranks(n, k, np.arange(kset_count(n, k)))
+    bits = np.array([1 << v for v in range(n + 1)], dtype=np.int64 if n < 63 else object)
+    return tuple(np.bitwise_or.reduce(bits[ksets], axis=1).tolist())
+
+
 def _edge_index(
     H: ColoredHypergraph, anchor: int
 ) -> tuple[dict[int, int], dict[int, int]]:
@@ -251,7 +262,7 @@ def _edge_index(
     """
     extend: dict[int, int] = {}
     colors: dict[int, int] = {}
-    masks = kset_table(H.n, H.k)[1]
+    masks = _vertex_masks(H.n, H.k)
     ranks = np.flatnonzero(H.by_rank)
     multi = H.multi_color
     get = extend.get
@@ -656,21 +667,13 @@ def _perm_edge_table(n: int, k: int, ell: int) -> np.ndarray:
     cycle edge i (window-major, so per-edge work runs over long rows)."""
     spec = CycleSpec(n, k, ell)
     perms = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(n))),
+        itertools.chain.from_iterable(itertools.permutations(range(1, n + 1))),
         dtype=np.int32,
         count=math.factorial(n) * n,
     ).reshape(math.factorial(n), n)
-    comb = np.zeros((n, k + 1), dtype=np.int64)
-    for v in range(n):
-        for t in range(k + 1):
-            comb[v, t] = math.comb(v, t)
     table = np.empty((spec.m, perms.shape[0]), dtype=np.int64)
     for i, window in enumerate(spec.windows()):
-        vals = np.sort(perms[:, list(window)], axis=1)  # 0-based vertices
-        rank = np.full(perms.shape[0], math.comb(n, k) - 1, dtype=np.int64)
-        for j in range(k):
-            rank -= comb[n - 1 - vals[:, j], k - j]
-        table[i] = rank
+        table[i] = lex_ranks(n, np.sort(perms[:, list(window)], axis=1))
     return table
 
 
@@ -757,10 +760,8 @@ def overlap_profile(spec: CycleSpec, limit: int = ENUMERATION_LIMIT) -> OverlapP
     meets = [
         [bool(ref_sets[i] & ref_sets[j]) for j in range(m)] for i in range(m)
     ]
-    total_ranks = math.comb(n, spec.k)
-    ref_index = np.full(total_ranks, -1, dtype=np.int64)
-    for i, e in enumerate(ref_edges):
-        ref_index[lex_rank(n, e)] = i
+    ref_index = np.full(kset_count(n, spec.k), -1, dtype=np.int64)
+    ref_index[lex_ranks(n, np.array(ref_edges))] = np.arange(m)  # k < n: no repeats
 
     table = _perm_edge_table(spec.n, spec.k, spec.ell)
     idx_mat = ref_index[table].T  # one row per permutation

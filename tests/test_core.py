@@ -27,13 +27,15 @@ from rainbowhc import (
 )
 from rainbowhc.core import (
     _ENUMERATION_CAP,
+    _UNRANK_CHUNK,
     color_bits,
     distinct_color_system,
-    kset_of_rank,
-    kset_table,
+    ksets_of_ranks,
     lex_rank,
+    lex_ranks,
 )
 from rainbowhc.models import _coupled_arrays
+from rainbowhc.solver import _vertex_masks
 
 from conftest import enumerate_specs
 
@@ -178,14 +180,17 @@ def test_complete_rainbow():
 
 
 def test_lex_rank_is_combinations_order():
-    for n in range(1, 9):
-        for k in range(1, n + 1):
-            ksets, masks = kset_table(n, k)
-            combos = list(itertools.combinations(range(1, n + 1), k))
-            assert list(ksets) == combos
-            assert [lex_rank(n, e) for e in combos] == list(range(math.comb(n, k)))
-            assert [kset_of_rank(n, k, i) for i in range(len(combos))] == combos
-            assert list(masks) == [sum(1 << v for v in e) for e in combos]
+    cases = [(n, k) for n in range(1, 9) for k in range(1, n + 1)]
+    for n, k in cases + [(2000, 1), (2000, 2000), (2000, 1999)]:
+        combos = list(itertools.combinations(range(1, n + 1), k))
+        ranks = list(range(math.comb(n, k)))
+        assert [lex_rank(n, e) for e in combos] == ranks
+        assert lex_ranks(n, np.array(combos, dtype=np.int32)).tolist() == ranks
+        ksets = ksets_of_ranks(n, k, np.arange(len(ranks)))
+        assert ksets.shape == (len(ranks), k)
+        assert list(map(tuple, ksets.tolist())) == combos
+        if n <= 8:
+            assert _vertex_masks(n, k) == tuple(sum(1 << v for v in e) for e in combos)
 
 
 def test_storage_is_one_array_by_rank():
@@ -201,6 +206,12 @@ def test_storage_is_one_array_by_rank():
     for probe in [(1, 2), (1, 1, 2), (0, 1, 2), (4, 5, 6), (1, 2, 3, 4)]:
         assert not H.has_edge(probe)
         assert H.colors_of(probe) == frozenset()
+
+    # items() unranks the present edges in chunks; this instance spans two
+    dense = sample_colored(50, 3, 0.9, 5, seed=3)
+    listed = [edge for edge, _ in dense.items()]
+    assert len(listed) > _UNRANK_CHUNK
+    assert listed == [e for e in itertools.combinations(range(1, 51), 3) if dense.has_edge(e)]
 
     multi = ColoredHypergraph(5, 3, 3, {(2, 3, 4): {1, 3}}, multi_color=True)
     assert multi.by_rank[lex_rank(5, (2, 3, 4))] == 0b1010
@@ -259,7 +270,7 @@ def test_more_ksets_than_the_cap_is_too_large_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert kset_table.cache_info().maxsize <= 8
+    assert _vertex_masks.cache_info().maxsize <= 8
     assert _coupled_arrays.cache_info().maxsize <= 8
 
 

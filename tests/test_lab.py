@@ -45,6 +45,8 @@ def test_config_validation():
         small_config(trials=0)
     with pytest.raises(InvalidInput):
         small_config(budget=0)  # not a positive budget
+    with pytest.raises(InvalidInput):
+        small_config(r=0)  # no colors
     with pytest.raises(Exception):
         small_config(n=7)  # divisibility
 
@@ -341,7 +343,7 @@ def test_crossing_synthetic_logistic():
     # synthesize a logistic curve, invert, recover the midpoint to a grid step
     mid, scale = 0.37, 0.04
     grid = [0.2 + 0.02 * i for i in range(20)]
-    rows = [(p, 1 / (1 + math.exp(-(p - mid) / scale))) for p in grid]
+    rows = [_row(p, 1 / (1 + math.exp(-(p - mid) / scale))) for p in grid]
     est = estimate_crossing(rows)
     assert est is not None
     assert abs(est - mid) <= 0.02

@@ -4,12 +4,14 @@ import dataclasses
 import importlib.util
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from rainbowhc import CoupleOutcome
 from rainbowhc.lab import SWEEP_CSV_COLUMNS
+from rainbowhc.moments import threshold_tight
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -58,6 +60,15 @@ def test_tight_sweep_resolves_its_density_to_a_color_count(monkeypatch, capsys):
     assert code == 0
     row = dict(zip(SWEEP_CSV_COLUMNS, out.splitlines()[1].split(",")))
     assert row["r"] == "12"
+    # the grid is centred on the density swept, r/n = 12/10, not on --c 5/4
+    code, out, _ = run_script(
+        monkeypatch, capsys, "tight_sweep",
+        "--n", "10", "--c", "5/4", "--trials", "1", "--points", "1", "--budget", "500",
+    )
+    assert code == 0
+    row = dict(zip(SWEEP_CSV_COLUMNS, out.splitlines()[1].split(",")))
+    assert row["r"] == "12"
+    assert float(row["p"]) == pytest.approx(0.5 * threshold_tight(4, Fraction(12, 10), 10))
 
 
 def test_coupling_check_prints_the_outcome_record(monkeypatch, capsys):

@@ -41,6 +41,7 @@ from rainbowhc.solver import (
     _perm_edge_table,
     _search_plan,
     _search_source,
+    _vertex_masks,
     falling_factorial,
     solver_agrees_with_oracle,
 )
@@ -582,6 +583,24 @@ def test_every_plan_shape_compiles_and_runs_up_to_n64(n):
                 out = find_rainbow_cycle(H, spec)
                 assert out.found, (spec, r, multi)
                 assert verify_certificate(H, out.certificate)
+
+
+def test_vertex_mask_table_holds_only_masks():
+    # at n = 64 the masks outgrow int64; building them for a search must not
+    # hold a tuple per k-set on the way (the plan is compiled beforehand)
+    spec = CycleSpec(64, 3, 2)
+    find_rainbow_cycle(sample_colored(64, 3, 0.05, 65, 1), spec, budget=300)
+    H = sample_colored(64, 3, 0.05, 65, 2)
+    _vertex_masks.cache_clear()
+    tracemalloc.start()
+    try:
+        out = find_rainbow_cycle(H, spec, budget=300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.status is SearchStatus.UNKNOWN
+    assert _vertex_masks(64, 3)[-1] == (1 << 62) | (1 << 63) | (1 << 64)
+    assert peak < 3.5 * (1 << 20)
 
 
 # -- count_hamperms ------------------------------------------------------------
