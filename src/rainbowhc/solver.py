@@ -10,7 +10,9 @@ the placed vertices (single-color) or an incremental distinct-representatives
 matching over int color bitmasks, Kuhn augmenting paths trying colors in
 ascending order (multi-color).  A window left half-placed by the order (the
 windows through position 0 wrap around the cycle) is watched: a remembered
-completion edge is re-checked, and the branch cut when none is left.
+completion edge is re-checked, and the branch cut when none is left.  The
+plan watches only where a cut can happen, and a window one vertex short of
+an edge reads its completions off the index instead of scanning the edges.
 Without a budget the search is exhaustive and proves absence; with one it
 gives up after a node quota and reports Unknown.  Each search plan is
 compiled once into Python source: one `while` loop per placement step, each
@@ -149,7 +151,14 @@ def _search_plan(spec: CycleSpec, anchored: bool):
         the higher index.  begins is True when window j was not watched
         after step s-1, which happens only at a step placing one of j's
         positions; its placed set does not change while it is watched, so
-        its completions are rebuilt only where a watch begins.
+        its completions are rebuilt only where a watch begins.  The watch is
+        None when no window waits, and also when it cannot cut and does not
+        carry on to step s+1 (whose check would read its list again).  It
+        cannot cut when every placed position lies in window j, so no window
+        has closed and no color is used, and a filter window of j's class
+        holds them all with the position of step s: that filter has put the
+        placed vertices in a present untagged edge, and no vertex or color
+        can block its completion.
     force_one: the step placing the last position of the first block that
         can hold the minimum of its run; vertex 1 is forced there if still
         unplaced.  -1 in the color-anchored plan, which has no vertex-1 rule.
@@ -192,6 +201,20 @@ def _search_plan(spec: CycleSpec, anchored: bool):
         j = -min(waiting)[1]
         previous = watch[-1] if watch else None
         watch.append((j, previous is None or previous[0] != j))
+    for s, w in enumerate(watch):
+        if w is None or s + 1 < n and watch[s + 1] == (w[0], False):
+            continue
+        # every placed position in the unfinished window j means no window
+        # has closed, so no color is used; a filter window of j's class that,
+        # with step s, holds them all put them in a present untagged edge
+        # that nothing blocks, so the watch cannot cut
+        early = set(range(s + 1))
+        if early <= set(steps[w[0]]) and any(
+            early <= set(steps[i])
+            for i in filters[s]
+            if not (anchored and 0 in (i, w[0]))
+        ):
+            watch[s] = None
     watch = tuple(watch)
     ordered = [
         (s - 1, 1) if s > 0 and order[s - 1] == p - 1 and member[s] == member[s - 1]
@@ -288,6 +311,41 @@ def _edge_index(
             sub = (sub - 1) & edge
             extend[sub] = get(sub, 0) | (edge ^ sub)
     return extend, colors
+
+
+def _completions(
+    extend: dict[int, int],
+    colors_of: dict[int, int],
+    placed: int,
+    one_short: bool,
+    multi: bool,
+) -> list[int]:
+    """Completions of a watched window whose placed vertices are `placed`.
+
+    One per present untagged edge holding them: the edge's vertices outside
+    `placed` with its color bits, which lie past the vertex bits
+    (multi-color: no color bits, as the matching may still reassign colors),
+    so one AND against the placed vertices and used colors tests it.  The
+    list ends in a 0, which no AND blocks and no completion equals.  When
+    `placed` is one_short, one vertex short of an edge, each vertex u of
+    extend[placed] gives the edge placed | u, in ascending vertex order;
+    otherwise every edge is scanned, in colors_of's order.
+    """
+    if one_short:
+        comps = []
+        rest = extend.get(placed, 0)
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            comps.append(u if multi else u | colors_of[placed | u])
+    else:
+        comps = [
+            (edge ^ placed) | (0 if multi else bits)
+            for edge, bits in colors_of.items()
+            if not edge & 1 and edge & placed == placed
+        ]
+    comps.append(0)
+    return comps
 
 
 def _search_source(spec: CycleSpec, anchored: bool, multi: bool) -> str:
@@ -508,15 +566,20 @@ def find_rainbow_cycle(
     A window whose next position comes more than one step later is read by
     no extend filter until then; the windows through position 0 wait like
     this for most of the search.  After each step the plan watches one such
-    window (see _search_plan's watch table), and the search keeps its
-    completions: the present edges containing its placed vertices, each as
-    the vertices still missing plus its color (multi-color: no color, as
-    the matching may still reassign colors).  A placement that passes the
-    color check descends only if some completion has all its missing
-    vertices free and its color unused.  The index of the first such
-    completion, the witness, is passed down the branch; free vertices only
-    shrink and used colors only grow along a branch, so it only moves
-    forward, a residual support in the sense of Lecoutre and Hemery.
+    window, unless the watch could not cut (see _search_plan's watch
+    table), and the search keeps its completions (see _completions): the
+    present edges containing its placed vertices, each as the vertices
+    still missing plus its color (multi-color: no color, as the matching
+    may still reassign colors).  A window one vertex short of an edge
+    reads them off the index, one per vertex of its extend set; any other
+    scans the edges.  A placement that passes the color check descends
+    only if some completion has all its missing vertices free and its
+    color unused.  The index of the first such completion, the witness, is
+    passed down the branch; free vertices only shrink and used colors only
+    grow along a branch, so it only moves forward, a residual support in
+    the sense of Lecoutre and Hemery.  A cut depends only on whether some
+    completion fits, not on their order, so neither the dropped watches
+    nor the order of the lists read off the index change the search tree.
 
     Rotating a permutation by multiples of k-ell moves every edge to the
     next window, so one rotation can be fixed.  With r = m colors a rainbow
@@ -568,26 +631,18 @@ def find_rainbow_cycle(
         if anchor is None:
             return SearchOutcome(SearchStatus.NOT_FOUND, None, 0, reason="missing_color")
 
-    n = spec.n
+    n, k = spec.n, spec.k
     anchored = bool(anchor)
     extend, colors_of = _edge_index(H, anchor)
     multi = H.multi_color
-    # a completion packs an edge's vertices outside a window's placed set
-    # with its color bit, which lies past the vertex bits (multi-color: no
-    # color bit, as the matching may still reassign colors), so one AND
-    # against the placed vertices and used colors tests it; each list ends
-    # in a 0, which no AND blocks and no completion equals
     completion_lists: dict[int, list[int]] = {}
 
     def completions(placed: int) -> list[int]:
         comps = completion_lists.get(placed)
         if comps is None:
-            comps = completion_lists[placed] = [
-                (edge ^ placed) | (0 if multi else bits)
-                for edge, bits in colors_of.items()
-                if not edge & 1 and edge & placed == placed
-            ]
-            comps.append(0)
+            comps = completion_lists[placed] = _completions(
+                extend, colors_of, placed, placed.bit_count() == k - 1, multi
+            )
         return comps
 
     # multi-color matching of completed windows to distinct colors
@@ -802,6 +857,16 @@ def _both_rainbow_probability(b: int, m: int, r: int) -> Fraction:
     )
 
 
+def _check_moment_args(p, r: int) -> Fraction:
+    """p as a Fraction; InvalidInput unless p lies in [0, 1] and r >= 1."""
+    if r < 1:
+        raise InvalidInput(f"need at least one color, got r = {r}")
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise InvalidInput(f"p must lie in [0, 1], got {p}")
+    return p
+
+
 def second_moment_from_profile(
     profile: OverlapProfile, p, r: int
 ) -> Fraction:
@@ -814,9 +879,7 @@ def second_moment_from_profile(
     m = spec.m
     if r < m:
         raise InvalidInput(f"r = {r} < m = {m}: E(Y) = 0 regime")
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise InvalidInput(f"p must lie in [0, 1], got {p}")
+    p = _check_moment_args(p, r)
     total = Fraction(0)
     for b, count in profile.by_overlap().items():
         total += count * p ** (2 * m - b) * _both_rainbow_probability(b, m, r)
@@ -833,9 +896,7 @@ def second_moment_bruteforce(
     p^{|union|} * Pr(both rainbow).  No overlap table, no path counting.
     """
     _check_limit(spec.n, limit, PAIRWISE_LIMIT, "pairwise")
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise InvalidInput(f"p must lie in [0, 1], got {p}")
+    p = _check_moment_args(p, r)
     total = Fraction(0)
     for (union, b), count in _pair_counts(spec):
         total += count * p**union * _both_rainbow_probability(b, spec.m, r)
@@ -871,7 +932,7 @@ def expected_Y_bruteforce(
     its column of the permutation table.
     """
     _check_limit(spec.n, limit, ENUMERATION_LIMIT, "enumeration")
-    p = Fraction(p)
+    p = _check_moment_args(p, r)
     ranks = np.sort(_perm_edge_table(spec.n, spec.k, spec.ell), axis=0)
     distinct = 1 + np.count_nonzero(ranks[1:] != ranks[:-1], axis=0)
     total = Fraction(0)

@@ -37,6 +37,8 @@ from rainbowhc.core import color_bits, distinct_color_system, lex_rank
 from rainbowhc.solver import (
     CHUNK_STEPS,
     _compiled_search,
+    _completions,
+    _edge_index,
     _pair_counts,
     _perm_edge_table,
     _search_plan,
@@ -173,6 +175,21 @@ def test_bench_spec_plans(spec):
         _check_search_plan(spec, anchored)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [s for s in enumerate_specs(9) if s.ell == s.k - 1 and s.k >= 4] + [CycleSpec(10, 4, 3)],
+    ids=lambda s: f"{s.n}-{s.k}-{s.ell}",
+)
+def test_tight_plans_drop_the_first_two_watches(spec):
+    # at k >= 4 the windows watched after steps 0 and 1 hold every placed
+    # position, neither watch carries on, and neither can cut, so both go.
+    # At k <= 3 the watch after step 1 stays: it carries on (k = 3) or can
+    # cut (k = 2)
+    for anchored in (False, True):
+        watch = _search_plan(spec, anchored)[5]
+        assert watch[0] is None and watch[1] is None, anchored
+
+
 def test_filters_halve_tight_anchored_lookups():
     member, filters = _search_plan(CycleSpec(10, 4, 3), True)[1:3]
     assert sum(map(len, member)) == 40 and sum(map(len, filters)) == 20
@@ -209,29 +226,47 @@ def _check_search_plan(spec, anchored):
             ]
             assert bool(implied_by) == (j not in kept), (s, j)
 
-    # the watched window waits: it has placed positions, not all of them,
-    # and its next one is not placed at the following step; it has the
-    # fewest unplaced positions of the waiting windows, ties to the higher
-    # index, and its placed set does not change while it is watched
-    for s in range(n):
+    # a window waits after step s when it has placed positions, not all of
+    # them, and its next one is not placed at the following step; the
+    # candidate watch is the waiting window with the fewest unplaced
+    # positions, ties to the higher index
+    def candidate(s):
         waiting = [
             j for j, w in enumerate(windows)
             if placed(j, s + 1) and len(placed(j, s + 1)) < len(w)
             and min(step_of[p] for p in w if step_of[p] > s) > s + 1
         ]
         if not waiting:
-            assert watch[s] is None
-            continue
-        j, begins = watch[s]
-        assert j in waiting
-        unplaced = {i: len(windows[i]) - len(placed(i, s + 1)) for i in waiting}
-        assert all(
-            unplaced[i] > unplaced[j] or (unplaced[i] == unplaced[j] and i <= j)
-            for i in waiting
+            return None
+        return min(waiting, key=lambda j: (len(windows[j]) - len(placed(j, s + 1)), -j))
+
+    # the candidate cannot cut when no window has closed (no color is used),
+    # every placed position lies in it, and a filter window of its class
+    # holds them all once step s is placed: that filter put them in a present
+    # untagged edge that no vertex or color blocks.  Such a watch is dropped
+    # unless it carries on to step s+1, which reads its list again
+    for s in range(n):
+        j = candidate(s)
+        carries = j is not None and s + 1 < n and candidate(s + 1) == j
+        everything = {order[t] for t in range(s + 1)}
+        cannot_cut = (
+            j is not None
+            and not any(max(step_of[p] for p in w) <= s for w in windows)
+            and everything <= set(windows[j])
+            and any(
+                everything <= placed(i, s + 1)
+                for i in filters[s] if same_class(i, j)
+            )
         )
+        if j is None or cannot_cut and not carries:
+            assert watch[s] is None, s
+            continue
+        assert watch[s] is not None and watch[s][0] == j, s
+        begins = watch[s][1]
         continued = s > 0 and watch[s - 1] is not None and watch[s - 1][0] == j
         assert begins == (not continued)
         if continued:
+            # its placed set does not change while it is watched
             assert placed(j, s) == placed(j, s + 1)
         else:
             # the search rebuilds the completions with the vertex just placed
@@ -422,6 +457,35 @@ def test_compiled_search_shows_its_source(anchored, multi):
     assert lines[0].startswith("def search(")
     assert ("claim(" in source) == multi
     assert _compiled_search(spec, anchored, multi) is _compiled_search(spec, anchored, multi)
+
+
+@pytest.mark.parametrize(
+    "H, anchor",
+    [
+        (sample_colored(8, 4, 0.5, 8, 1), 0),
+        (sample_colored(8, 4, 0.5, 8, 2), 3),  # the anchor's edges are tagged
+        (sample_directed(8, 3, 0.2, 4, 3), 0),
+        (sample_directed(8, 3, 0.2, 4, 4), 2),
+    ],
+    ids=["single", "single-anchored", "multi", "multi-anchored"],
+)
+def test_one_short_completions_match_the_scan(H, anchor):
+    # the completions of a set one vertex short of an edge are read off the
+    # index in ascending vertex order; as a set they are the scan's
+    extend, colors_of = _edge_index(H, anchor)
+    untagged = [edge for edge in colors_of if not edge & 1]
+    assert untagged and (not anchor or len(untagged) < len(colors_of))
+    for edge in untagged:
+        vertices = [1 << v for v in range(1, H.n + 1) if edge >> v & 1]
+        for rest in itertools.combinations(vertices, H.k - 1):
+            placed = sum(rest)
+            short = _completions(extend, colors_of, placed, True, H.multi_color)
+            scan = _completions(extend, colors_of, placed, False, H.multi_color)
+            assert short[-1] == scan[-1] == 0
+            assert len(set(short)) == len(short) == len(scan)
+            assert set(short) == set(scan)
+            low_bits = [c & -c for c in short[:-1]]
+            assert low_bits == sorted(low_bits)
 
 
 def test_spec_mismatch():
@@ -950,6 +1014,19 @@ def test_second_moment_rejects_r_below_m():
         second_moment_from_profile(profile, Fraction(1, 2), spec.m - 1)
 
 
+def test_second_moment_bruteforce_checks_its_arguments():
+    spec = CycleSpec(6, 3, 1)  # m = 3
+    for r in (0, -1, -2):
+        with pytest.raises(InvalidInput):
+            second_moment_bruteforce(spec, Fraction(1, 2), r)
+    for p in (2, -1, Fraction(3, 2)):
+        with pytest.raises(InvalidInput):
+            second_moment_bruteforce(spec, p, spec.m)
+    # too few colors for a rainbow cycle is a value, not an error
+    for r in range(1, spec.m):
+        assert second_moment_bruteforce(spec, Fraction(1, 2), r) == 0
+
+
 def test_second_moment_diagonal_term():
     # b = m algebra at r = m: each diagonal pair contributes
     # p^m * (m)_m / m^m = p^m * m!/m^m, so the n! diagonal pairs sum to E(Y)
@@ -985,6 +1062,18 @@ def test_expected_y_known_value():
     # n=6, k=3, ell=1, p=1/2, r=3: 720 * (1/8) * (6/27) = 20
     spec = CycleSpec(6, 3, 1)
     assert expected_Y_bruteforce(spec, Fraction(1, 2), 3) == 20
+
+
+def test_expected_y_bruteforce_checks_its_arguments():
+    spec = CycleSpec(6, 3, 1)
+    for p in (2, -1, Fraction(3, 2)):
+        with pytest.raises(InvalidInput):
+            expected_Y_bruteforce(spec, p, 3)
+    for r in (0, -1, -2):
+        with pytest.raises(InvalidInput):
+            expected_Y_bruteforce(spec, Fraction(1, 2), r)
+    assert expected_Y_bruteforce(spec, 0, 1) == 0
+    assert expected_Y_bruteforce(spec, 1, 1) == 0  # r < m: no rainbow cycle
 
 
 # -- falling factorial ----------------------------------------------------------
