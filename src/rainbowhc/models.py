@@ -116,7 +116,10 @@ def _coupled_arrays(ci: CoupledInstance) -> tuple[np.ndarray, np.ndarray]:
     h = derive_seed_rows(ci.seed, ksets)
     us = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53  # unit_interval
     colors = mix64_array(h ^ np.uint64(_COLOR_SALT)) % np.uint64(ci.r)
-    return us, colors.astype(np.int64) + 1
+    colors = colors.astype(np.int64) + 1
+    # every caller shares the cached pair, so no caller may write to it
+    us.flags.writeable = colors.flags.writeable = False
+    return us, colors
 
 
 def q_from_p(p: float) -> float:

@@ -27,7 +27,6 @@ from typing import Union
 
 from .core import CycleSpec
 from .errors import InvalidInput
-from .solver import falling_factorial
 
 Rational = Union[int, float, Fraction]
 
@@ -78,7 +77,7 @@ def exact_expected_Y(params: MomentParams) -> Fraction:
     return (
         math.factorial(params.n)
         * p**m
-        * Fraction(falling_factorial(r, m), r**m)
+        * Fraction(math.perm(r, m), r**m)
     )
 
 

@@ -3,10 +3,11 @@
 The searcher places one vertex per cycle position, in a placement order set
 by the spec and the anchor that fixes the rotation (the rarest color when
 r = m, vertex 1 otherwise), and extends only into edges that exist, using a
-per-instance vertex-bitmask index of the present edges.  Core owns the order
-of the k-sets by rank; the solver owns its rank -> bitmask table,
-_vertex_masks.  Colors are pruned with used-color bits kept in the same int as
-the placed vertices (single-color) or an incremental distinct-representatives
+per-instance vertex-bitmask index of the present edges, built in one numpy
+pass on dense single-color instances and by a per-subset loop otherwise.
+Core owns the order of the k-sets by rank; the solver owns its rank ->
+bitmask table, _vertex_masks.  Colors are pruned with used-color bits kept
+in the same int as the placed vertices (single-color) or an incremental distinct-representatives
 matching over int color bitmasks, Kuhn augmenting paths trying colors in
 ascending order (multi-color).  A window left half-placed by the order (the
 windows through position 0 wrap around the cycle) is watched: a remembered
@@ -61,6 +62,10 @@ ENUMERATION_LIMIT = 9       # n! enumeration cap for counting oracles
 PAIRWISE_LIMIT = 7          # (n!)^2 cap for the pairwise second-moment oracle
 CHUNK_STEPS = 15            # placement steps per generated search function
 COLUMN_CHUNK = 1 << 14      # permutation columns per chunk of the multi-color oracle
+DENSE_INDEX_MAX_N = 16      # the numpy index's 2^(n+1)-entry table: 1 MB at n = 16
+# E * 2^k (present edges times subsets) from which the numpy index runs: it
+# overtook the loop at ~250-400 pairs for n <= 14 and ~900 at n = 16
+DENSE_INDEX_MIN_PAIRS = 1024
 
 
 class SearchStatus(Enum):
@@ -257,12 +262,40 @@ def _rarest_color(H: ColoredHypergraph) -> Optional[int]:
 
 
 @lru_cache(maxsize=4)
-def _vertex_masks(n: int, k: int) -> tuple[int, ...]:
-    """Rank -> vertex bitmask (bit v for vertex v) of every k-set of [n], the
-    search's bit layout over core's rank order; int64 while the bits fit."""
+def _vertex_masks(
+    n: int, k: int
+) -> tuple[tuple[int, ...], Optional[np.ndarray]]:
+    """The search's bit layout (bit v for vertex v) over core's rank order.
+
+    Returns (masks, bits): masks[rank] is the vertex bitmask of the k-set of
+    that rank, a Python int; bits[rank] is the read-only int64 row of its k
+    vertex bits, ascending, which the dense index reads, so it is built only
+    for n <= DENSE_INDEX_MAX_N and is None otherwise.
+    """
     ksets = ksets_of_ranks(n, k, np.arange(kset_count(n, k)))
-    bits = np.array([1 << v for v in range(n + 1)], dtype=np.int64 if n < 63 else object)
-    return tuple(np.bitwise_or.reduce(bits[ksets], axis=1).tolist())
+    vertex_bit = np.array([1 << v for v in range(n + 1)], dtype=np.int64 if n < 63 else object)
+    bits = vertex_bit[ksets]
+    masks = tuple(np.bitwise_or.reduce(bits, axis=1).tolist())
+    if n > DENSE_INDEX_MAX_N:
+        return masks, None
+    bits.flags.writeable = False
+    return masks, bits
+
+
+def _dense_index(H: ColoredHypergraph) -> bool:
+    """Whether _edge_index builds H's index in one numpy pass.
+
+    Only single-color instances with n <= DENSE_INDEX_MAX_N and at least
+    DENSE_INDEX_MIN_PAIRS (edge, subset) pairs, E * 2^k, take that pass:
+    on small instances its fixed numpy costs make it slower than the
+    per-subset loop, which is also the only routine for multi-color and
+    larger-n instances.
+    """
+    return (
+        not H.multi_color
+        and H.n <= DENSE_INDEX_MAX_N
+        and H.edge_count << H.k >= DENSE_INDEX_MIN_PAIRS
+    )
 
 
 def _edge_index(
@@ -282,10 +315,22 @@ def _edge_index(
     with the anchor as their only color; the untagged keys index the other
     edges, the anchor removed from their colors (an edge left with no color
     leaves).
+
+    Two routines build the same dicts, the instance choosing which (see
+    _dense_index): _dense_edge_index in one numpy pass, _looped_edge_index
+    one subset at a time.
     """
+    return (_dense_edge_index if _dense_index(H) else _looped_edge_index)(H, anchor)
+
+
+def _looped_edge_index(
+    H: ColoredHypergraph, anchor: int
+) -> tuple[dict[int, int], dict[int, int]]:
+    """_edge_index of any instance: each edge's proper subsets walked in a
+    loop, largest first, each one a dict update."""
     extend: dict[int, int] = {}
     colors: dict[int, int] = {}
-    masks = _vertex_masks(H.n, H.k)
+    masks = _vertex_masks(H.n, H.k)[0]
     ranks = np.flatnonzero(H.by_rank)
     multi = H.multi_color
     get = extend.get
@@ -310,6 +355,34 @@ def _edge_index(
         while sub:
             sub = (sub - 1) & edge
             extend[sub] = get(sub, 0) | (edge ^ sub)
+    return extend, colors
+
+
+def _dense_edge_index(
+    H: ColoredHypergraph, anchor: int
+) -> tuple[dict[int, int], dict[int, int]]:
+    """_edge_index of a single-color instance with n <= DENSE_INDEX_MAX_N, in
+    one numpy pass: every subset of every edge is one entry of an (E, 2^k)
+    array, the product of the edges' vertex bits with the 0/1 matrix of
+    subset patterns.  Its last column is the edge itself, the others are the
+    proper subsets, which the anchor's edges tag with bit 0; one unbuffered
+    OR gathers each key's rests (edge minus subset) in a table over all
+    2^(n+1) keys, whose nonzero entries are extend."""
+    n, k = H.n, H.k
+    ranks = np.flatnonzero(H.by_rank)
+    slots = H.by_rank[ranks]
+    patterns = np.arange(1 << k) >> np.arange(k)[:, None] & 1
+    subsets = _vertex_masks(n, k)[1][ranks] @ patterns
+    edges, subsets = subsets[:, -1], subsets[:, :-1]
+    tags = (slots == anchor).astype(np.int64)  # no edge carries color 0
+    table = np.zeros(1 << (n + 1), dtype=np.int64)
+    np.bitwise_or.at(table, subsets | tags[:, None], edges[:, None] - subsets)
+    keys = np.flatnonzero(table != 0)  # a bool scan: ~4x faster than int64's
+    extend = dict(zip(keys.tolist(), table[keys].tolist()))
+    colors = {
+        edge: 1 << (slot + n + 1)
+        for edge, slot in zip((edges | tags).tolist(), slots.tolist())
+    }
     return extend, colors
 
 
@@ -729,6 +802,7 @@ def _perm_edge_table(n: int, k: int, ell: int) -> np.ndarray:
     table = np.empty((spec.m, perms.shape[0]), dtype=np.int64)
     for i, window in enumerate(spec.windows()):
         table[i] = lex_ranks(n, np.sort(perms[:, list(window)], axis=1))
+    table.flags.writeable = False  # cached: every oracle call shares it
     return table
 
 
@@ -837,23 +911,18 @@ def overlap_profile(spec: CycleSpec, limit: int = ENUMERATION_LIMIT) -> OverlapP
     return OverlapProfile(spec, counts)
 
 
-def falling_factorial(x: int, t: int) -> int:
-    """(x)_t = x (x-1) ... (x-t+1); zero when t > x >= 0."""
-    out = 1
-    for i in range(t):
-        out *= x - i
-    return out
-
-
 def _both_rainbow_probability(b: int, m: int, r: int) -> Fraction:
     """Pr(two cycles sharing b edges are both rainbow), colors iid uniform.
 
     The first cycle is rainbow with probability (r)_m / r^m; conditioned on
     that, the second needs its m-b fresh edges colored distinctly avoiding
-    the b shared colors: (r-b)_{m-b} / r^{m-b}.
+    the b shared colors: (r-b)_{m-b} / r^{m-b}.  The falling factorials
+    (x)_t are math.perm(x, t); with r < m colors neither cycle is rainbow.
     """
-    return Fraction(falling_factorial(r, m), r**m) * Fraction(
-        falling_factorial(r - b, m - b), r ** (m - b)
+    if r < m:
+        return Fraction(0)
+    return Fraction(math.perm(r, m), r**m) * Fraction(
+        math.perm(r - b, m - b), r ** (m - b)
     )
 
 
@@ -937,7 +1006,7 @@ def expected_Y_bruteforce(
     distinct = 1 + np.count_nonzero(ranks[1:] != ranks[:-1], axis=0)
     total = Fraction(0)
     for d, count in enumerate(np.bincount(distinct).tolist()):
-        total += count * p**d * Fraction(falling_factorial(r, d), r**d)
+        total += count * p**d * Fraction(math.perm(r, d), r**d)
     return total
 
 

@@ -190,7 +190,9 @@ def test_lex_rank_is_combinations_order():
         assert ksets.shape == (len(ranks), k)
         assert list(map(tuple, ksets.tolist())) == combos
         if n <= 8:
-            assert _vertex_masks(n, k) == tuple(sum(1 << v for v in e) for e in combos)
+            masks, bits = _vertex_masks(n, k)
+            assert masks == tuple(sum(1 << v for v in e) for e in combos)
+            assert bits.tolist() == [[1 << v for v in e] for e in combos]
 
 
 def test_storage_is_one_array_by_rank():

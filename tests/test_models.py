@@ -128,6 +128,16 @@ def test_coupled_arrays_match_scalar_definition(n, k, r, seed):
     assert colors.tolist() == want_colors
 
 
+def test_coupled_arrays_are_read_only():
+    # every realize of an instance reads the one cached pair
+    ci = CoupledInstance(8, 3, 4, seed=3)
+    before = ci.realize(0.5)
+    for array in _coupled_arrays(ci):
+        with pytest.raises(ValueError):
+            array[0] = 0.99
+    assert ci.realize(0.5) == before
+
+
 def test_level_of_is_when_the_edges_all_appear():
     # csweep settles every grid point above a certificate's level as found
     ci = CoupledInstance(8, 3, 4, seed=3)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from rainbowhc import (
     ColoredHypergraph,
+    CoupledInstance,
     CycleSpec,
     Hamperm,
     InvalidInput,
@@ -32,19 +33,25 @@ from rainbowhc import (
     second_moment_from_profile,
     verify_certificate,
 )
+from rainbowhc import solver
+from rainbowhc.cli import main
+from rainbowhc.lab import make_grid
 from rainbowhc.seeds import derive_seed
 from rainbowhc.core import color_bits, distinct_color_system, lex_rank
 from rainbowhc.solver import (
     CHUNK_STEPS,
+    DENSE_INDEX_MIN_PAIRS,
     _compiled_search,
     _completions,
+    _dense_edge_index,
+    _dense_index,
     _edge_index,
+    _looped_edge_index,
     _pair_counts,
     _perm_edge_table,
     _search_plan,
     _search_source,
     _vertex_masks,
-    falling_factorial,
     solver_agrees_with_oracle,
 )
 
@@ -406,18 +413,25 @@ def test_planted_cycle_found_under_relabeling(multi):
 def test_search_leaves_no_garbage():
     # the recursive closures of a search reach themselves through their
     # cells; the search breaks those cycles, so nothing waits for the
-    # collector, whatever the plan or the way the search ends
-    spec = CycleSpec(8, 3, 1)
+    # collector, whatever the plan, the index routine or the way the search
+    # ends (each search runs once first: compiling a plan leaves garbage of
+    # its own, once per process)
+    loose, tight = CycleSpec(8, 3, 1), CycleSpec(10, 4, 3)
+    dense = CoupledInstance(10, 4, 10, derive_seed(2, 0)).realize(0.64)
+    assert _dense_index(dense)
     instances = [
-        sample_colored(8, 3, 0.3, 4, seed=2),
-        sample_colored(8, 3, 0.3, 5, seed=0),
-        sample_directed(8, 3, 0.05, 4, seed=3),
-        sample_directed(8, 3, 0.05, 5, seed=3),
+        (sample_colored(8, 3, 0.3, 4, seed=2), loose),
+        (sample_colored(8, 3, 0.3, 5, seed=0), loose),
+        (sample_directed(8, 3, 0.05, 4, seed=3), loose),
+        (sample_directed(8, 3, 0.05, 5, seed=3), loose),
+        (dense, tight),
     ]
+    for H, spec in instances:
+        find_rainbow_cycle(H, spec)
     gc.collect()
     gc.disable()
     try:
-        for H in instances:
+        for H, spec in instances:
             for budget in (None, 5):
                 find_rainbow_cycle(H, spec, budget)
                 assert gc.collect() == 0, (H, budget)
@@ -486,6 +500,105 @@ def test_one_short_completions_match_the_scan(H, anchor):
             assert set(short) == set(scan)
             low_bits = [c & -c for c in short[:-1]]
             assert low_bits == sorted(low_bits)
+
+
+def _index_instances():
+    """Single-color instances on both sides of the dense index's rule, each
+    with r = m and r = m + 1."""
+    spec = CycleSpec(10, 4, 3)
+    for r in (spec.m, spec.m + 1):
+        for t in range(2):
+            ci = CoupledInstance(10, 4, r, derive_seed(2, r, t))
+            for p in make_grid(0.37, 1.0, 8):  # csweep_tight10's grid
+                yield ci.realize(p)
+    for (n, k, ell), grid in [
+        ((12, 3, 1), (0.02, 0.1, 0.35, 0.6, 1.0)),
+        ((16, 4, 3), (0.005, 0.02, 0.1)),
+        ((9, 5, 4), (0.05, 0.2, 0.5, 1.0)),
+    ]:
+        m = CycleSpec(n, k, ell).m
+        for r in (m, m + 1):
+            for i, p in enumerate(grid):
+                yield sample_colored(n, k, p, r, derive_seed(5, n, r, i))
+
+
+def test_dense_index_equals_the_loop():
+    # the numpy routine builds the loop's dicts key for key, colors_of in the
+    # same order (the completion scan reads it in that order), with no
+    # anchor, the rarest color and another color
+    sides = set()
+    for H in _index_instances():
+        sides.add(_dense_index(H))
+        rarest = solver._rarest_color(H)
+        for anchor in {0, rarest or 0, 1 if rarest != 1 else 2}:
+            extend, colors_of = _looped_edge_index(H, anchor)
+            dense_extend, dense_colors = _dense_edge_index(H, anchor)
+            assert dense_extend == extend, (H, anchor)
+            assert list(dense_colors.items()) == list(colors_of.items()), (H, anchor)
+            assert _edge_index(H, anchor) == (extend, colors_of)
+    assert sides == {False, True}
+
+
+def test_dense_index_rule():
+    # single-color, n <= 16 and E * 2^k >= DENSE_INDEX_MIN_PAIRS, nothing else
+    H = sample_colored(10, 4, 1.0, 10, 1)
+    assert H.edge_count << 4 >= DENSE_INDEX_MIN_PAIRS and _dense_index(H)
+    assert not _dense_index(sample_colored(10, 4, 0.05, 10, 1))
+    assert _dense_index(sample_colored(16, 3, 0.3, 16, 1))
+    assert not _dense_index(sample_colored(17, 3, 0.3, 17, 1))
+    directed = sample_directed(10, 4, 0.05, 10, 1)
+    assert directed.edge_count << 4 >= DENSE_INDEX_MIN_PAIRS and not _dense_index(directed)
+
+
+def test_bench_shaped_searches_take_their_index_routine(monkeypatch, capsys):
+    # the calls csweep_tight10, sweep_loose12 and couple_directed8 make:
+    # every csweep search has 1,184-3,360 (edge, subset) pairs and takes the
+    # numpy pass; sweep (<= 704 pairs) and couple (<= 232 pairs, or
+    # multi-color) take the loop
+    taken = []
+
+    def recording(H):
+        taken.append((H.multi_color, H.edge_count << H.k, _dense_index(H)))
+        return taken[-1][2]
+
+    monkeypatch.setattr(solver, "_dense_index", recording)
+    calls = {
+        "csweep": [
+            ["csweep", "--n", "10", "--k", "4", "--ell", "3", "--c", "1",
+             "--p-grid", "0.37:1.0:8", "--mode", "budgeted", "--budget", "50000",
+             "--trials", "1", "--seed", str(seed)]
+            for seed in range(2, 7)
+        ],
+        "sweep": [
+            ["sweep", "--n", "12", "--k", "3", "--ell", "1", "--r", "6",
+             "--p-grid", "0.02:0.35:9", "--trials", "1", "--seed", str(seed)]
+            for seed in range(1, 7)
+        ],
+        "couple": [
+            ["couple", "--n", "8", "--k", "3", "--p", "0.05", "--trials", "100",
+             "--seed", str(seed)]
+            for seed in range(1010, 1018)
+        ],
+    }
+    seen = {}
+    for name, argvs in calls.items():
+        taken.clear()
+        for argv in argvs:
+            assert main(argv) == 0
+        capsys.readouterr()
+        seen[name] = list(taken)
+    assert all(dense and 1184 <= pairs <= 3360 for _, pairs, dense in seen["csweep"])
+    assert not any(dense or pairs > 704 for _, pairs, dense in seen["sweep"])
+    assert not any(dense for _, _, dense in seen["couple"])
+    assert all(multi or pairs <= 232 for multi, pairs, _ in seen["couple"])
+    assert all(seen.values())
+
+
+def test_shared_caches_are_read_only():
+    # cached arrays are handed to every caller; a write would reach them all
+    for array in (_perm_edge_table(6, 3, 1), _vertex_masks(10, 4)[1]):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0
 
 
 def test_spec_mismatch():
@@ -663,7 +776,8 @@ def test_vertex_mask_table_holds_only_masks():
     finally:
         tracemalloc.stop()
     assert out.status is SearchStatus.UNKNOWN
-    assert _vertex_masks(64, 3)[-1] == (1 << 62) | (1 << 63) | (1 << 64)
+    assert _vertex_masks(64, 3)[0][-1] == (1 << 62) | (1 << 63) | (1 << 64)
+    assert _vertex_masks(64, 3)[1] is None  # no dense index past n = 16
     assert peak < 3.5 * (1 << 20)
 
 
@@ -1041,7 +1155,7 @@ def test_second_moment_diagonal_term():
     p = Fraction(1, 3)
     diagonal_sum = math.factorial(5) * p**m * _both_rainbow_probability(m, m, m)
     assert diagonal_sum == math.factorial(5) * p**m * Fraction(
-        falling_factorial(m, m), m**m
+        math.perm(m, m), m**m
     )
 
 
@@ -1081,9 +1195,10 @@ def test_expected_y_bruteforce_checks_its_arguments():
 @given(st.integers(0, 30), st.integers(0, 12))
 @settings(max_examples=200, deadline=None)
 def test_falling_factorial(x, t):
+    # the moments read (x)_t = x (x-1) ... (x-t+1) off math.perm
     expected = 1
     for i in range(t):
         expected *= x - i
-    assert falling_factorial(x, t) == expected
+    assert math.perm(x, t) == expected
     if t > x:
-        assert falling_factorial(x, t) == 0
+        assert math.perm(x, t) == 0
