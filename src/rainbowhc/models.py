@@ -127,9 +127,10 @@ def q_from_p(p: float) -> float:
 
     Defined for 0 <= p <= 1/8; the smaller root is the one that vanishes
     with p, which is the regime the coupling is used in.  Evaluated as
-    2p / (1 + sqrt(1 - 8p)) to avoid cancellation at small p.
+    2p / (1 + sqrt(1 - 8p)) to avoid cancellation at small p.  A NaN p is
+    InvalidInput, like a negative one.
     """
-    if p < 0:
+    if not p >= 0:  # NaN compares False with everything
         raise InvalidInput(f"p must be nonnegative, got {p}")
     if p > 0.125:
         raise NoRealRoot(f"q - 2q^2 = p has no real root for p = {p} > 1/8")

@@ -74,14 +74,60 @@ class SearchStatus(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
 class SearchOutcome:
-    """Result of one search: status, optional certificate, effort spent."""
+    """Result of one search: status, optional certificate, effort spent.
 
-    status: SearchStatus
-    certificate: Optional[RainbowCertificate]
-    nodes_expanded: int
-    reason: Optional[str] = None
+    An immutable record.  A FOUND outcome of find_rainbow_cycle keeps only
+    what the search produced, the vertex bit placed at each step and the
+    windows' color bits, and builds its certificate from them when
+    `certificate` is first read; later reads return that same object.
+    """
+
+    __slots__ = ("status", "nodes_expanded", "reason", "_certificate", "_pending")
+
+    def __init__(
+        self,
+        status: SearchStatus,
+        certificate: Optional[RainbowCertificate],
+        nodes_expanded: int,
+        reason: Optional[str] = None,
+    ) -> None:
+        _set = object.__setattr__
+        _set(self, "status", status)
+        _set(self, "_certificate", certificate)
+        _set(self, "nodes_expanded", nodes_expanded)
+        _set(self, "reason", reason)
+        _set(self, "_pending", None)
+
+    @classmethod
+    def _deferred(cls, nodes_expanded: int, pending: tuple) -> "SearchOutcome":
+        """A FOUND outcome whose certificate is _certificate(*pending)."""
+        outcome = cls(SearchStatus.FOUND, None, nodes_expanded)
+        object.__setattr__(outcome, "_pending", pending)
+        return outcome
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"SearchOutcome is immutable: cannot set {name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"SearchOutcome is immutable: cannot delete {name}")
+
+    def __reduce__(self):
+        return type(self), (self.status, self.certificate, self.nodes_expanded, self.reason)
+
+    def __repr__(self) -> str:
+        return (
+            f"SearchOutcome(status={self.status}, certificate={self.certificate!r},"
+            f" nodes_expanded={self.nodes_expanded}, reason={self.reason!r})"
+        )
+
+    @property
+    def certificate(self) -> Optional[RainbowCertificate]:
+        """The witness of a FOUND outcome, None otherwise; built on first read."""
+        if self._pending is not None:
+            object.__setattr__(self, "_certificate", _certificate(*self._pending))
+            object.__setattr__(self, "_pending", None)
+        return self._certificate
 
     @property
     def found(self) -> bool:
@@ -110,6 +156,28 @@ class SearchOutcome:
             "reason": self.reason,
             "provenance": provenance,
         }
+
+
+def _certificate(
+    spec: CycleSpec, anchored: bool, placed: list[int], colors
+) -> RainbowCertificate:
+    """The certificate of a found cycle: placed[s] is the vertex bit placed at
+    step s of _search_plan(spec, anchored); colors is the windows' color bits
+    in window order (multi-color: the matching's), or, single-color, the
+    index's colors_of, which gives each window's edge its one color."""
+    n = spec.n
+    at = [0] * n
+    for p, bit in zip(_search_plan(spec, anchored)[0], placed):
+        at[p] = bit.bit_length() - 1
+    pi = Hamperm(tuple(at), spec)
+    if isinstance(colors, dict):
+        colors = [
+            colors[sum(1 << at[p] for p in window) | (anchored and j == 0)]
+            for j, window in enumerate(spec.windows())
+        ]
+    return RainbowCertificate(
+        pi, tuple(edges_of_hamperm(pi)), tuple(bit.bit_length() - 1 - (n + 1) for bit in colors)
+    )
 
 
 class _BudgetExceeded(Exception):
@@ -243,19 +311,27 @@ def _search_plan(spec: CycleSpec, anchored: bool):
     return order, member, filters, closing, tuple(ordered), watch, force_one
 
 
-def _rarest_color(H: ColoredHypergraph) -> Optional[int]:
+def _present_edges(H: ColoredHypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """(ranks, slots): the ranks of H's present edges, ascending, and their
+    slots; a search extracts them once for the rarest color and the index."""
+    ranks = np.flatnonzero(H.by_rank)
+    return ranks, H.by_rank[ranks]
+
+
+def _rarest_color(H: ColoredHypergraph, slots: np.ndarray) -> Optional[int]:
     """The color of [1, r] carried by the fewest present edges, ties going to
-    the smaller color; None if some color is carried by no edge."""
+    the smaller color; None if some color is carried by no edge.  slots are
+    those of H's present edges (see _present_edges)."""
     if H.multi_color:
         counts = [0] * (H.r + 1)
         # each distinct color mask once, its bits walked lowest first
-        for mask, times in Counter(H.by_rank[np.flatnonzero(H.by_rank)].tolist()).items():
+        for mask, times in Counter(slots.tolist()).items():
             while mask:
                 low = mask & -mask
                 counts[low.bit_length() - 1] += times
                 mask ^= low
     else:
-        counts = np.bincount(H.by_rank, minlength=H.r + 1).tolist()
+        counts = np.bincount(slots, minlength=H.r + 1).tolist()
     counts = counts[1:]
     fewest = min(counts)
     return counts.index(fewest) + 1 if fewest else None
@@ -299,9 +375,10 @@ def _dense_index(H: ColoredHypergraph) -> bool:
 
 
 def _edge_index(
-    H: ColoredHypergraph, anchor: int
+    H: ColoredHypergraph, anchor: int, ranks: np.ndarray, slots: np.ndarray
 ) -> tuple[dict[int, int], dict[int, int]]:
-    """Vertex-bitmask index of H's present edges (bit v for vertex v).
+    """Vertex-bitmask index of H's present edges (bit v for vertex v), whose
+    ranks and slots are given (see _present_edges).
 
     extend[T] is the set of vertices v outside T with T | {v} contained in
     some present edge, for every proper subset T of every edge; colors maps
@@ -320,24 +397,25 @@ def _edge_index(
     _dense_index): _dense_edge_index in one numpy pass, _looped_edge_index
     one subset at a time.
     """
-    return (_dense_edge_index if _dense_index(H) else _looped_edge_index)(H, anchor)
+    return (_dense_edge_index if _dense_index(H) else _looped_edge_index)(
+        H, anchor, ranks, slots
+    )
 
 
 def _looped_edge_index(
-    H: ColoredHypergraph, anchor: int
+    H: ColoredHypergraph, anchor: int, ranks: np.ndarray, slots: np.ndarray
 ) -> tuple[dict[int, int], dict[int, int]]:
     """_edge_index of any instance: each edge's proper subsets walked in a
     loop, largest first, each one a dict update."""
     extend: dict[int, int] = {}
     colors: dict[int, int] = {}
     masks = _vertex_masks(H.n, H.k)[0]
-    ranks = np.flatnonzero(H.by_rank)
     multi = H.multi_color
     get = extend.get
     shift = H.n + 1
     # no edge carries color 0, so without an anchor no edge carries its bit
     anchor_bit = 1 << (anchor + shift)
-    for rank, slot in zip(ranks.tolist(), H.by_rank[ranks].tolist()):
+    for rank, slot in zip(ranks.tolist(), slots.tolist()):
         edge = masks[rank]
         bits = slot << shift if multi else 1 << (slot + shift)
         # each proper subset sub of the edge, largest first, gains edge ^ sub
@@ -359,7 +437,7 @@ def _looped_edge_index(
 
 
 def _dense_edge_index(
-    H: ColoredHypergraph, anchor: int
+    H: ColoredHypergraph, anchor: int, ranks: np.ndarray, slots: np.ndarray
 ) -> tuple[dict[int, int], dict[int, int]]:
     """_edge_index of a single-color instance with n <= DENSE_INDEX_MAX_N, in
     one numpy pass: every subset of every edge is one entry of an (E, 2^k)
@@ -369,8 +447,6 @@ def _dense_edge_index(
     OR gathers each key's rests (edge minus subset) in a table over all
     2^(n+1) keys, whose nonzero entries are extend."""
     n, k = H.n, H.k
-    ranks = np.flatnonzero(H.by_rank)
-    slots = H.by_rank[ranks]
     patterns = np.arange(1 << k) >> np.arange(k)[:, None] & 1
     subsets = _vertex_masks(n, k)[1][ranks] @ patterns
     edges, subsets = subsets[:, -1], subsets[:, :-1]
@@ -682,7 +758,8 @@ def find_rainbow_cycle(
     windows' colors and the watched window's completions are checked.
     ``budget=None`` searches exhaustively and returns NOT_FOUND only on full
     exhaustion; a positive ``budget`` additionally stops the search at node
-    ``budget + 1`` and returns UNKNOWN.
+    ``budget + 1`` and returns UNKNOWN.  A FOUND outcome builds its
+    certificate when it is first read (see SearchOutcome).
     """
     if H.n != spec.n or H.k != spec.k:
         raise InvalidInput(
@@ -698,15 +775,16 @@ def find_rainbow_cycle(
     if H.edge_count < m:
         return SearchOutcome(SearchStatus.NOT_FOUND, None, 0, reason="too_few_edges")
 
+    ranks, slots = _present_edges(H)
     anchor = 0
     if H.r == m:
-        anchor = _rarest_color(H)
+        anchor = _rarest_color(H, slots)
         if anchor is None:
             return SearchOutcome(SearchStatus.NOT_FOUND, None, 0, reason="missing_color")
 
     n, k = spec.n, spec.k
     anchored = bool(anchor)
-    extend, colors_of = _edge_index(H, anchor)
+    extend, colors_of = _edge_index(H, anchor, ranks, slots)
     multi = H.multi_color
     completion_lists: dict[int, list[int]] = {}
 
@@ -760,20 +838,15 @@ def find_rainbow_cycle(
         del augment
     if not placed[0]:
         return SearchOutcome(SearchStatus.NOT_FOUND, None, nodes, reason="exhausted")
-    at = [0] * n
-    for p, bit in zip(_search_plan(spec, anchored)[0], placed):
-        at[p] = bit.bit_length() - 1
-    pi = Hamperm(tuple(at), spec)
-    if multi:
-        bits = held
-    else:
-        bits = [
-            colors_of[sum(1 << at[p] for p in window) | (anchored and j == 0)]
-            for j, window in enumerate(spec.windows())
-        ]
-    colors = tuple(bit.bit_length() - 1 - (n + 1) for bit in bits)
-    cert = RainbowCertificate(pi, tuple(edges_of_hamperm(pi)), colors)
-    return SearchOutcome(SearchStatus.FOUND, cert, nodes)
+    # each step placed one vertex bit, so they are n distinct vertices of
+    # [n] exactly when they sum to bits 1..n
+    if sum(placed) != (1 << (n + 1)) - 2:
+        raise RuntimeError(f"the search placed {placed}, not a permutation of 1..{n}")
+    # the certificate is built when first read (SearchOutcome.certificate)
+    # from the leaf's matching, or, single-color, from colors_of
+    return SearchOutcome._deferred(
+        nodes, (spec, anchored, placed, held.copy() if multi else colors_of)
+    )
 
 
 # ---------------------------------------------------------------------------

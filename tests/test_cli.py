@@ -320,6 +320,17 @@ def test_couple_command(capsys):
     assert record["trials"] == 50
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_couple_rejects_a_nan_density(capsys, workers):
+    # q_from_p refuses it before any trial starts, pool or no pool
+    code, out, err = run(
+        capsys, "couple", "--n", "6", "--k", "3", "--p", "nan",
+        "--trials", "4", "--seed", "3", "--workers", workers,
+    )
+    assert (code, out) == (1, "")
+    assert "p must be nonnegative, got nan" in err
+
+
 def test_exit_codes(tmp_path, capsys):
     # invalid input -> 1
     code, _, err = run(capsys, "gen", "--n", "4", "--k", "9", "--r", "2", "--p", "0.5")

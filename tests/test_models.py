@@ -217,6 +217,12 @@ def test_q_from_p_domain():
         q_from_p(-0.01)
 
 
+def test_q_from_p_rejects_nan():
+    # NaN fails both range tests, so it needs its own
+    with pytest.raises(InvalidInput, match="nan"):
+        q_from_p(float("nan"))
+
+
 @given(st.floats(0, 0.125))
 @settings(max_examples=300, deadline=None)
 def test_q_from_p_inverts(p):

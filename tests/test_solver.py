@@ -4,6 +4,7 @@ import itertools
 import json
 import linecache
 import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -49,6 +50,7 @@ from rainbowhc.solver import (
     _looped_edge_index,
     _pair_counts,
     _perm_edge_table,
+    _present_edges,
     _search_plan,
     _search_source,
     _vertex_masks,
@@ -427,16 +429,84 @@ def test_search_leaves_no_garbage():
         (dense, tight),
     ]
     for H, spec in instances:
-        find_rainbow_cycle(H, spec)
+        find_rainbow_cycle(H, spec).certificate
     gc.collect()
     gc.disable()
+    found = 0
     try:
         for H, spec in instances:
             for budget in (None, 5):
-                find_rainbow_cycle(H, spec, budget)
+                outcome = find_rainbow_cycle(H, spec, budget)
+                if outcome.found:
+                    # the deferred certificate build leaves nothing either
+                    assert outcome.certificate is not None
+                    found += 1
+                del outcome
                 assert gc.collect() == 0, (H, budget)
     finally:
         gc.enable()
+    assert found >= 3
+
+
+def _found_outcome_instances():
+    """FOUND instances of both color modes under both anchors: the rarest
+    color (r = m) and vertex 1 (r = m + 1)."""
+    loose, tight = CycleSpec(8, 3, 1), CycleSpec(10, 4, 3)
+    dense = CoupledInstance(10, 4, 10, derive_seed(2, 0)).realize(0.9)
+    return [
+        pytest.param(planted_cycle_hypergraph(loose, [3, 1, 4, 8, 5, 2, 6, 7]), loose,
+                     id="single-color-anchored"),
+        pytest.param(planted_cycle_hypergraph(loose, [3, 1, 4, 8, 5, 2, 6, 7], r=5), loose,
+                     id="single-vertex-anchored"),
+        pytest.param(dense, tight, id="single-color-anchored-dense"),
+        pytest.param(sample_directed(8, 3, 0.2, 4, 0), loose, id="multi-color-anchored"),
+        pytest.param(sample_directed(8, 3, 0.2, 5, 0), loose, id="multi-vertex-anchored"),
+    ]
+
+
+@pytest.mark.parametrize("H, spec", _found_outcome_instances())
+def test_found_certificate_is_built_once_and_holds_no_index(H, spec, monkeypatch):
+    # a FOUND outcome builds its certificate on the first read and keeps it;
+    # it never holds the search index's extend dict, and it lets go of
+    # colors_of once the certificate exists
+    built = []
+    edge_index = solver._edge_index
+
+    def recording(*args):
+        built.append(edge_index(*args))
+        return built[-1]
+
+    monkeypatch.setattr(solver, "_edge_index", recording)
+    outcome = find_rainbow_cycle(H, spec)
+    assert outcome.found and len(built) == 1
+    assert gc.get_referrers(built[0][0]) == [built[0]]  # extend
+    cert = outcome.certificate
+    assert outcome.certificate is cert
+    assert verify_certificate(H, cert)
+    assert gc.get_referrers(built[0][1]) == [built[0]]  # colors_of
+    assert outcome.to_record()["certificate"]["permutation"] == list(cert.hamperm.pi)
+    again = pickle.loads(pickle.dumps(outcome))
+    assert (again.status, again.certificate, again.nodes_expanded, again.reason) == (
+        outcome.status, cert, outcome.nodes_expanded, outcome.reason
+    )
+    with pytest.raises(AttributeError):
+        outcome.status = SearchStatus.NOT_FOUND
+
+
+def test_only_found_outcomes_hold_a_certificate():
+    loose = CycleSpec(8, 3, 1)
+    outcomes = [
+        find_rainbow_cycle(sample_colored(8, 3, 0.05, 4, 1), loose),  # exhausted
+        find_rainbow_cycle(sample_colored(8, 3, 0.9, 3, 1), loose),  # too few colors
+        find_rainbow_cycle(sample_directed(8, 3, 0.2, 4, 0), loose, 3),
+        find_rainbow_cycle(sample_colored(8, 3, 0.9, 5, 1), loose, 3),
+    ]
+    assert [o.status for o in outcomes] == [
+        SearchStatus.NOT_FOUND, SearchStatus.NOT_FOUND, SearchStatus.UNKNOWN,
+        SearchStatus.UNKNOWN,
+    ]
+    assert all(o.certificate is None for o in outcomes)
+    assert all(o.to_record()["certificate"] is None for o in outcomes)
 
 
 @pytest.mark.parametrize("k", [4, 5])
@@ -486,7 +556,7 @@ def test_compiled_search_shows_its_source(anchored, multi):
 def test_one_short_completions_match_the_scan(H, anchor):
     # the completions of a set one vertex short of an edge are read off the
     # index in ascending vertex order; as a set they are the scan's
-    extend, colors_of = _edge_index(H, anchor)
+    extend, colors_of = _edge_index(H, anchor, *_present_edges(H))
     untagged = [edge for edge in colors_of if not edge & 1]
     assert untagged and (not anchor or len(untagged) < len(colors_of))
     for edge in untagged:
@@ -529,13 +599,14 @@ def test_dense_index_equals_the_loop():
     sides = set()
     for H in _index_instances():
         sides.add(_dense_index(H))
-        rarest = solver._rarest_color(H)
+        present = _present_edges(H)
+        rarest = solver._rarest_color(H, present[1])
         for anchor in {0, rarest or 0, 1 if rarest != 1 else 2}:
-            extend, colors_of = _looped_edge_index(H, anchor)
-            dense_extend, dense_colors = _dense_edge_index(H, anchor)
+            extend, colors_of = _looped_edge_index(H, anchor, *present)
+            dense_extend, dense_colors = _dense_edge_index(H, anchor, *present)
             assert dense_extend == extend, (H, anchor)
             assert list(dense_colors.items()) == list(colors_of.items()), (H, anchor)
-            assert _edge_index(H, anchor) == (extend, colors_of)
+            assert _edge_index(H, anchor, *present) == (extend, colors_of)
     assert sides == {False, True}
 
 
