@@ -25,6 +25,13 @@ Edge = tuple  # canonical edge: strictly increasing tuple of vertex ids
 
 _ENUMERATION_CAP = 2_000_000  # refuse to index more k-sets than this
 _UNRANK_CHUNK = 1 << 14       # present edges unranked at a time by items()
+_MAX_COLORS = (1 << 63) - 1   # the largest color a single-color int64 slot holds
+
+
+def check_colors(r: int) -> None:
+    """InvalidInput unless 1 <= r <= 2^63 - 1, the color counts a slot holds."""
+    if not 1 <= r <= _MAX_COLORS:
+        raise InvalidInput(f"need 1 <= r <= 2^63 - 1 colors, got r={r}")
 
 
 def canonical_edge(vertices: Iterable[int]) -> Edge:
@@ -207,8 +214,7 @@ class ColoredHypergraph:
         by_rank: Optional[Sequence[int]] = None,
     ) -> None:
         total = kset_count(n, k)
-        if r < 1:
-            raise InvalidInput(f"need r >= 1 colors, got r={r}")
+        check_colors(r)
         self.n = n
         self.k = k
         self.r = r

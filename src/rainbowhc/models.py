@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -33,12 +32,13 @@ from .core import (
     Hamperm,
     RainbowCertificate,
     canonical_edge,
+    check_colors,
     kset_count,
     ksets_of_ranks,
     lex_rank,
 )
 from .errors import InvalidCycle, InvalidInput, NoRealRoot
-from .seeds import derive_seed_rows, mix64_array
+from .seeds import derive_seed_rows, mix64_array, unit_interval
 
 _COLOR_SALT = 0xC2B2AE3D27D4EB4F
 
@@ -46,11 +46,6 @@ _COLOR_SALT = 0xC2B2AE3D27D4EB4F
 def _check_probability(p: float, name: str = "p") -> None:
     if not 0.0 <= p <= 1.0:
         raise InvalidInput(f"{name} must lie in [0, 1], got {p}")
-
-
-def _check_colors(r: int) -> None:
-    if r < 1:
-        raise InvalidInput(f"need r >= 1, got {r}")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -65,7 +60,7 @@ def sample_colored(n: int, k: int, p: float, r: int, seed: int) -> ColoredHyperg
     the result is a deterministic function of the seed.
     """
     _check_probability(p)
-    _check_colors(r)
+    check_colors(r)
     total = kset_count(n, k)
     rng = _rng(seed)
     us = rng.random(total)
@@ -83,43 +78,41 @@ class CoupledInstance:
     order, u_e = top 53 bits of h scaled to [0,1), and color_e derived from
     mix64(h XOR salt) mod r.  realize(p) keeps exactly the edges with
     u_e < p, so realizations at p <= p' are nested with identical colors.
+
+    The instance computes both arrays, by lex rank, once on construction:
+    derive_seed and unit_interval over all k-sets at once in uint64
+    arithmetic, equal to the per-edge scalar definition bit for bit.  They
+    are read-only, as every realize shares them, and take no part in ==
+    or hash.
     """
 
     n: int
     k: int
     r: int
     seed: int
+    us: np.ndarray = field(init=False, repr=False, compare=False)
+    colors: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        check_colors(self.r)
+        ksets = ksets_of_ranks(self.n, self.k, np.arange(kset_count(self.n, self.k)))
+        h = derive_seed_rows(self.seed, ksets)
+        us = unit_interval(h)
+        colors = (mix64_array(h ^ np.uint64(_COLOR_SALT)) % np.uint64(self.r)).astype(np.int64) + 1
+        us.flags.writeable = colors.flags.writeable = False
+        object.__setattr__(self, "us", us)
+        object.__setattr__(self, "colors", colors)
 
     def realize(self, p: float) -> ColoredHypergraph:
         _check_probability(p)
-        us, colors = _coupled_arrays(self)
-        return ColoredHypergraph(self.n, self.k, self.r, by_rank=np.where(us < p, colors, 0))
+        return ColoredHypergraph(
+            self.n, self.k, self.r, by_rank=np.where(self.us < p, self.colors, 0)
+        )
 
     def level_of(self, edges: Iterable[Sequence[int]]) -> float:
         """The largest u_e over the given canonical k-sets: realize(p) holds
         all of them, with the same colors, exactly when p exceeds it."""
-        us = _coupled_arrays(self)[0]
-        return max(float(us[lex_rank(self.n, edge)]) for edge in edges)
-
-
-@lru_cache(maxsize=4)  # a coupled trial realizes one instance at every grid point
-def _coupled_arrays(ci: CoupledInstance) -> tuple[np.ndarray, np.ndarray]:
-    """(u_e, color_e) for every k-set of [n], by lex rank.
-
-    derive_seed and unit_interval evaluated over all k-sets at once in
-    uint64 arithmetic; the arrays equal the per-edge scalar definition bit
-    for bit.
-    """
-    _check_colors(ci.r)
-    n, k = ci.n, ci.k
-    ksets = ksets_of_ranks(n, k, np.arange(kset_count(n, k)))
-    h = derive_seed_rows(ci.seed, ksets)
-    us = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53  # unit_interval
-    colors = mix64_array(h ^ np.uint64(_COLOR_SALT)) % np.uint64(ci.r)
-    colors = colors.astype(np.int64) + 1
-    # every caller shares the cached pair, so no caller may write to it
-    us.flags.writeable = colors.flags.writeable = False
-    return us, colors
+        return max(float(self.us[lex_rank(self.n, edge)]) for edge in edges)
 
 
 def q_from_p(p: float) -> float:
@@ -145,7 +138,7 @@ def sample_directed(n: int, k: int, q: float, r: int, seed: int) -> ColoredHyper
     records, per k-set, the set of colors received (multi-color mode).
     """
     _check_probability(q, "q")
-    _check_colors(r)
+    check_colors(r)
     total = kset_count(n, k)
     rng = _rng(seed)
     counts = rng.binomial(math.factorial(k), q, size=total)

@@ -35,7 +35,7 @@ import linecache
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -74,52 +74,22 @@ class SearchStatus(Enum):
     UNKNOWN = "unknown"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class SearchOutcome:
     """Result of one search: status, optional certificate, effort spent.
 
-    An immutable record.  A FOUND outcome of find_rainbow_cycle keeps only
-    what the search produced, the vertex bit placed at each step and the
-    windows' color bits, and builds its certificate from them when
-    `certificate` is first read; later reads return that same object.
+    A FOUND outcome of find_rainbow_cycle keeps only what the search
+    produced, the vertex bit placed at each step and the windows' color
+    bits, as the arguments of _certificate; the certificate is built from
+    them when `certificate` is first read, and later reads return that same
+    object.
     """
 
-    __slots__ = ("status", "nodes_expanded", "reason", "_certificate", "_pending")
-
-    def __init__(
-        self,
-        status: SearchStatus,
-        certificate: Optional[RainbowCertificate],
-        nodes_expanded: int,
-        reason: Optional[str] = None,
-    ) -> None:
-        _set = object.__setattr__
-        _set(self, "status", status)
-        _set(self, "_certificate", certificate)
-        _set(self, "nodes_expanded", nodes_expanded)
-        _set(self, "reason", reason)
-        _set(self, "_pending", None)
-
-    @classmethod
-    def _deferred(cls, nodes_expanded: int, pending: tuple) -> "SearchOutcome":
-        """A FOUND outcome whose certificate is _certificate(*pending)."""
-        outcome = cls(SearchStatus.FOUND, None, nodes_expanded)
-        object.__setattr__(outcome, "_pending", pending)
-        return outcome
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"SearchOutcome is immutable: cannot set {name}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"SearchOutcome is immutable: cannot delete {name}")
-
-    def __reduce__(self):
-        return type(self), (self.status, self.certificate, self.nodes_expanded, self.reason)
-
-    def __repr__(self) -> str:
-        return (
-            f"SearchOutcome(status={self.status}, certificate={self.certificate!r},"
-            f" nodes_expanded={self.nodes_expanded}, reason={self.reason!r})"
-        )
+    status: SearchStatus
+    _certificate: Optional[RainbowCertificate] = field(repr=False)
+    nodes_expanded: int
+    reason: Optional[str] = None
+    _pending: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def certificate(self) -> Optional[RainbowCertificate]:
@@ -324,12 +294,10 @@ def _rarest_color(H: ColoredHypergraph, slots: np.ndarray) -> Optional[int]:
     those of H's present edges (see _present_edges)."""
     if H.multi_color:
         counts = [0] * (H.r + 1)
-        # each distinct color mask once, its bits walked lowest first
+        # each distinct color mask once
         for mask, times in Counter(slots.tolist()).items():
-            while mask:
-                low = mask & -mask
-                counts[low.bit_length() - 1] += times
-                mask ^= low
+            for color in color_bits(mask):
+                counts[color] += times
     else:
         counts = np.bincount(slots, minlength=H.r + 1).tolist()
     counts = counts[1:]
@@ -844,8 +812,9 @@ def find_rainbow_cycle(
         raise RuntimeError(f"the search placed {placed}, not a permutation of 1..{n}")
     # the certificate is built when first read (SearchOutcome.certificate)
     # from the leaf's matching, or, single-color, from colors_of
-    return SearchOutcome._deferred(
-        nodes, (spec, anchored, placed, held.copy() if multi else colors_of)
+    return SearchOutcome(
+        SearchStatus.FOUND, None, nodes,
+        _pending=(spec, anchored, placed, held.copy() if multi else colors_of),
     )
 
 
@@ -1003,10 +972,9 @@ def _check_moment_args(p, r: int) -> Fraction:
     """p as a Fraction; InvalidInput unless p lies in [0, 1] and r >= 1."""
     if r < 1:
         raise InvalidInput(f"need at least one color, got r = {r}")
-    p = Fraction(p)
-    if not 0 <= p <= 1:
+    if not 0 <= p <= 1:  # NaN compares False with everything
         raise InvalidInput(f"p must lie in [0, 1], got {p}")
-    return p
+    return Fraction(p)
 
 
 def second_moment_from_profile(

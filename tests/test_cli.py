@@ -354,6 +354,23 @@ def test_exit_codes(tmp_path, capsys):
     ):
         code, _, err = run(capsys, *argv)
         assert code == 1 and "invalid Fraction value" in err, argv
+    # more colors than an int64 slot holds is bad input, refused before any draw
+    big = str(10**20)
+    chg = tmp_path / "big.chg"
+    chg.write_text(f"8 3 {big}\n1 2 3 {10**20 - 1}\n")
+    for argv in (
+        ("gen", "--n", "8", "--k", "3", "--r", big, "--p", "0.5"),
+        ("gen", "--n", "8", "--k", "3", "--r", big, "--p", "0.5", "--model", "coupled"),
+        ("gen", "--n", "8", "--k", "3", "--r", big, "--q", "0.05", "--model", "directed"),
+        ("csweep", "--n", "8", "--k", "3", "--ell", "1", "--r", big,
+         "--p-grid", "0.1:0.5:2", "--trials", "1"),
+        ("sweep", "--n", "8", "--k", "3", "--ell", "1", "--r", big,
+         "--p-grid", "0.1:0.5:2", "--trials", "1"),
+        ("solve", "--infile", str(chg), "--ell", "1"),
+        ("count", "--infile", str(chg), "--ell", "1"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "2^63 - 1" in err, argv
 
 
 def test_budget_without_budgeted_mode_is_invalid_input(tmp_path, capsys):

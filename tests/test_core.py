@@ -34,7 +34,6 @@ from rainbowhc.core import (
     lex_rank,
     lex_ranks,
 )
-from rainbowhc.models import _coupled_arrays
 from rainbowhc.solver import _vertex_masks
 
 from conftest import enumerate_specs
@@ -273,7 +272,6 @@ def test_more_ksets_than_the_cap_is_too_large_before_allocating():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert _vertex_masks.cache_info().maxsize <= 8
-    assert _coupled_arrays.cache_info().maxsize <= 8
 
 
 # -- validate_cycle / verify_certificate -------------------------------------

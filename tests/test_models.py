@@ -29,7 +29,7 @@ from rainbowhc import (
     verify_certificate,
 )
 from rainbowhc.chgio import dumps_chg
-from rainbowhc.models import _COLOR_SALT, _coupled_arrays
+from rainbowhc.models import _COLOR_SALT
 from rainbowhc.seeds import derive_seed, mix64, unit_interval
 
 
@@ -117,7 +117,8 @@ def test_realize_extremes_and_nesting():
 def test_coupled_arrays_match_scalar_definition(n, k, r, seed):
     # the uint64 arrays must equal the per-edge definition in pure Python
     # ints, wrap-around near 2^64 and seeds outside [0, 2^64) included
-    us, colors = _coupled_arrays(CoupledInstance(n, k, r, seed))
+    ci = CoupledInstance(n, k, r, seed)
+    us, colors = ci.us, ci.colors
     want_us, want_colors = [], []
     for edge in itertools.combinations(range(1, n + 1), k):
         h = derive_seed(seed, *edge)
@@ -129,13 +130,22 @@ def test_coupled_arrays_match_scalar_definition(n, k, r, seed):
 
 
 def test_coupled_arrays_are_read_only():
-    # every realize of an instance reads the one cached pair
+    # every realize of an instance reads the instance's one pair
     ci = CoupledInstance(8, 3, 4, seed=3)
     before = ci.realize(0.5)
-    for array in _coupled_arrays(ci):
+    for array in (ci.us, ci.colors):
         with pytest.raises(ValueError):
             array[0] = 0.99
     assert ci.realize(0.5) == before
+
+
+def test_coupled_instances_compare_by_parameters_only():
+    # the arrays stay out of == and hash: equal parameters, equal instances
+    a, b = CoupledInstance(8, 3, 4, seed=3), CoupledInstance(8, 3, 4, seed=3)
+    assert a.us is not b.us
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != CoupledInstance(8, 3, 4, seed=4)
+    assert repr(a) == "CoupledInstance(n=8, k=3, r=4, seed=3)"
 
 
 def test_level_of_is_when_the_edges_all_appear():

@@ -1212,6 +1212,19 @@ def test_second_moment_bruteforce_checks_its_arguments():
         assert second_moment_bruteforce(spec, Fraction(1, 2), r) == 0
 
 
+def test_oracles_refuse_a_non_finite_p():
+    # NaN and the infinities are tested before any Fraction conversion
+    spec = CycleSpec(6, 3, 1)
+    for oracle, first in (
+        (expected_Y_bruteforce, spec),
+        (second_moment_from_profile, overlap_profile(spec)),
+        (second_moment_bruteforce, spec),
+    ):
+        for p in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidInput, match="p must lie in"):
+                oracle(first, p, spec.m)
+
+
 def test_second_moment_diagonal_term():
     # b = m algebra at r = m: each diagonal pair contributes
     # p^m * (m)_m / m^m = p^m * m!/m^m, so the n! diagonal pairs sum to E(Y)
