@@ -22,7 +22,7 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .core import CycleSpec
-from .errors import InvalidInput
+from .errors import InvalidInput, TooLarge
 from .models import CoupledInstance, q_from_p, sample_colored, sample_directed
 from .seeds import derive_seed
 from .solver import SearchStatus, find_rainbow_cycle
@@ -33,12 +33,17 @@ SWEEP_CSV_COLUMNS = (
 )
 
 WILSON_Z = 1.96
+# grid points x trials an experiment may hold: a sweep's task and result
+# lists took ~190 bytes per (point, trial), so the cap keeps them near 100 MB
+TASK_CAP = 500_000
 
 
 def make_grid(start: float, stop: float, points: int, spacing: str = "linear") -> tuple[float, ...]:
-    """Strictly increasing probability grid, linear or geometric."""
+    """Strictly increasing probability grid, linear or geometric; TooLarge
+    beyond TASK_CAP points, before any is made."""
     if points < 1:
         raise InvalidInput(f"need at least one grid point, got {points}")
+    _check_tasks(points, 1)
     if points == 1:
         return (float(start),)
     if not start < stop:
@@ -52,6 +57,14 @@ def make_grid(start: float, stop: float, points: int, spacing: str = "linear") -
         ratio = (stop / start) ** (1.0 / (points - 1))
         return tuple(start * ratio**i for i in range(points))
     raise InvalidInput(f"unknown spacing {spacing!r}")
+
+
+def _check_tasks(points: int, trials: int) -> None:
+    """TooLarge when points x trials exceeds TASK_CAP."""
+    if points * trials > TASK_CAP:
+        raise TooLarge(
+            f"need grid points x trials <= {TASK_CAP:,}, got {points} x {trials}"
+        )
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -77,7 +90,7 @@ class SweepConfig:
     r is the color count itself; a color density c resolves to it through
     moments.colors_at_density.  budget=None searches exhaustively; a
     positive budget caps each search at that many nodes (see
-    find_rainbow_cycle).
+    find_rainbow_cycle).  Grid points times trials is at most TASK_CAP.
     """
 
     n: int
@@ -103,6 +116,7 @@ class SweepConfig:
         for name in ("r", "trials", "workers"):
             if getattr(self, name) < 1:
                 raise InvalidInput(f"need {name} >= 1, got {getattr(self, name)}")
+        _check_tasks(len(self.p_grid), self.trials)
         if self.budget is not None and self.budget <= 0:
             raise InvalidInput(f"need a positive budget, got {self.budget}")
 
@@ -294,7 +308,7 @@ def couple_experiment(
     q = q_from_p(p) with multi-color solving; the directed probability should
     dominate, and `holds` reports whether phat_directed >= phat_undirected
     minus two pooled standard errors.  Needs (k-1) | n, r = n/(k-1),
-    p <= 1/8, and exhaustive-feasible n.  Trials run as one task each
+    p <= 1/8, exhaustive-feasible n and at most TASK_CAP trials.  Trials run as one task each
     (a process pool when workers > 1) and are summed in trial order, so the
     outcome does not depend on the worker count.
     """
@@ -302,6 +316,7 @@ def couple_experiment(
         raise InvalidInput(f"k - 1 = {k - 1} must divide n = {n}")
     if trials < 1:
         raise InvalidInput(f"need trials >= 1, got {trials}")
+    _check_tasks(1, trials)
     if workers < 1:
         raise InvalidInput(f"need workers >= 1, got {workers}")
     r = n // (k - 1)

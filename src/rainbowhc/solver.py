@@ -5,11 +5,14 @@ by the spec and the anchor that fixes the rotation (the rarest color when
 r = m, vertex 1 otherwise), and extends only into edges that exist, using a
 per-instance vertex-bitmask index of the present edges, built in one numpy
 pass on dense single-color instances and by a per-subset loop otherwise.
-Core owns the order of the k-sets by rank; the solver owns its rank ->
-bitmask table, _vertex_masks.  Colors are pruned with used-color bits kept
-in the same int as the placed vertices (single-color) or an incremental distinct-representatives
-matching over int color bitmasks, Kuhn augmenting paths trying colors in
-ascending order (multi-color).  A window left half-placed by the order (the
+The index is two tables subscripted by vertex mask: flat lists over every
+mask when the numpy pass's table is well filled, dicts of the present keys
+otherwise.  Core owns the order of the k-sets by rank; the solver owns its
+rank -> bitmask table, _vertex_masks, kept only for n <= 16.  Colors are
+pruned with used-color bits kept in the same int as the placed vertices
+(single-color) or an incremental distinct-representatives matching over int
+color bitmasks, Kuhn augmenting paths trying colors in ascending order
+(multi-color).  A window left half-placed by the order (the
 windows through position 0 wrap around the cycle) is watched: a remembered
 completion edge is re-checked, and the branch cut when none is left.  The
 plan watches only where a cut can happen, and a window one vertex short of
@@ -39,7 +42,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -66,6 +69,10 @@ DENSE_INDEX_MAX_N = 16      # the numpy index's 2^(n+1)-entry table: 1 MB at n =
 # E * 2^k (present edges times subsets) from which the numpy index runs: it
 # overtook the loop at ~250-400 pairs for n <= 14 and ~900 at n = 16
 DENSE_INDEX_MIN_PAIRS = 1024
+# the numpy index hands its 2^(n+1)-entry table over as flat lists when the
+# table holds at most this many entries per (edge, subset) pair; sparser
+# tables become dicts (see _dense_edge_index for the measurements)
+DENSE_LIST_LOAD = 4
 
 
 class SearchStatus(Enum):
@@ -129,25 +136,33 @@ class SearchOutcome:
 
 
 def _certificate(
-    spec: CycleSpec, anchored: bool, placed: list[int], colors
+    spec: CycleSpec,
+    anchored: bool,
+    multi: bool,
+    placed: list[int],
+    colors,
+    palette: Optional[list[int]],
 ) -> RainbowCertificate:
     """The certificate of a found cycle: placed[s] is the vertex bit placed at
-    step s of _search_plan(spec, anchored); colors is the windows' color bits
-    in window order (multi-color: the matching's), or, single-color, the
-    index's colors_of, which gives each window's edge its one color."""
+    step s of _search_plan(spec, anchored); colors is, multi-color, the
+    matching's color bits in window order, or, single-color, the index's
+    colors_of, which gives each window's edge its one color.  palette, if
+    given, maps the color numbered c in the search back to palette[c - 1]
+    (see find_rainbow_cycle)."""
     n = spec.n
     at = [0] * n
     for p, bit in zip(_search_plan(spec, anchored)[0], placed):
         at[p] = bit.bit_length() - 1
     pi = Hamperm(tuple(at), spec)
-    if isinstance(colors, dict):
+    if not multi:
         colors = [
             colors[sum(1 << at[p] for p in window) | (anchored and j == 0)]
             for j, window in enumerate(spec.windows())
         ]
-    return RainbowCertificate(
-        pi, tuple(edges_of_hamperm(pi)), tuple(bit.bit_length() - 1 - (n + 1) for bit in colors)
-    )
+    colors = [bit.bit_length() - 1 - (n + 1) for bit in colors]
+    if palette is not None:
+        colors = [palette[c - 1] for c in colors]
+    return RainbowCertificate(pi, tuple(edges_of_hamperm(pi)), tuple(colors))
 
 
 class _BudgetExceeded(Exception):
@@ -305,25 +320,36 @@ def _rarest_color(H: ColoredHypergraph, slots: np.ndarray) -> Optional[int]:
     return counts.index(fewest) + 1 if fewest else None
 
 
+def _vertex_bits(n: int, k: int, ranks: np.ndarray) -> np.ndarray:
+    """The search's bit layout (bit v for vertex v) over core's rank order:
+    row i holds the k vertex bits of the k-set of rank ranks[i], ascending,
+    as int64 below n = 63 and as Python ints from there."""
+    vertex_bit = np.array([1 << v for v in range(n + 1)], dtype=np.int64 if n < 63 else object)
+    return vertex_bit[ksets_of_ranks(n, k, ranks)]
+
+
 @lru_cache(maxsize=4)
-def _vertex_masks(
-    n: int, k: int
-) -> tuple[tuple[int, ...], Optional[np.ndarray]]:
-    """The search's bit layout (bit v for vertex v) over core's rank order.
+def _vertex_masks(n: int, k: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """_vertex_bits of every k-set, for n <= DENSE_INDEX_MAX_N only.
 
     Returns (masks, bits): masks[rank] is the vertex bitmask of the k-set of
     that rank, a Python int; bits[rank] is the read-only int64 row of its k
-    vertex bits, ascending, which the dense index reads, so it is built only
-    for n <= DENSE_INDEX_MAX_N and is None otherwise.
+    vertex bits, which the dense index reads.  Beyond n = 16 nothing is
+    cached: a Python int per k-set took ~404 MB at (2000, 2).
     """
-    ksets = ksets_of_ranks(n, k, np.arange(kset_count(n, k)))
-    vertex_bit = np.array([1 << v for v in range(n + 1)], dtype=np.int64 if n < 63 else object)
-    bits = vertex_bit[ksets]
-    masks = tuple(np.bitwise_or.reduce(bits, axis=1).tolist())
-    if n > DENSE_INDEX_MAX_N:
-        return masks, None
+    bits = _vertex_bits(n, k, np.arange(kset_count(n, k)))
     bits.flags.writeable = False
-    return masks, bits
+    return tuple(np.bitwise_or.reduce(bits, axis=1).tolist()), bits
+
+
+def _edge_masks(n: int, k: int, ranks: np.ndarray) -> Union[tuple[int, ...], dict[int, int]]:
+    """masks with masks[rank] the vertex bitmask of the k-set of that rank,
+    a Python int, for each of these ranks: the cached _vertex_masks up to
+    DENSE_INDEX_MAX_N, a dict of just these ranks beyond it."""
+    if n <= DENSE_INDEX_MAX_N:
+        return _vertex_masks(n, k)[0]
+    masks = np.bitwise_or.reduce(_vertex_bits(n, k, ranks), axis=1)
+    return dict(zip(ranks.tolist(), masks.tolist()))
 
 
 def _dense_index(H: ColoredHypergraph) -> bool:
@@ -342,18 +368,21 @@ def _dense_index(H: ColoredHypergraph) -> bool:
     )
 
 
+_Index = Union[dict[int, int], list[int]]
+
+
 def _edge_index(
     H: ColoredHypergraph, anchor: int, ranks: np.ndarray, slots: np.ndarray
-) -> tuple[dict[int, int], dict[int, int]]:
+) -> tuple[_Index, _Index, Optional[list[tuple[int, int]]]]:
     """Vertex-bitmask index of H's present edges (bit v for vertex v), whose
     ranks and slots are given (see _present_edges).
 
-    extend[T] is the set of vertices v outside T with T | {v} contained in
-    some present edge, for every proper subset T of every edge; colors maps
-    each edge's mask to its colors as a bitmask past the vertex bits, bit
-    n + 1 + c for color c, so that one int can hold placed vertices and used
-    colors: one bit (single-color) or the edge's whole color set
-    (multi-color).
+    Returns (extend, colors_of, edges).  extend[T] is the set of vertices v
+    outside T with T | {v} contained in some present edge, for every proper
+    subset T of every edge; colors_of maps each edge's mask to its colors as
+    a bitmask past the vertex bits, bit n + 1 + c for color c, so that one
+    int can hold placed vertices and used colors: one bit (single-color) or
+    the edge's whole color set (multi-color).
 
     With an anchor color (anchor > 0; 0 means none), the edges carrying it
     are indexed under keys tagged with bit 0, which is never a vertex bit,
@@ -361,9 +390,14 @@ def _edge_index(
     edges, the anchor removed from their colors (an edge left with no color
     leaves).
 
-    Two routines build the same dicts, the instance choosing which (see
-    _dense_index): _dense_edge_index in one numpy pass, _looped_edge_index
-    one subset at a time.
+    extend and colors_of come in one of two forms, which the search
+    subscripts alike: dicts holding just those keys, in which case edges is
+    None and colors_of's items are the edges in rank order, or lists over
+    all 2^(n+1) masks holding 0 at every other one, in which case edges
+    lists colors_of's (mask, colors) pairs in rank order.  Two routines
+    build them, the instance choosing which (see _dense_index):
+    _dense_edge_index in one numpy pass, in either form, and
+    _looped_edge_index one subset at a time, as dicts.
     """
     return (_dense_edge_index if _dense_index(H) else _looped_edge_index)(
         H, anchor, ranks, slots
@@ -372,12 +406,12 @@ def _edge_index(
 
 def _looped_edge_index(
     H: ColoredHypergraph, anchor: int, ranks: np.ndarray, slots: np.ndarray
-) -> tuple[dict[int, int], dict[int, int]]:
-    """_edge_index of any instance: each edge's proper subsets walked in a
-    loop, largest first, each one a dict update."""
+) -> tuple[dict[int, int], dict[int, int], None]:
+    """_edge_index of any instance, as dicts: each edge's proper subsets
+    walked in a loop, largest first, each one a dict update."""
     extend: dict[int, int] = {}
     colors: dict[int, int] = {}
-    masks = _vertex_masks(H.n, H.k)[0]
+    masks = _edge_masks(H.n, H.k, ranks)
     multi = H.multi_color
     get = extend.get
     shift = H.n + 1
@@ -401,19 +435,39 @@ def _looped_edge_index(
         while sub:
             sub = (sub - 1) & edge
             extend[sub] = get(sub, 0) | (edge ^ sub)
-    return extend, colors
+    return extend, colors, None
 
 
 def _dense_edge_index(
     H: ColoredHypergraph, anchor: int, ranks: np.ndarray, slots: np.ndarray
-) -> tuple[dict[int, int], dict[int, int]]:
+) -> tuple[_Index, _Index, Optional[list[tuple[int, int]]]]:
     """_edge_index of a single-color instance with n <= DENSE_INDEX_MAX_N, in
     one numpy pass: every subset of every edge is one entry of an (E, 2^k)
     array, the product of the edges' vertex bits with the 0/1 matrix of
     subset patterns.  Its last column is the edge itself, the others are the
     proper subsets, which the anchor's edges tag with bit 0; one unbuffered
     OR gathers each key's rests (edge minus subset) in a table over all
-    2^(n+1) keys, whose nonzero entries are extend."""
+    2^(n+1) keys, whose nonzero entries are extend.
+
+    When that table holds at most DENSE_LIST_LOAD entries per (edge,
+    subset) pair, 2^(n+1) <= 4 * E * 2^k, it is handed over as a list, and
+    colors_of is a list of the same length: a list subscript is cheaper than
+    a dict's.  Every csweep_tight10 search passes the rule, and its traced
+    search time per pass went 18.3-19.3 -> 15.9-16.2 ms at the same 43,545
+    nodes.  Sparser tables become dicts of their nonzero entries: a list
+    costs O(2^n) to build (tolist took ~20 us at n = 10, ~0.9 ms at n = 16)
+    and its reads stop being cheaper once it outgrows the cache.  Search
+    time with lists over time with dicts, budget 20,000, on the coupled
+    realizations of six (n, k, k-1) trials at r = n (median of 10
+    alternating in-process pairs; "load" is 2^(n+1) / (E * 2^k)):
+    - k = 4, n = 12: x0.84-0.90 at p = 0.35-0.6 (load 1.7-3.4), x1.03 at
+      p = 0.25 (load 3.9-4.9), x1.18 at p = 0.15 (load 6.1-7.4);
+    - k = 4, n = 14: x0.89-0.93 at p = 0.3-0.7 (load 2.8-7.1), x1.35-4.1
+      at p <= 0.2 (load 8.8-28);
+    - k = 4, n = 16: x1.08-11 at every p from 0.04 to 0.7 (load >= 6.3);
+    - k = 5, n = 16: x0.92-0.93 at p = 0.6-0.9 (load 1.0-1.6), but x1.10
+      at p = 0.3 (load 3.0-3.2), the one slower case the rule lists.
+    """
     n, k = H.n, H.k
     patterns = np.arange(1 << k) >> np.arange(k)[:, None] & 1
     subsets = _vertex_masks(n, k)[1][ranks] @ patterns
@@ -421,23 +475,28 @@ def _dense_edge_index(
     tags = (slots == anchor).astype(np.int64)  # no edge carries color 0
     table = np.zeros(1 << (n + 1), dtype=np.int64)
     np.bitwise_or.at(table, subsets | tags[:, None], edges[:, None] - subsets)
-    keys = np.flatnonzero(table != 0)  # a bool scan: ~4x faster than int64's
-    extend = dict(zip(keys.tolist(), table[keys].tolist()))
-    colors = {
-        edge: 1 << (slot + n + 1)
-        for edge, slot in zip((edges | tags).tolist(), slots.tolist())
-    }
-    return extend, colors
+    present = list(
+        zip((edges | tags).tolist(), [1 << (slot + n + 1) for slot in slots.tolist()])
+    )
+    if len(table) > DENSE_LIST_LOAD * (len(ranks) << k):
+        keys = np.flatnonzero(table != 0)  # a bool scan: ~4x faster than int64's
+        return dict(zip(keys.tolist(), table[keys].tolist())), dict(present), None
+    colors = [0] * len(table)
+    for edge, bits in present:
+        colors[edge] = bits
+    return table.tolist(), colors, present
 
 
 def _completions(
-    extend: dict[int, int],
-    colors_of: dict[int, int],
+    extend: _Index,
+    colors_of: _Index,
+    edges: Optional[list[tuple[int, int]]],
     placed: int,
     one_short: bool,
     multi: bool,
 ) -> list[int]:
-    """Completions of a watched window whose placed vertices are `placed`.
+    """Completions of a watched window whose placed vertices are `placed`,
+    read from _edge_index's (extend, colors_of, edges).
 
     One per present untagged edge holding them: the edge's vertices outside
     `placed` with its color bits, which lie past the vertex bits
@@ -446,11 +505,12 @@ def _completions(
     list ends in a 0, which no AND blocks and no completion equals.  When
     `placed` is one_short, one vertex short of an edge, each vertex u of
     extend[placed] gives the edge placed | u, in ascending vertex order;
-    otherwise every edge is scanned, in colors_of's order.
+    otherwise every edge is scanned, in rank order.  `placed` always lies
+    in a present edge (see _search_source), so it is a key of extend.
     """
     if one_short:
         comps = []
-        rest = extend.get(placed, 0)
+        rest = extend[placed]
         while rest:
             u = rest & -rest
             rest ^= u
@@ -458,7 +518,7 @@ def _completions(
     else:
         comps = [
             (edge ^ placed) | (0 if multi else bits)
-            for edge, bits in colors_of.items()
+            for edge, bits in (colors_of.items() if edges is None else edges)
             if not edge & 1 and edge & placed == placed
         ]
     comps.append(0)
@@ -669,13 +729,17 @@ def find_rainbow_cycle(
     vertices that can still complete that window to a present edge.  A
     position's candidates are the intersection of those sets over every
     window containing it, complete or not, minus the vertices already used;
-    the plan's filters skip a window whose set contains another's.
-    When a window completes its color is checked: against the used colors,
-    kept as bits in the same int as the placed vertices, in single-color
-    mode; in multi-color mode the completed
-    windows are matched to distinct colors by Kuhn augmenting paths over int
-    color bitmasks, each window trying its colors in ascending order, and
-    the window joins the matching or the vertex is pruned.  The plan is
+    the plan's filters skip a window whose set contains another's.  The
+    index's tables are dicts or flat lists, subscripted alike (see
+    _edge_index).  When a window completes its color is checked: against
+    the used colors, kept as bits in the same int as the placed vertices,
+    in single-color mode; in multi-color mode the completed windows are
+    matched to distinct colors by Kuhn augmenting paths over int color
+    bitmasks, each window trying its colors in ascending order, and the
+    window joins the matching or the vertex is pruned.  Color c is bit
+    n + 1 + c of those ints, so a single-color instance with r + n + 1 > 63
+    searches its present colors numbered by rank instead, which keeps their
+    order and so the tree; the certificate names the original colors.  The plan is
     compiled once into nested loops, one per step, in functions of at most
     CHUNK_STEPS steps (see _search_source); this function binds it to the
     instance.
@@ -743,24 +807,31 @@ def find_rainbow_cycle(
     if H.edge_count < m:
         return SearchOutcome(SearchStatus.NOT_FOUND, None, 0, reason="too_few_edges")
 
+    n, k = spec.n, spec.k
+    multi = H.multi_color
     ranks, slots = _present_edges(H)
+    palette = None
+    if not multi and H.r + n + 1 > 63:
+        # color c becomes bit n + 1 + c of an int; numbering the present
+        # colors by rank keeps those ints small and the colors' order, so
+        # the tree is the same
+        palette, slots = np.unique(slots, return_inverse=True)
+        palette, slots = palette.tolist(), slots + 1
     anchor = 0
     if H.r == m:
         anchor = _rarest_color(H, slots)
         if anchor is None:
             return SearchOutcome(SearchStatus.NOT_FOUND, None, 0, reason="missing_color")
 
-    n, k = spec.n, spec.k
     anchored = bool(anchor)
-    extend, colors_of = _edge_index(H, anchor, ranks, slots)
-    multi = H.multi_color
+    extend, colors_of, edges = _edge_index(H, anchor, ranks, slots)
     completion_lists: dict[int, list[int]] = {}
 
     def completions(placed: int) -> list[int]:
         comps = completion_lists.get(placed)
         if comps is None:
             comps = completion_lists[placed] = _completions(
-                extend, colors_of, placed, placed.bit_count() == k - 1, multi
+                extend, colors_of, edges, placed, placed.bit_count() == k - 1, multi
             )
         return comps
 
@@ -814,7 +885,7 @@ def find_rainbow_cycle(
     # from the leaf's matching, or, single-color, from colors_of
     return SearchOutcome(
         SearchStatus.FOUND, None, nodes,
-        _pending=(spec, anchored, placed, held.copy() if multi else colors_of),
+        _pending=(spec, anchored, multi, placed, held.copy() if multi else colors_of, palette),
     )
 
 

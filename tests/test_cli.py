@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -371,6 +372,29 @@ def test_exit_codes(tmp_path, capsys):
     ):
         code, _, err = run(capsys, *argv)
         assert code == 1 and "2^63 - 1" in err, argv
+    # the largest color count an int64 slot holds is searched like any other
+    top = str(2**63 - 1)
+    for command in ("sweep", "csweep"):
+        code, out, _ = run(capsys, command, "--n", "8", "--k", "3", "--ell", "1", "--r", top,
+                           "--p-grid", "0.1:0.5:2", "--trials", "1")
+        assert code == 0 and out.count(top) == 2, command
+    # more grid points x trials than the lab holds is refused before the grid,
+    # the tasks or the results are allocated
+    tracemalloc.start()
+    try:
+        for argv in (
+            ("csweep", "--n", "8", "--k", "3", "--ell", "1", "--r", "4",
+             "--p-grid", "0.1:0.5:100000000", "--trials", "1"),
+            ("sweep", "--n", "8", "--k", "3", "--ell", "1", "--r", "4",
+             "--p-grid", "0.1:0.5:1000", "--trials", "501"),
+            ("couple", "--n", "8", "--k", "3", "--p", "0.05", "--trials", "1000000000"),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 1 and "500,000" in err, argv
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_budget_without_budgeted_mode_is_invalid_input(tmp_path, capsys):

@@ -42,11 +42,14 @@ from rainbowhc.core import color_bits, distinct_color_system, lex_rank
 from rainbowhc.solver import (
     CHUNK_STEPS,
     DENSE_INDEX_MIN_PAIRS,
+    DENSE_LIST_LOAD,
+    SearchOutcome,
     _compiled_search,
     _completions,
     _dense_edge_index,
     _dense_index,
     _edge_index,
+    _edge_masks,
     _looped_edge_index,
     _pair_counts,
     _perm_edge_table,
@@ -544,27 +547,34 @@ def test_compiled_search_shows_its_source(anchored, multi):
 
 
 @pytest.mark.parametrize(
-    "H, anchor",
+    "H, anchor, form",
     [
-        (sample_colored(8, 4, 0.5, 8, 1), 0),
-        (sample_colored(8, 4, 0.5, 8, 2), 3),  # the anchor's edges are tagged
-        (sample_directed(8, 3, 0.2, 4, 3), 0),
-        (sample_directed(8, 3, 0.2, 4, 4), 2),
+        (sample_colored(8, 4, 0.5, 8, 1), 0, dict),
+        (sample_colored(8, 4, 0.5, 8, 2), 3, dict),  # the anchor's edges are tagged
+        (sample_directed(8, 3, 0.2, 4, 3), 0, dict),
+        (sample_directed(8, 3, 0.2, 4, 4), 2, dict),
+        (sample_colored(10, 4, 0.5, 10, 1), 0, list),
+        (sample_colored(10, 4, 0.5, 10, 2), 3, list),
     ],
-    ids=["single", "single-anchored", "multi", "multi-anchored"],
+    ids=["single", "single-anchored", "multi", "multi-anchored", "single-list",
+         "single-list-anchored"],
 )
-def test_one_short_completions_match_the_scan(H, anchor):
+def test_one_short_completions_match_the_scan(H, anchor, form):
     # the completions of a set one vertex short of an edge are read off the
-    # index in ascending vertex order; as a set they are the scan's
-    extend, colors_of = _edge_index(H, anchor, *_present_edges(H))
-    untagged = [edge for edge in colors_of if not edge & 1]
-    assert untagged and (not anchor or len(untagged) < len(colors_of))
+    # index in ascending vertex order; as a set they are the scan's, in
+    # both forms of the index
+    extend, colors_of, edges = _edge_index(H, anchor, *_present_edges(H))
+    assert type(extend) is type(colors_of) is form
+    assert (edges is None) == (form is dict)
+    masks = list(colors_of) if edges is None else [edge for edge, _ in edges]
+    untagged = [edge for edge in masks if not edge & 1]
+    assert untagged and (not anchor or len(untagged) < len(masks))
     for edge in untagged:
         vertices = [1 << v for v in range(1, H.n + 1) if edge >> v & 1]
         for rest in itertools.combinations(vertices, H.k - 1):
             placed = sum(rest)
-            short = _completions(extend, colors_of, placed, True, H.multi_color)
-            scan = _completions(extend, colors_of, placed, False, H.multi_color)
+            short = _completions(extend, colors_of, edges, placed, True, H.multi_color)
+            scan = _completions(extend, colors_of, edges, placed, False, H.multi_color)
             assert short[-1] == scan[-1] == 0
             assert len(set(short)) == len(short) == len(scan)
             assert set(short) == set(scan)
@@ -593,21 +603,36 @@ def _index_instances():
 
 
 def test_dense_index_equals_the_loop():
-    # the numpy routine builds the loop's dicts key for key, colors_of in the
-    # same order (the completion scan reads it in that order), with no
-    # anchor, the rarest color and another color
-    sides = set()
+    # the numpy routine builds the loop's index key for key, with no anchor,
+    # the rarest color and another color: the same dicts, colors_of in the
+    # same order (the completion scan reads it in that order), when its
+    # table holds more than DENSE_LIST_LOAD entries per (edge, subset) pair,
+    # and otherwise lists over every mask whose nonzero entries are exactly
+    # the dicts' items, with an edge list holding colors_of's items in order
+    forms = set()
     for H in _index_instances():
-        sides.add(_dense_index(H))
         present = _present_edges(H)
         rarest = solver._rarest_color(H, present[1])
         for anchor in {0, rarest or 0, 1 if rarest != 1 else 2}:
-            extend, colors_of = _looped_edge_index(H, anchor, *present)
-            dense_extend, dense_colors = _dense_edge_index(H, anchor, *present)
-            assert dense_extend == extend, (H, anchor)
-            assert list(dense_colors.items()) == list(colors_of.items()), (H, anchor)
-            assert _edge_index(H, anchor, *present) == (extend, colors_of)
-    assert sides == {False, True}
+            loop = _looped_edge_index(H, anchor, *present)
+            extend, colors_of, edges = loop
+            assert type(extend) is type(colors_of) is dict and edges is None
+            # the numpy routine is checked on every instance, chosen or not
+            dense = _dense_edge_index(H, anchor, *present)
+            listed = 1 << (H.n + 1) <= DENSE_LIST_LOAD * (H.edge_count << H.k)
+            if listed:
+                assert dense[2] == list(colors_of.items()), (H, anchor)
+                for table, expected in zip(dense[:2], (extend, colors_of)):
+                    assert type(table) is list and len(table) == 1 << (H.n + 1)
+                    nonzero = {key: value for key, value in enumerate(table) if value}
+                    assert nonzero == expected, (H, anchor)
+            else:
+                assert dense[0] == extend and dense[2] is None, (H, anchor)
+                assert list(dense[1].items()) == list(colors_of.items()), (H, anchor)
+            chosen = _dense_index(H)
+            assert _edge_index(H, anchor, *present) == (dense if chosen else loop)
+            forms.add("loop" if not chosen else "dense list" if listed else "dense dict")
+    assert forms == {"loop", "dense dict", "dense list"}
 
 
 def test_dense_index_rule():
@@ -623,16 +648,24 @@ def test_dense_index_rule():
 
 def test_bench_shaped_searches_take_their_index_routine(monkeypatch, capsys):
     # the calls csweep_tight10, sweep_loose12 and couple_directed8 make:
-    # every csweep search has 1,184-3,360 (edge, subset) pairs and takes the
-    # numpy pass; sweep (<= 704 pairs) and couple (<= 232 pairs, or
-    # multi-color) take the loop
+    # every csweep search has 1,184-3,360 (edge, subset) pairs, at least a
+    # quarter of its 2,048-entry table, and takes the numpy pass and gets
+    # lists; sweep (<= 704 pairs) and couple (<= 232 pairs, or multi-color)
+    # take the loop and get dicts
     taken = []
+    edge_index = solver._edge_index
 
     def recording(H):
-        taken.append((H.multi_color, H.edge_count << H.k, _dense_index(H)))
+        taken.append([H.multi_color, H.edge_count << H.k, _dense_index(H)])
         return taken[-1][2]
 
+    def recording_form(*args):
+        index = edge_index(*args)
+        taken[-1].append(type(index[0]))
+        return index
+
     monkeypatch.setattr(solver, "_dense_index", recording)
+    monkeypatch.setattr(solver, "_edge_index", recording_form)
     calls = {
         "csweep": [
             ["csweep", "--n", "10", "--k", "4", "--ell", "3", "--c", "1",
@@ -658,10 +691,15 @@ def test_bench_shaped_searches_take_their_index_routine(monkeypatch, capsys):
             assert main(argv) == 0
         capsys.readouterr()
         seen[name] = list(taken)
-    assert all(dense and 1184 <= pairs <= 3360 for _, pairs, dense in seen["csweep"])
-    assert not any(dense or pairs > 704 for _, pairs, dense in seen["sweep"])
-    assert not any(dense for _, _, dense in seen["couple"])
-    assert all(multi or pairs <= 232 for multi, pairs, _ in seen["couple"])
+    assert all(
+        dense and form is list and 1184 <= pairs <= 3360
+        for _, pairs, dense, form in seen["csweep"]
+    )
+    assert not any(
+        dense or form is not dict or pairs > 704 for _, pairs, dense, form in seen["sweep"]
+    )
+    assert not any(dense or form is not dict for _, _, dense, form in seen["couple"])
+    assert all(multi or pairs <= 232 for multi, pairs, _, _ in seen["couple"])
     assert all(seen.values())
 
 
@@ -685,6 +723,34 @@ def test_to_record_round_trips_json():
     back = json.loads(text)
     assert back["status"] == "found"
     assert back["certificate"]["colors"] == list(out.certificate.colors)
+
+
+def test_colors_past_63_bits_search_as_their_ranks():
+    # single-color ids whose bits would pass bit 63 are numbered by rank
+    # among the present colors before the search; ranks keep the colors'
+    # order, so the tree is that of the instance colored by those ranks,
+    # and the certificate names the original colors
+    cases = [(CycleSpec(8, 3, 1), p, 2**63 - 1, None) for p in (0.15, 0.3, 0.6)]
+    cases += [(CycleSpec(10, 4, 3), 0.9, 2**40, 2000)]  # a dense, listed index
+    found = 0
+    for spec, p, r, budget in cases:
+        for seed in range(3):
+            H = sample_colored(spec.n, spec.k, p, r, seed)
+            palette = sorted({c for _, cs in H.items() for c in cs})
+            rank = {c: i + 1 for i, c in enumerate(palette)}
+            ranked = ColoredHypergraph(
+                spec.n, spec.k, max(len(palette), spec.m + 1),
+                {e: {rank[c] for c in cs} for e, cs in H.items()},
+            )
+            out, expected = find_rainbow_cycle(H, spec, budget), find_rainbow_cycle(ranked, spec, budget)
+            assert (out.status, out.nodes_expanded) == (expected.status, expected.nodes_expanded)
+            if out.found:
+                cert, ranked_cert = out.certificate, expected.certificate
+                assert (cert.hamperm, cert.edges) == (ranked_cert.hamperm, ranked_cert.edges)
+                assert cert.colors == tuple(palette[c - 1] for c in ranked_cert.colors)
+                assert verify_certificate(H, cert)
+                found += 1
+    assert found >= 4
 
 
 def test_multi_color_search_uses_matching():
@@ -833,12 +899,9 @@ def test_every_plan_shape_compiles_and_runs_up_to_n64(n):
                 assert verify_certificate(H, out.certificate)
 
 
-def test_vertex_mask_table_holds_only_masks():
-    # at n = 64 the masks outgrow int64; building them for a search must not
-    # hold a tuple per k-set on the way (the plan is compiled beforehand)
-    spec = CycleSpec(64, 3, 2)
-    find_rainbow_cycle(sample_colored(64, 3, 0.05, 65, 1), spec, budget=300)
-    H = sample_colored(64, 3, 0.05, 65, 2)
+def _search_peak(H: ColoredHypergraph, spec: CycleSpec) -> tuple[SearchOutcome, int]:
+    """A budget-300 search of H with an empty _vertex_masks cache, and the
+    peak of the memory it allocates under tracemalloc."""
     _vertex_masks.cache_clear()
     tracemalloc.start()
     try:
@@ -846,9 +909,31 @@ def test_vertex_mask_table_holds_only_masks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+def test_vertex_mask_table_holds_only_masks():
+    # past n = 16 no table over every k-set is built: the loop unranks the
+    # present edges alone, into Python ints, as at n = 64 the masks outgrow
+    # int64 (the plan is compiled beforehand)
+    spec = CycleSpec(64, 3, 2)
+    find_rainbow_cycle(sample_colored(64, 3, 0.05, 65, 1), spec, budget=300)
+    out, peak = _search_peak(sample_colored(64, 3, 0.05, 65, 2), spec)
     assert out.status is SearchStatus.UNKNOWN
-    assert _vertex_masks(64, 3)[0][-1] == (1 << 62) | (1 << 63) | (1 << 64)
-    assert _vertex_masks(64, 3)[1] is None  # no dense index past n = 16
+    assert _vertex_masks.cache_info().currsize == 0
+    last = math.comb(64, 3) - 1
+    assert _edge_masks(64, 3, np.array([last])) == {last: (1 << 62) | (1 << 63) | (1 << 64)}
+    assert peak < 3.5 * (1 << 20)
+
+
+def test_sparse_search_on_many_ksets_stays_small():
+    # C(200, 3) = 1,313,400 k-sets: a table of one Python int for each took
+    # 2.8 s and a 123 MB peak on the first search of a 253-edge instance
+    spec = CycleSpec(200, 3, 2)
+    find_rainbow_cycle(sample_colored(200, 3, 0.0002, 201, 2), spec, budget=300)
+    H = sample_colored(200, 3, 0.0002, 201, 1)
+    out, peak = _search_peak(H, spec)
+    assert H.edge_count == 253 and out.status is SearchStatus.NOT_FOUND
     assert peak < 3.5 * (1 << 20)
 
 
