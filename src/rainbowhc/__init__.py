@@ -26,7 +26,6 @@ from .errors import (
 )
 from .models import (
     CoupledInstance,
-    GammaGraph,
     build_gamma,
     detect_color_collisions,
     find_gamma_cycle,

@@ -206,13 +206,14 @@ _cmd_csweep = _cmd_sweep
 
 
 def _cmd_reduce(args):
-    G = build_gamma(read_chg(args.infile))
+    H = read_chg(args.infile)
+    G = build_gamma(H)
     meta = [
         "generator=build_gamma",
-        f"base_n={G.base_n} base_k={G.base_k} m={G.m}",
+        f"base_n={H.n} base_k={H.k} m={G.n - H.n}",
         f"source={args.infile}",
     ]
-    return G.to_hypergraph(), meta
+    return G, meta
 
 
 def _cmd_couple(args):

@@ -26,12 +26,16 @@ Edge = tuple  # canonical edge: strictly increasing tuple of vertex ids
 _ENUMERATION_CAP = 2_000_000  # refuse to index more k-sets than this
 _UNRANK_CHUNK = 1 << 14       # present edges unranked at a time by items()
 _MAX_COLORS = (1 << 63) - 1   # the largest color a single-color int64 slot holds
+_MAX_MULTI_COLORS = 1 << 16   # a multi-color slot's mask has a bit per color: 8 KiB
 
 
-def check_colors(r: int) -> None:
-    """InvalidInput unless 1 <= r <= 2^63 - 1, the color counts a slot holds."""
+def check_colors(r: int, multi_color: bool = False) -> None:
+    """InvalidInput unless 1 <= r <= 2^63 - 1, the color counts a slot holds,
+    and, multi-color, r <= 2^16, since each color is a bit of a mask."""
     if not 1 <= r <= _MAX_COLORS:
         raise InvalidInput(f"need 1 <= r <= 2^63 - 1 colors, got r={r}")
+    if multi_color and r > _MAX_MULTI_COLORS:
+        raise InvalidInput(f"need r <= 2^16 colors in multi-color mode, got r={r}")
 
 
 def canonical_edge(vertices: Iterable[int]) -> Edge:
@@ -197,8 +201,8 @@ class ColoredHypergraph:
     color c.  Zero means absent.  Build from a mapping of edges to colors
     (validated edge by edge), or pass such an array as ``by_rank`` (one
     vectorised range check; this is what the samplers do).  Construction
-    refuses C(n, k) above the enumeration cap with TooLarge before it
-    allocates anything.
+    refuses C(n, k) above the enumeration cap (TooLarge) and an r that
+    check_colors refuses (InvalidInput) before it allocates anything.
     """
 
     __slots__ = ("n", "k", "r", "multi_color", "by_rank", "edge_count")
@@ -214,7 +218,7 @@ class ColoredHypergraph:
         by_rank: Optional[Sequence[int]] = None,
     ) -> None:
         total = kset_count(n, k)
-        check_colors(r)
+        check_colors(r, multi_color)
         self.n = n
         self.k = k
         self.r = r

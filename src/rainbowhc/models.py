@@ -138,73 +138,28 @@ def sample_directed(n: int, k: int, q: float, r: int, seed: int) -> ColoredHyper
     records, per k-set, the set of colors received (multi-color mode).
     """
     _check_probability(q, "q")
-    check_colors(r)
+    check_colors(r, multi_color=True)
     total = kset_count(n, k)
     rng = _rng(seed)
     counts = rng.binomial(math.factorial(k), q, size=total)
     # one draw for every present ordering, in rank order: the same stream as
     # one draw per k-set
     colors = rng.integers(1, r + 1, size=int(counts.sum()))
-    masks = [0] * total  # Python-int masks, so any r fits
+    masks = [0] * total  # Python-int masks, r <= 2^16 (see check_colors)
     for rank, color in zip(np.repeat(np.arange(total), counts).tolist(), colors.tolist()):
         masks[rank] |= 1 << color
     return ColoredHypergraph(n, k, r, by_rank=masks, multi_color=True)
 
 
-@dataclass(frozen=True)
-class GammaGraph:
-    """(k+1)-uniform hypergraph obtained by appending color vertices.
-
-    Vertices split into X = [1, m], Y = [m+1, n], Z = [n+1, n+m] where
-    m = n/(k-1); every edge has exactly 2 vertices in X, k-2 in Y and the
-    single Z vertex n + color.
-    """
-
-    base_n: int
-    base_k: int
-    edges: tuple[tuple[int, ...], ...]
-
-    @property
-    def m(self) -> int:
-        return self.base_n // (self.base_k - 1)
-
-    @property
-    def n_total(self) -> int:
-        return self.base_n + self.m
-
-    @property
-    def uniformity(self) -> int:
-        return self.base_k + 1
-
-    @property
-    def x_vertices(self) -> range:
-        return range(1, self.m + 1)
-
-    @property
-    def y_vertices(self) -> range:
-        return range(self.m + 1, self.base_n + 1)
-
-    @property
-    def z_vertices(self) -> range:
-        return range(self.base_n + 1, self.base_n + self.m + 1)
-
-    def to_hypergraph(self) -> ColoredHypergraph:
-        """View as a ColoredHypergraph (r=1, all edges color 1) so the
-        standard .chg writer serializes it: uniformity k+1, n+m vertices."""
-        return ColoredHypergraph(
-            self.n_total,
-            self.uniformity,
-            1,
-            {e: {1} for e in self.edges},
-        )
-
-
-def build_gamma(H: ColoredHypergraph) -> GammaGraph:
+def build_gamma(H: ColoredHypergraph) -> ColoredHypergraph:
     """Map each base edge e with |e ∩ X| = 2 to e ∪ {n + color(e)}.
 
     Requires the most restrictive loose setting: single-color H with
     (k-1) | n and r = n/(k-1).  Base edges meeting X in any other size are
-    ignored.
+    ignored.  The result is (k+1)-uniform on n + m vertices, m = n/(k-1),
+    with r = 1 and every edge colored 1.  Its vertices split into
+    X = [1, m], Y = [m+1, n] and Z = [n+1, n+m]: every edge has exactly 2
+    vertices in X, k-2 in Y and the single Z vertex n + color.
     """
     if H.multi_color:
         raise InvalidInput("reduction needs a single-color hypergraph")
@@ -213,13 +168,26 @@ def build_gamma(H: ColoredHypergraph) -> GammaGraph:
     m = H.n // (H.k - 1)
     if H.r != m:
         raise InvalidInput(f"need r = n/(k-1) = {m}, got r = {H.r}")
-    gamma_edges = []
+    gamma_edges = {}
     for edge, colors in H.items():
         in_x = sum(1 for v in edge if v <= m)
         if in_x == 2:
             (color,) = colors
-            gamma_edges.append(tuple(sorted(edge + (H.n + color,))))
-    return GammaGraph(H.n, H.k, tuple(sorted(gamma_edges)))
+            gamma_edges[edge + (H.n + color,)] = {1}
+    return ColoredHypergraph(H.n + m, H.k + 1, 1, gamma_edges)
+
+
+def _loose_base(G: ColoredHypergraph) -> tuple[int, int, int]:
+    """(n, k, m) of the base instances that build_gamma reduces to G's
+    shape: G has n + m = k·m vertices and uniformity k + 1."""
+    k = G.k - 1
+    if k < 2 or G.n % k != 0:
+        raise InvalidInput(
+            f"no loose instance reduces to n = {G.n}, k = {G.k}: "
+            f"need k >= 3 and k - 1 dividing n"
+        )
+    m = G.n // k
+    return G.n - m, k, m
 
 
 def _cycle_intersections(
@@ -252,7 +220,7 @@ def _cycle_intersections(
 
 
 def gamma_cycle_to_rainbow(
-    G: GammaGraph, cycle: Sequence[Iterable[int]]
+    G: ColoredHypergraph, cycle: Sequence[Iterable[int]]
 ) -> RainbowCertificate:
     """Strip Z vertices from a loose cycle of G into colors of the base.
 
@@ -262,15 +230,14 @@ def gamma_cycle_to_rainbow(
     rainbow loose Hamilton cycle of the base hypergraph (rainbow because the
     m distinct Z vertices give m distinct colors).
     """
-    n, k, m = G.base_n, G.base_k, G.m
-    edge_set = set(G.edges)
+    n, k, m = _loose_base(G)
     cyc = [canonical_edge(e) for e in cycle]
     if len(cyc) != m:
         raise InvalidCycle(f"need {m} edges for a loose Hamilton cycle, got {len(cyc)}")
     if len(set(cyc)) != m:
         raise InvalidCycle("cycle repeats an edge")
     for e in cyc:
-        if e not in edge_set:
+        if not G.has_edge(e):
             raise InvalidCycle(f"edge {e} is not an edge of the reduced graph")
 
     bases = []
@@ -284,7 +251,7 @@ def gamma_cycle_to_rainbow(
 
     shared = _cycle_intersections(cyc, m)
     covered = set(itertools.chain.from_iterable(cyc))
-    if covered != set(range(1, G.n_total + 1)):
+    if covered != set(range(1, G.n + 1)):
         raise InvalidCycle("cycle does not span all vertices of the reduced graph")
 
     # Rebuild the base permutation: block i is the connector s_i followed by
@@ -341,7 +308,7 @@ def detect_color_collisions(
     return sorted(pairs)
 
 
-def find_gamma_cycle(G: GammaGraph) -> Optional[list[tuple[int, ...]]]:
+def find_gamma_cycle(G: ColoredHypergraph) -> Optional[list[tuple[int, ...]]]:
     """Search G for a loose Hamilton cycle with X-vertex intersections.
 
     Backtracks over edge sequences e_1, ..., e_m with connector vertices
@@ -349,9 +316,9 @@ def find_gamma_cycle(G: GammaGraph) -> Optional[list[tuple[int, ...]]]:
     pair and otherwise fresh vertices.  Independent of the hamperm solver;
     returns the cycle in order, or None when none exists.
     """
-    m = G.m
+    _, _, m = _loose_base(G)
     by_x_pair: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for e in G.edges:
+    for e in G.edges():
         xs = [v for v in e if v <= m]
         if len(xs) != 2:
             raise InvalidInput(f"reduced-graph edge {e} has {len(xs)} X vertices")

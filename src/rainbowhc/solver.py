@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Collection, Optional, Union
 
 import numpy as np
 
@@ -369,11 +369,12 @@ def _dense_index(H: ColoredHypergraph) -> bool:
 
 
 _Index = Union[dict[int, int], list[int]]
+_Edges = Collection[tuple[int, int]]  # (edge mask, color bits) pairs in rank order
 
 
 def _edge_index(
     H: ColoredHypergraph, anchor: int, ranks: np.ndarray, slots: np.ndarray
-) -> tuple[_Index, _Index, Optional[list[tuple[int, int]]]]:
+) -> tuple[_Index, _Index, _Edges]:
     """Vertex-bitmask index of H's present edges (bit v for vertex v), whose
     ranks and slots are given (see _present_edges).
 
@@ -382,7 +383,8 @@ def _edge_index(
     subset T of every edge; colors_of maps each edge's mask to its colors as
     a bitmask past the vertex bits, bit n + 1 + c for color c, so that one
     int can hold placed vertices and used colors: one bit (single-color) or
-    the edge's whole color set (multi-color).
+    the edge's whole color set (multi-color); edges lists those (mask,
+    colors) pairs in rank order.
 
     With an anchor color (anchor > 0; 0 means none), the edges carrying it
     are indexed under keys tagged with bit 0, which is never a vertex bit,
@@ -391,10 +393,8 @@ def _edge_index(
     leaves).
 
     extend and colors_of come in one of two forms, which the search
-    subscripts alike: dicts holding just those keys, in which case edges is
-    None and colors_of's items are the edges in rank order, or lists over
-    all 2^(n+1) masks holding 0 at every other one, in which case edges
-    lists colors_of's (mask, colors) pairs in rank order.  Two routines
+    subscripts alike: dicts holding just those keys, or lists over all
+    2^(n+1) masks holding 0 at every other one.  Two routines
     build them, the instance choosing which (see _dense_index):
     _dense_edge_index in one numpy pass, in either form, and
     _looped_edge_index one subset at a time, as dicts.
@@ -406,7 +406,7 @@ def _edge_index(
 
 def _looped_edge_index(
     H: ColoredHypergraph, anchor: int, ranks: np.ndarray, slots: np.ndarray
-) -> tuple[dict[int, int], dict[int, int], None]:
+) -> tuple[dict[int, int], dict[int, int], _Edges]:
     """_edge_index of any instance, as dicts: each edge's proper subsets
     walked in a loop, largest first, each one a dict update."""
     extend: dict[int, int] = {}
@@ -435,12 +435,12 @@ def _looped_edge_index(
         while sub:
             sub = (sub - 1) & edge
             extend[sub] = get(sub, 0) | (edge ^ sub)
-    return extend, colors, None
+    return extend, colors, colors.items()
 
 
 def _dense_edge_index(
     H: ColoredHypergraph, anchor: int, ranks: np.ndarray, slots: np.ndarray
-) -> tuple[_Index, _Index, Optional[list[tuple[int, int]]]]:
+) -> tuple[_Index, _Index, _Edges]:
     """_edge_index of a single-color instance with n <= DENSE_INDEX_MAX_N, in
     one numpy pass: every subset of every edge is one entry of an (E, 2^k)
     array, the product of the edges' vertex bits with the 0/1 matrix of
@@ -480,7 +480,7 @@ def _dense_edge_index(
     )
     if len(table) > DENSE_LIST_LOAD * (len(ranks) << k):
         keys = np.flatnonzero(table != 0)  # a bool scan: ~4x faster than int64's
-        return dict(zip(keys.tolist(), table[keys].tolist())), dict(present), None
+        return dict(zip(keys.tolist(), table[keys].tolist())), dict(present), present
     colors = [0] * len(table)
     for edge, bits in present:
         colors[edge] = bits
@@ -490,7 +490,7 @@ def _dense_edge_index(
 def _completions(
     extend: _Index,
     colors_of: _Index,
-    edges: Optional[list[tuple[int, int]]],
+    edges: _Edges,
     placed: int,
     one_short: bool,
     multi: bool,
@@ -518,7 +518,7 @@ def _completions(
     else:
         comps = [
             (edge ^ placed) | (0 if multi else bits)
-            for edge, bits in (colors_of.items() if edges is None else edges)
+            for edge, bits in edges
             if not edge & 1 and edge & placed == placed
         ]
     comps.append(0)

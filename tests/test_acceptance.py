@@ -328,13 +328,13 @@ def test_criterion_09_gamma_round_trip():
             if not (verify_certificate(H2, cert) and verify_certificate(H, cert)):
                 verify_failures += 1
         # plant a same-base-kset collision and demand detection
-        if G.edges:
-            victim = G.edges[0]
+        if G.edge_count:
+            victim = next(G.edges())
             z = victim[-1]
             other_z = n + 1 + (z - n) % m
             twin = tuple(sorted(victim[:-1] + (other_z,)))
             if twin != victim:
-                reported = detect_color_collisions(list(G.edges) + [twin])
+                reported = detect_color_collisions(list(G.edges()) + [twin])
                 pair = (victim, twin) if victim <= twin else (twin, victim)
                 if pair not in reported:
                     collision_misses += 1

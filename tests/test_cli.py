@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rainbowhc import read_chg
+from rainbowhc import build_gamma, read_chg
 from rainbowhc.cli import main
 
 
@@ -307,6 +307,7 @@ def test_reduce_command(tmp_path, capsys):
     assert code == 0
     G = read_chg(gamma)
     assert (G.n, G.k) == (9, 4)
+    assert G == build_gamma(read_chg(chg))
 
 
 def test_couple_command(capsys):
@@ -372,6 +373,17 @@ def test_exit_codes(tmp_path, capsys):
     ):
         code, _, err = run(capsys, *argv)
         assert code == 1 and "2^63 - 1" in err, argv
+    # a multi-color slot is a mask with a bit per color, so multi-color mode
+    # refuses more than 2^16 colors before any draw or mask
+    multi = tmp_path / "multi.chg"
+    multi.write_text(f"8 3 {2**63 - 1} multi\n1 2 3 {2**63 - 2}\n")
+    for argv in (
+        ("gen", "--model", "directed", "--n", "8", "--k", "3", "--q", "0.05",
+         "--r", str(2**63 - 1), "--seed", "1"),
+        ("solve", "--infile", str(multi), "--ell", "1"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "2^16" in err, argv
     # the largest color count an int64 slot holds is searched like any other
     top = str(2**63 - 1)
     for command in ("sweep", "csweep"):

@@ -22,6 +22,7 @@ from rainbowhc import (
     edges_of_hamperm,
     read_chg,
     sample_colored,
+    sample_directed,
     validate_cycle,
     verify_certificate,
 )
@@ -218,6 +219,18 @@ def test_storage_is_one_array_by_rank():
     assert multi.by_rank[lex_rank(5, (2, 3, 4))] == 0b1010
     assert color_bits(0b1010) == (1, 3)
     assert multi.colors_of((4, 3, 2)) == frozenset({1, 3})
+
+
+def test_multi_color_mode_holds_at_most_2_16_colors():
+    # a multi-color slot is a mask with a bit per color; single-color slots
+    # hold up to 2^63 - 1
+    top = ColoredHypergraph(5, 3, 1 << 16, {(1, 2, 3): {1, 1 << 16}}, multi_color=True)
+    assert top.colors_of((1, 2, 3)) == frozenset({1, 1 << 16})
+    with pytest.raises(InvalidInput, match=r"2\^16"):
+        ColoredHypergraph(5, 3, (1 << 16) + 1, {(1, 2, 3): {1}}, multi_color=True)
+    with pytest.raises(InvalidInput, match=r"2\^16"):
+        sample_directed(5, 3, 0.5, (1 << 16) + 1, 1)
+    assert ColoredHypergraph(5, 3, (1 << 16) + 1, {(1, 2, 3): {1 << 16}}).edge_count == 1
 
 
 def test_by_rank_constructor_checks_range_and_shape():

@@ -290,10 +290,12 @@ def test_build_gamma_worked_example():
         [((1, 2, 4), 2), ((1, 2, 3), 1), ((1, 4, 5), 1)],
     )
     G = build_gamma(H)
-    assert G.edges == ((1, 2, 4, 8),)
-    assert list(G.x_vertices) == [1, 2, 3]
-    assert list(G.y_vertices) == [4, 5, 6]
-    assert list(G.z_vertices) == [7, 8, 9]
+    assert (G.n, G.k, G.r) == (9, 4, 1)
+    assert tuple(G.edges()) == ((1, 2, 4, 8),)
+    # two vertices in X, one in Y, and the Z vertex n + color
+    x, y, z = range(1, 4), range(4, 7), range(7, 10)
+    for e in G.edges():
+        assert [sum(v in part for v in e) for part in (x, y, z)] == [2, 1, 1]
 
 
 def test_build_gamma_edge_count_matches_filter():
@@ -302,8 +304,8 @@ def test_build_gamma_edge_count_matches_filter():
     expected = sum(
         1 for e, _ in H.items() if sum(1 for v in e if v <= 6) == 2
     )
-    assert len(G.edges) == expected
-    for e in G.edges:
+    assert len(list(G.edges())) == expected
+    for e in G.edges():
         assert sum(1 for v in e if v <= 6) == 2
         assert sum(1 for v in e if 6 < v <= 12) == 1  # k - 2 = 1
         assert sum(1 for v in e if v > 12) == 1
@@ -353,7 +355,7 @@ def test_gamma_filters_by_x_intersection_size():
     )
     G = build_gamma(H)
     # |e∩X| = 1 ({3,5,6}, {1,4,5}) and |e∩X| = 3 ({1,2,3}) are excluded
-    assert G.edges == ((1, 2, 5, 8),)
+    assert tuple(G.edges()) == ((1, 2, 5, 8),)
 
 
 def test_gamma_cycle_rejects_y_intersection():
@@ -364,7 +366,7 @@ def test_gamma_cycle_rejects_y_intersection():
     ]
     H = ColoredHypergraph.from_pairs(12, 3, 6, base)
     G = build_gamma(H)
-    assert len(G.edges) == 6
+    assert len(list(G.edges())) == 6
     cycle = [tuple(sorted(e + (12 + c,))) for e, c in base]
     with pytest.raises(InvalidCycle, match="outside X"):
         gamma_cycle_to_rainbow(G, cycle)
@@ -402,8 +404,17 @@ def test_reattach_then_strip_is_identity_on_certificates():
 def test_find_gamma_cycle_absent():
     H, G = _hand_gamma_instance()
     # drop one edge: no spanning cycle remains
-    G2 = type(G)(G.base_n, G.base_k, G.edges[:-1])
+    G2 = ColoredHypergraph(G.n, G.k, 1, {e: {1} for e in list(G.edges())[:-1]})
     assert find_gamma_cycle(G2) is None
+
+
+def test_gamma_functions_refuse_a_graph_no_loose_instance_reduces_to():
+    # a reduced graph has k·m vertices and uniformity k + 1; 3 does not divide 7
+    G = ColoredHypergraph(7, 4, 1, {(1, 2, 3, 4): {1}})
+    with pytest.raises(InvalidInput):
+        find_gamma_cycle(G)
+    with pytest.raises(InvalidInput):
+        gamma_cycle_to_rainbow(G, [(1, 2, 3, 4)])
 
 
 # -- detect_color_collisions ---------------------------------------------------

@@ -470,8 +470,9 @@ def _found_outcome_instances():
 @pytest.mark.parametrize("H, spec", _found_outcome_instances())
 def test_found_certificate_is_built_once_and_holds_no_index(H, spec, monkeypatch):
     # a FOUND outcome builds its certificate on the first read and keeps it;
-    # it never holds the search index's extend dict, and it lets go of
-    # colors_of once the certificate exists
+    # it never holds the search index's extend dict or edge list, and it
+    # lets go of colors_of once the certificate exists (the loop's edge list
+    # is a view of its colors_of, so that view may hold it too)
     built = []
     edge_index = solver._edge_index
 
@@ -483,10 +484,12 @@ def test_found_certificate_is_built_once_and_holds_no_index(H, spec, monkeypatch
     outcome = find_rainbow_cycle(H, spec)
     assert outcome.found and len(built) == 1
     assert gc.get_referrers(built[0][0]) == [built[0]]  # extend
+    assert gc.get_referrers(built[0][2]) == [built[0]]  # edges
     cert = outcome.certificate
     assert outcome.certificate is cert
     assert verify_certificate(H, cert)
-    assert gc.get_referrers(built[0][1]) == [built[0]]  # colors_of
+    holders = [r for r in gc.get_referrers(built[0][1]) if r is not built[0][2]]
+    assert holders == [built[0]]  # colors_of
     assert outcome.to_record()["certificate"]["permutation"] == list(cert.hamperm.pi)
     again = pickle.loads(pickle.dumps(outcome))
     assert (again.status, again.certificate, again.nodes_expanded, again.reason) == (
@@ -565,8 +568,11 @@ def test_one_short_completions_match_the_scan(H, anchor, form):
     # both forms of the index
     extend, colors_of, edges = _edge_index(H, anchor, *_present_edges(H))
     assert type(extend) is type(colors_of) is form
-    assert (edges is None) == (form is dict)
-    masks = list(colors_of) if edges is None else [edge for edge, _ in edges]
+    if form is dict:
+        assert list(edges) == list(colors_of.items())
+    else:
+        assert sorted(edges) == [(mask, bits) for mask, bits in enumerate(colors_of) if bits]
+    masks = [edge for edge, _ in edges]
     untagged = [edge for edge in masks if not edge & 1]
     assert untagged and (not anchor or len(untagged) < len(masks))
     for edge in untagged:
@@ -616,7 +622,8 @@ def test_dense_index_equals_the_loop():
         for anchor in {0, rarest or 0, 1 if rarest != 1 else 2}:
             loop = _looped_edge_index(H, anchor, *present)
             extend, colors_of, edges = loop
-            assert type(extend) is type(colors_of) is dict and edges is None
+            assert type(extend) is type(colors_of) is dict
+            assert list(edges) == list(colors_of.items())
             # the numpy routine is checked on every instance, chosen or not
             dense = _dense_edge_index(H, anchor, *present)
             listed = 1 << (H.n + 1) <= DENSE_LIST_LOAD * (H.edge_count << H.k)
@@ -627,7 +634,7 @@ def test_dense_index_equals_the_loop():
                     nonzero = {key: value for key, value in enumerate(table) if value}
                     assert nonzero == expected, (H, anchor)
             else:
-                assert dense[0] == extend and dense[2] is None, (H, anchor)
+                assert dense[0] == extend and dense[2] == list(dense[1].items()), (H, anchor)
                 assert list(dense[1].items()) == list(colors_of.items()), (H, anchor)
             chosen = _dense_index(H)
             assert _edge_index(H, anchor, *present) == (dense if chosen else loop)
