@@ -5,10 +5,11 @@ by the spec and the anchor that fixes the rotation (the rarest color when
 r = m, vertex 1 otherwise), and extends only into edges that exist, using a
 per-instance vertex-bitmask index of the present edges, built in one numpy
 pass on dense single-color instances and by a per-subset loop otherwise.
-The index is two tables subscripted by vertex mask: flat lists over every
-mask when the numpy pass's table is well filled, dicts of the present keys
-otherwise.  Core owns the order of the k-sets by rank; the solver owns its
-rank -> bitmask table, _vertex_masks, kept only for n <= 16.  Colors are
+The index is one table subscripted by vertex mask, holding each proper
+subset's extenders and each edge's colors: a flat list over every mask
+when it is well filled, a dict of the present keys otherwise.  Core owns
+the order of the k-sets by rank; the solver owns its rank -> bitmask
+table, _vertex_masks, kept only for n <= 16.  Colors are
 pruned with used-color bits kept in the same int as the placed vertices
 (single-color) or an incremental distinct-representatives matching over int
 color bitmasks, Kuhn augmenting paths trying colors in ascending order
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Collection, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -69,10 +70,13 @@ DENSE_INDEX_MAX_N = 16      # the numpy index's 2^(n+1)-entry table: 1 MB at n =
 # E * 2^k (present edges times subsets) from which the numpy index runs: it
 # overtook the loop at ~250-400 pairs for n <= 14 and ~900 at n = 16
 DENSE_INDEX_MIN_PAIRS = 1024
-# the numpy index hands its 2^(n+1)-entry table over as flat lists when the
+# the numpy index hands its 2^(n+1)-entry table over as a flat list when the
 # table holds at most this many entries per (edge, subset) pair; sparser
 # tables become dicts (see _dense_edge_index for the measurements)
 DENSE_LIST_LOAD = 4
+# the same bound for the per-subset loop, which writes a list at once rather
+# than converting a numpy table (see _looped_edge_index for the measurements)
+LOOP_LIST_LOAD = 32
 
 
 class SearchStatus(Enum):
@@ -86,10 +90,10 @@ class SearchOutcome:
     """Result of one search: status, optional certificate, effort spent.
 
     A FOUND outcome of find_rainbow_cycle keeps only what the search
-    produced, the vertex bit placed at each step and the windows' color
-    bits, as the arguments of _certificate; the certificate is built from
-    them when `certificate` is first read, and later reads return that same
-    object.
+    produced, the vertex bit placed at each step and the m windows' color
+    bits, as the arguments of _certificate, never the search index; the
+    certificate is built from them when `certificate` is first read, and
+    later reads return that same object.
     """
 
     status: SearchStatus
@@ -138,27 +142,19 @@ class SearchOutcome:
 def _certificate(
     spec: CycleSpec,
     anchored: bool,
-    multi: bool,
     placed: list[int],
-    colors,
+    colors: list[int],
     palette: Optional[list[int]],
 ) -> RainbowCertificate:
     """The certificate of a found cycle: placed[s] is the vertex bit placed at
-    step s of _search_plan(spec, anchored); colors is, multi-color, the
-    matching's color bits in window order, or, single-color, the index's
-    colors_of, which gives each window's edge its one color.  palette, if
-    given, maps the color numbered c in the search back to palette[c - 1]
-    (see find_rainbow_cycle)."""
+    step s of _search_plan(spec, anchored), and colors[j] the color bit of
+    window j (see _edge_index).  palette, if given, maps the color numbered
+    c in the search back to palette[c - 1] (see find_rainbow_cycle)."""
     n = spec.n
     at = [0] * n
     for p, bit in zip(_search_plan(spec, anchored)[0], placed):
         at[p] = bit.bit_length() - 1
     pi = Hamperm(tuple(at), spec)
-    if not multi:
-        colors = [
-            colors[sum(1 << at[p] for p in window) | (anchored and j == 0)]
-            for j, window in enumerate(spec.windows())
-        ]
     colors = [bit.bit_length() - 1 - (n + 1) for bit in colors]
     if palette is not None:
         colors = [palette[c - 1] for c in colors]
@@ -309,10 +305,11 @@ def _rarest_color(H: ColoredHypergraph, slots: np.ndarray) -> Optional[int]:
     those of H's present edges (see _present_edges)."""
     if H.multi_color:
         counts = [0] * (H.r + 1)
-        # each distinct color mask once
-        for mask, times in Counter(slots.tolist()).items():
-            for color in color_bits(mask):
-                counts[color] += times
+        for mask in slots.tolist():
+            while mask:
+                low = mask & -mask
+                counts[low.bit_length() - 1] += 1
+                mask ^= low
     else:
         counts = np.bincount(slots, minlength=H.r + 1).tolist()
     counts = counts[1:]
@@ -369,35 +366,36 @@ def _dense_index(H: ColoredHypergraph) -> bool:
 
 
 _Index = Union[dict[int, int], list[int]]
-_Edges = Collection[tuple[int, int]]  # (edge mask, color bits) pairs in rank order
+_Edges = list[tuple[int, int]]  # (edge mask, color bits) pairs in rank order
 
 
 def _edge_index(
     H: ColoredHypergraph, anchor: int, ranks: np.ndarray, slots: np.ndarray
-) -> tuple[_Index, _Index, _Edges]:
+) -> tuple[_Index, _Edges]:
     """Vertex-bitmask index of H's present edges (bit v for vertex v), whose
     ranks and slots are given (see _present_edges).
 
-    Returns (extend, colors_of, edges).  extend[T] is the set of vertices v
-    outside T with T | {v} contained in some present edge, for every proper
-    subset T of every edge; colors_of maps each edge's mask to its colors as
-    a bitmask past the vertex bits, bit n + 1 + c for color c, so that one
-    int can hold placed vertices and used colors: one bit (single-color) or
-    the edge's whole color set (multi-color); edges lists those (mask,
-    colors) pairs in rank order.
+    Returns (table, edges), table holding two kinds of keys.  table[T] for
+    a proper subset T of an edge is the set of vertices v outside T with
+    T | {v} contained in some present edge.  table[e] for an edge e is its
+    colors as a bitmask past the vertex bits, bit n + 1 + c for color c, so
+    that one int can hold placed vertices and used colors: one bit
+    (single-color) or the edge's whole color set (multi-color).  A subset
+    has fewer than k vertex bits and an edge exactly k, so the keys never
+    collide.  edges lists the (edge, colors) pairs in rank order.
 
     With an anchor color (anchor > 0; 0 means none), the edges carrying it
-    are indexed under keys tagged with bit 0, which is never a vertex bit,
-    with the anchor as their only color; the untagged keys index the other
-    edges, the anchor removed from their colors (an edge left with no color
-    leaves).
+    and their subsets are keyed tagged with bit 0, which is never a vertex
+    bit, with the anchor as their only color; the untagged keys index the
+    other edges, the anchor removed from their colors (an edge left with no
+    color leaves).
 
-    extend and colors_of come in one of two forms, which the search
-    subscripts alike: dicts holding just those keys, or lists over all
-    2^(n+1) masks holding 0 at every other one.  Two routines
-    build them, the instance choosing which (see _dense_index):
-    _dense_edge_index in one numpy pass, in either form, and
-    _looped_edge_index one subset at a time, as dicts.
+    The table comes in one of two forms, which the search subscripts alike:
+    a dict holding just those keys, or a list over all 2^(n+1) masks holding
+    0 at every other one.  Two routines build it, the instance choosing
+    which (see _dense_index): _dense_edge_index in one numpy pass and
+    _looped_edge_index one subset at a time, each choosing the form by how
+    full a list would be.
     """
     return (_dense_edge_index if _dense_index(H) else _looped_edge_index)(
         H, anchor, ranks, slots
@@ -406,60 +404,91 @@ def _edge_index(
 
 def _looped_edge_index(
     H: ColoredHypergraph, anchor: int, ranks: np.ndarray, slots: np.ndarray
-) -> tuple[dict[int, int], dict[int, int], _Edges]:
-    """_edge_index of any instance, as dicts: each edge's proper subsets
-    walked in a loop, largest first, each one a dict update."""
-    extend: dict[int, int] = {}
-    colors: dict[int, int] = {}
-    masks = _edge_masks(H.n, H.k, ranks)
+) -> tuple[_Index, _Edges]:
+    """_edge_index of any instance: each edge's proper subsets walked in a
+    loop, largest first, each one a table update.
+
+    The table is a flat list when n <= DENSE_INDEX_MAX_N and it holds at
+    most LOOP_LIST_LOAD entries per (edge, subset) pair, 2^(n+1) <= 32 *
+    E * 2^k, and a dict otherwise.  The loop writes the list in place, so
+    a list costs only its allocation more than a dict, and every write and
+    read after that is a list subscript.  Search time with a list over
+    time with a dict, on loop instances shaped like couple_directed8's
+    (8, 3, 1) and sweep_loose12's (12, 3, 1) plus sparse (14, 3, 1) and
+    (12, 4, 3) ones (best of 7 in-process runs each, "load" is 2^(n+1) /
+    (E * 2^k)): x0.87-0.92 at loads below 48 (149 couple searches at
+    loads under 8: x0.87), x0.99 at 48-64 and x1.10 at 64-96; searches
+    shorter than 20 us gained little at any load (x0.97-1.02).
+    """
+    n = H.n
+    masks = _edge_masks(n, H.k, ranks)
     multi = H.multi_color
-    get = extend.get
-    shift = H.n + 1
+    shift = n + 1
     # no edge carries color 0, so without an anchor no edge carries its bit
     anchor_bit = 1 << (anchor + shift)
+    edges = []
     for rank, slot in zip(ranks.tolist(), slots.tolist()):
         edge = masks[rank]
         bits = slot << shift if multi else 1 << (slot + shift)
-        # each proper subset sub of the edge, largest first, gains edge ^ sub
         if bits & anchor_bit:
-            colors[edge | 1] = anchor_bit
-            sub = edge
-            while sub:
-                sub = (sub - 1) & edge
-                extend[sub | 1] = get(sub | 1, 0) | (edge ^ sub)
+            edges.append((edge | 1, anchor_bit))
             bits ^= anchor_bit
             if not bits:
                 continue
-        colors[edge] = bits
-        sub = edge
-        while sub:
-            sub = (sub - 1) & edge
-            extend[sub] = get(sub, 0) | (edge ^ sub)
-    return extend, colors, colors.items()
+        edges.append((edge, bits))
+    # each proper subset sub of an edge, largest first, gains edge ^ sub; a
+    # tagged edge's subsets keep its tag: from sub = S | 1 (S even), sub - 2
+    # is S - 1, the untagged step from S with bit 0 set, so steps of 2 walk
+    # the same subsets tagged, down to the tag alone
+    size = 1 << shift
+    if n <= DENSE_INDEX_MAX_N and size <= LOOP_LIST_LOAD * (len(ranks) << H.k):
+        table: _Index = [0] * size
+        for edge, bits in edges:
+            table[edge] = bits
+            tag = edge & 1
+            step = 1 + tag
+            sub = edge
+            while sub > tag:
+                sub = (sub - step) & edge
+                table[sub] |= edge ^ sub
+    else:
+        table = {}
+        get = table.get
+        for edge, bits in edges:
+            table[edge] = bits
+            tag = edge & 1
+            step = 1 + tag
+            sub = edge
+            while sub > tag:
+                sub = (sub - step) & edge
+                table[sub] = get(sub, 0) | (edge ^ sub)
+    return table, edges
 
 
 def _dense_edge_index(
     H: ColoredHypergraph, anchor: int, ranks: np.ndarray, slots: np.ndarray
-) -> tuple[_Index, _Index, _Edges]:
+) -> tuple[_Index, _Edges]:
     """_edge_index of a single-color instance with n <= DENSE_INDEX_MAX_N, in
     one numpy pass: every subset of every edge is one entry of an (E, 2^k)
     array, the product of the edges' vertex bits with the 0/1 matrix of
     subset patterns.  Its last column is the edge itself, the others are the
     proper subsets, which the anchor's edges tag with bit 0; one unbuffered
     OR gathers each key's rests (edge minus subset) in a table over all
-    2^(n+1) keys, whose nonzero entries are extend.
+    2^(n+1) keys, whose nonzero entries are the subsets' part of the index.
+    The edges' colors are written in afterwards in Python, as a renumbered
+    color's bit can lie past bit 63.
 
     When that table holds at most DENSE_LIST_LOAD entries per (edge,
-    subset) pair, 2^(n+1) <= 4 * E * 2^k, it is handed over as a list, and
-    colors_of is a list of the same length: a list subscript is cheaper than
-    a dict's.  Every csweep_tight10 search passes the rule, and its traced
-    search time per pass went 18.3-19.3 -> 15.9-16.2 ms at the same 43,545
-    nodes.  Sparser tables become dicts of their nonzero entries: a list
-    costs O(2^n) to build (tolist took ~20 us at n = 10, ~0.9 ms at n = 16)
-    and its reads stop being cheaper once it outgrows the cache.  Search
-    time with lists over time with dicts, budget 20,000, on the coupled
-    realizations of six (n, k, k-1) trials at r = n (median of 10
-    alternating in-process pairs; "load" is 2^(n+1) / (E * 2^k)):
+    subset) pair, 2^(n+1) <= 4 * E * 2^k, it is handed over as a list: a
+    list subscript is cheaper than a dict's.  Every csweep_tight10 search
+    passes the rule, and its traced search time per pass went 18.3-19.3 ->
+    15.9-16.2 ms at the same 43,545 nodes.  Sparser tables become dicts of
+    their nonzero entries: a list costs O(2^n) to build (tolist took ~20 us
+    at n = 10, ~0.9 ms at n = 16) and its reads stop being cheaper once it
+    outgrows the cache.  Search time with lists over time with dicts, budget
+    20,000, on the coupled realizations of six (n, k, k-1) trials at r = n
+    (median of 10 alternating in-process pairs; "load" is 2^(n+1) /
+    (E * 2^k)):
     - k = 4, n = 12: x0.84-0.90 at p = 0.35-0.6 (load 1.7-3.4), x1.03 at
       p = 0.25 (load 3.9-4.9), x1.18 at p = 0.15 (load 6.1-7.4);
     - k = 4, n = 14: x0.89-0.93 at p = 0.3-0.7 (load 2.8-7.1), x1.35-4.1
@@ -480,23 +509,20 @@ def _dense_edge_index(
     )
     if len(table) > DENSE_LIST_LOAD * (len(ranks) << k):
         keys = np.flatnonzero(table != 0)  # a bool scan: ~4x faster than int64's
-        return dict(zip(keys.tolist(), table[keys].tolist())), dict(present), present
-    colors = [0] * len(table)
-    for edge, bits in present:
-        colors[edge] = bits
-    return table.tolist(), colors, present
+        index: _Index = dict(zip(keys.tolist(), table[keys].tolist()))
+        index.update(present)
+    else:
+        index = table.tolist()
+        for edge, bits in present:
+            index[edge] = bits
+    return index, present
 
 
 def _completions(
-    extend: _Index,
-    colors_of: _Index,
-    edges: _Edges,
-    placed: int,
-    one_short: bool,
-    multi: bool,
+    table: _Index, edges: _Edges, placed: int, one_short: bool, multi: bool
 ) -> list[int]:
     """Completions of a watched window whose placed vertices are `placed`,
-    read from _edge_index's (extend, colors_of, edges).
+    read from _edge_index's (table, edges).
 
     One per present untagged edge holding them: the edge's vertices outside
     `placed` with its color bits, which lie past the vertex bits
@@ -504,17 +530,17 @@ def _completions(
     so one AND against the placed vertices and used colors tests it.  The
     list ends in a 0, which no AND blocks and no completion equals.  When
     `placed` is one_short, one vertex short of an edge, each vertex u of
-    extend[placed] gives the edge placed | u, in ascending vertex order;
+    table[placed] gives the edge placed | u, in ascending vertex order;
     otherwise every edge is scanned, in rank order.  `placed` always lies
-    in a present edge (see _search_source), so it is a key of extend.
+    in a present edge (see _search_source), so it is a key of the table.
     """
     if one_short:
         comps = []
-        rest = extend[placed]
+        rest = table[placed]
         while rest:
             u = rest & -rest
             rest ^= u
-            comps.append(u if multi else u | colors_of[placed | u])
+            comps.append(u if multi else u | table[placed | u])
     else:
         comps = [
             (edge ^ placed) | (0 if multi else bits)
@@ -528,11 +554,10 @@ def _completions(
 def _search_source(spec: CycleSpec, anchored: bool, multi: bool) -> str:
     """Python source of the search over _search_plan(spec, anchored).
 
-    The source defines a factory, search(extend, colors_of, completions,
-    claim, holder, held, choices, b, limit), binding one instance's edge
-    index, the watched windows' completions, the multi-color matching, the
-    list b that receives the vertex bit placed at each step and the node
-    limit.  It returns chunk0, which runs the search and returns the nodes
+    The source defines a factory, search(table, completions, claim,
+    holder, held, choices, b, limit), binding one instance's edge index,
+    the watched windows' completions, the multi-color matching, the list b
+    that receives the vertex bit placed at each step and the node limit.  It returns chunk0, which runs the search and returns the nodes
     expanded; b is written only when a cycle is found, at the leaf, so
     b[0] != 0 exactly then.
 
@@ -556,7 +581,7 @@ def _search_source(spec: CycleSpec, anchored: bool, multi: bool) -> str:
     reads is an OR of the bits of the steps placing that window's positions
     (plus the tag bit for window 0 of the color-anchored plan), filters and
     closing windows are unrolled, and rule, force-one and watch code appears
-    only at the steps that have it.  Filters subscript the index outright:
+    only at the steps that have it.  Filters subscript the table outright:
     a window's placed vertices always lie in a present edge of its class,
     put there by its own filter or by that of a window holding a superset
     of them, so the key is there.  A multi-color window whose lowest color
@@ -596,7 +621,7 @@ def _search_source(spec: CycleSpec, anchored: bool, multi: bool) -> str:
         return ", ".join(names + ["nodes"])
 
     lines = [
-        "def search(extend, colors_of, completions, claim, holder, held, choices, b, limit):",
+        "def search(table, completions, claim, holder, held, choices, b, limit):",
     ]
     out = lines.append
 
@@ -613,8 +638,8 @@ def _search_source(spec: CycleSpec, anchored: bool, multi: bool) -> str:
         for j in sorted(again - set(filters[s])):
             out(f"{pad}m{s}_{j} = {before[j]}")
         reads = "".join(
-            f"extend[m{s}_{j} := {before[j]}] & " if j in again
-            else f"extend[{before[j]}] & "
+            f"table[m{s}_{j} := {before[j]}] & " if j in again
+            else f"table[{before[j]}] & "
             for j in filters[s]
         )
         before.update((j, f"m{s}_{j}") for j in again)
@@ -637,7 +662,7 @@ def _search_source(spec: CycleSpec, anchored: bool, multi: bool) -> str:
         out(f"{body}    raise _BudgetExceeded")
         undo = []
         for j in closing[s]:
-            out(f"{body}c = colors_of[{before[j]} | v{s}]")
+            out(f"{body}c = table[{before[j]} | v{s}]")
             if multi:
                 # the lowest color free is what the matching would take
                 out(f"{body}low = c & -c")
@@ -730,7 +755,7 @@ def find_rainbow_cycle(
     position's candidates are the intersection of those sets over every
     window containing it, complete or not, minus the vertices already used;
     the plan's filters skip a window whose set contains another's.  The
-    index's tables are dicts or flat lists, subscripted alike (see
+    index is one table, a dict or a flat list, subscripted alike (see
     _edge_index).  When a window completes its color is checked: against
     the used colors, kept as bits in the same int as the placed vertices,
     in single-color mode; in multi-color mode the completed windows are
@@ -824,20 +849,20 @@ def find_rainbow_cycle(
             return SearchOutcome(SearchStatus.NOT_FOUND, None, 0, reason="missing_color")
 
     anchored = bool(anchor)
-    extend, colors_of, edges = _edge_index(H, anchor, ranks, slots)
+    table, edges = _edge_index(H, anchor, ranks, slots)
     completion_lists: dict[int, list[int]] = {}
 
     def completions(placed: int) -> list[int]:
         comps = completion_lists.get(placed)
         if comps is None:
             comps = completion_lists[placed] = _completions(
-                extend, colors_of, edges, placed, placed.bit_count() == k - 1, multi
+                table, edges, placed, placed.bit_count() == k - 1, multi
             )
         return comps
 
     # multi-color matching of completed windows to distinct colors
     held = [0] * m  # the color each matched window holds, as a bit
-    choices = [0] * m  # its candidate colors, as colors_of holds them
+    choices = [0] * m  # its candidate colors, as the table holds them
     holder: dict[int, int] = {}  # color bit -> the window holding it
     visited = 0  # colors the current augmenting-path search has tried
 
@@ -864,7 +889,7 @@ def find_rainbow_cycle(
 
     placed = [0] * n  # the vertex bit placed at each step, written if found
     run = _compiled_search(spec, anchored, multi)(
-        extend, colors_of, completions, claim, holder, held, choices, placed,
+        table, completions, claim, holder, held, choices, placed,
         sys.maxsize if budget is None else budget,
     )
     try:
@@ -881,11 +906,19 @@ def find_rainbow_cycle(
     # [n] exactly when they sum to bits 1..n
     if sum(placed) != (1 << (n + 1)) - 2:
         raise RuntimeError(f"the search placed {placed}, not a permutation of 1..{n}")
+    if multi:
+        colors = held.copy()  # the leaf's matching, in window order
+    else:
+        # each window's edge has one color, read off the table here so that
+        # the outcome holds no index
+        at = dict(zip(_search_plan(spec, anchored)[0], placed))
+        colors = [
+            table[sum(at[p] for p in window) | (anchored and j == 0)]
+            for j, window in enumerate(spec.windows())
+        ]
     # the certificate is built when first read (SearchOutcome.certificate)
-    # from the leaf's matching, or, single-color, from colors_of
     return SearchOutcome(
-        SearchStatus.FOUND, None, nodes,
-        _pending=(spec, anchored, multi, placed, held.copy() if multi else colors_of, palette),
+        SearchStatus.FOUND, None, nodes, _pending=(spec, anchored, placed, colors, palette)
     )
 
 

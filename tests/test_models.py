@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -70,6 +71,27 @@ STREAM_PINS = {
 def test_sampler_streams_are_pinned(name):
     build, digest = STREAM_PINS[name]
     assert hashlib.sha256(dumps_chg(build()).encode()).hexdigest() == digest
+
+
+def test_derive_seed_is_the_mix64_chain():
+    # derive_seed inlines mix64 and reads small indices' mixes off a table;
+    # it must fold exactly as the plain chain does, for small, large and
+    # negative indices alike
+    phi, mask = 0x9E3779B97F4A7C15, (1 << 64) - 1
+    rng = random.Random(2024)
+    for _ in range(4000):
+        master = rng.getrandbits(64)
+        indices = [
+            rng.choice([
+                rng.randrange(300), rng.getrandbits(64), 2**32 + rng.randrange(99),
+                -rng.randrange(1, 9),
+            ])
+            for _ in range(rng.randrange(4))
+        ]
+        h = mix64((master + phi) & mask)
+        for index in indices:
+            h = mix64(h ^ mix64((index + phi) & mask))
+        assert derive_seed(master, *indices) == h, (master, indices)
 
 
 def test_sample_colored_rejects_bad_p():

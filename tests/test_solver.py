@@ -43,6 +43,7 @@ from rainbowhc.solver import (
     CHUNK_STEPS,
     DENSE_INDEX_MIN_PAIRS,
     DENSE_LIST_LOAD,
+    LOOP_LIST_LOAD,
     SearchOutcome,
     _compiled_search,
     _completions,
@@ -376,6 +377,26 @@ def test_tight_planted_cycle_found_under_relabeling(multi):
             assert verify_certificate(H, out.certificate)
 
 
+def test_multi_color_rarest_color_counts_every_color_of_every_edge():
+    # on couple-shaped directed instances the rarest color is the one with
+    # the fewest edges carrying it, counted over color_bits of each slot,
+    # ties going to the smaller color, None when a color has no edge
+    q = q_from_p(0.05)
+    anchors = []
+    for t in range(800):
+        H = sample_directed(8, 3, q, 4, derive_seed(1313, t))
+        slots = _present_edges(H)[1]
+        counts = [0] * (H.r + 1)
+        for mask in slots.tolist():
+            for color in color_bits(mask):
+                counts[color] += 1
+        fewest = min(counts[1:])
+        expected = counts.index(fewest, 1) if fewest else None
+        anchors.append(solver._rarest_color(H, slots))
+        assert anchors[-1] == expected, t
+    assert None in anchors and set(anchors) > {None}
+
+
 @pytest.mark.parametrize("multi", [False, True])
 def test_planted_cycle_found_under_relabeling(multi):
     # with r = m the search anchors on the rarest color, ties going to the
@@ -470,9 +491,8 @@ def _found_outcome_instances():
 @pytest.mark.parametrize("H, spec", _found_outcome_instances())
 def test_found_certificate_is_built_once_and_holds_no_index(H, spec, monkeypatch):
     # a FOUND outcome builds its certificate on the first read and keeps it;
-    # it never holds the search index's extend dict or edge list, and it
-    # lets go of colors_of once the certificate exists (the loop's edge list
-    # is a view of its colors_of, so that view may hold it too)
+    # neither before nor after that read does it hold the search index's
+    # table or edge list
     built = []
     edge_index = solver._edge_index
 
@@ -483,13 +503,13 @@ def test_found_certificate_is_built_once_and_holds_no_index(H, spec, monkeypatch
     monkeypatch.setattr(solver, "_edge_index", recording)
     outcome = find_rainbow_cycle(H, spec)
     assert outcome.found and len(built) == 1
-    assert gc.get_referrers(built[0][0]) == [built[0]]  # extend
-    assert gc.get_referrers(built[0][2]) == [built[0]]  # edges
+    assert gc.get_referrers(built[0][0]) == [built[0]]  # table
+    assert gc.get_referrers(built[0][1]) == [built[0]]  # edges
     cert = outcome.certificate
     assert outcome.certificate is cert
     assert verify_certificate(H, cert)
-    holders = [r for r in gc.get_referrers(built[0][1]) if r is not built[0][2]]
-    assert holders == [built[0]]  # colors_of
+    assert gc.get_referrers(built[0][0]) == [built[0]]
+    assert gc.get_referrers(built[0][1]) == [built[0]]
     assert outcome.to_record()["certificate"]["permutation"] == list(cert.hamperm.pi)
     again = pickle.loads(pickle.dumps(outcome))
     assert (again.status, again.certificate, again.nodes_expanded, again.reason) == (
@@ -549,29 +569,49 @@ def test_compiled_search_shows_its_source(anchored, multi):
     assert _compiled_search(spec, anchored, multi) is _compiled_search(spec, anchored, multi)
 
 
+def _entries(table) -> dict:
+    """The nonzero entries of an index table of either form, by key."""
+    pairs = table.items() if isinstance(table, dict) else enumerate(table)
+    return {key: value for key, value in pairs if value}
+
+
+def _check_table(H, table, edges):
+    """The table's edge keys hold exactly the edge list's (mask, colors)
+    pairs, and a dict table holds no zero entry."""
+    entries = _entries(table)
+    assert isinstance(table, list) or len(entries) == len(table)
+    assert len(dict(edges)) == len(edges)
+    assert dict(edges) == {
+        key: bits for key, bits in entries.items() if (key >> 1).bit_count() == H.k
+    }
+
+
 @pytest.mark.parametrize(
     "H, anchor, form",
     [
-        (sample_colored(8, 4, 0.5, 8, 1), 0, dict),
-        (sample_colored(8, 4, 0.5, 8, 2), 3, dict),  # the anchor's edges are tagged
-        (sample_directed(8, 3, 0.2, 4, 3), 0, dict),
-        (sample_directed(8, 3, 0.2, 4, 4), 2, dict),
+        (sample_colored(16, 4, 0.02, 16, 1), 0, dict),
+        (sample_colored(16, 4, 0.02, 16, 1), 3, dict),  # the anchor's edges are tagged
+        (sample_directed(16, 3, 0.02, 16, 3), 0, dict),
+        (sample_directed(16, 3, 0.02, 16, 3), 2, dict),
         (sample_colored(10, 4, 0.5, 10, 1), 0, list),
         (sample_colored(10, 4, 0.5, 10, 2), 3, list),
+        (sample_colored(8, 4, 0.5, 8, 1), 0, list),
+        (sample_colored(8, 4, 0.5, 8, 2), 3, list),
+        (sample_directed(8, 3, 0.2, 4, 3), 0, list),
+        (sample_directed(8, 3, 0.2, 4, 4), 2, list),
+        (sample_colored(14, 4, 0.2, 14, 1), 0, dict),
     ],
     ids=["single", "single-anchored", "multi", "multi-anchored", "single-list",
-         "single-list-anchored"],
+         "single-list-anchored", "single-loop-list", "single-loop-list-anchored",
+         "multi-list", "multi-list-anchored", "single-dense-dict"],
 )
 def test_one_short_completions_match_the_scan(H, anchor, form):
     # the completions of a set one vertex short of an edge are read off the
-    # index in ascending vertex order; as a set they are the scan's, in
-    # both forms of the index
-    extend, colors_of, edges = _edge_index(H, anchor, *_present_edges(H))
-    assert type(extend) is type(colors_of) is form
-    if form is dict:
-        assert list(edges) == list(colors_of.items())
-    else:
-        assert sorted(edges) == [(mask, bits) for mask, bits in enumerate(colors_of) if bits]
+    # table in ascending vertex order; as a set they are the scan's, in
+    # both forms of the table and from both routines
+    table, edges = _edge_index(H, anchor, *_present_edges(H))
+    assert type(table) is form
+    _check_table(H, table, edges)
     masks = [edge for edge, _ in edges]
     untagged = [edge for edge in masks if not edge & 1]
     assert untagged and (not anchor or len(untagged) < len(masks))
@@ -579,8 +619,8 @@ def test_one_short_completions_match_the_scan(H, anchor, form):
         vertices = [1 << v for v in range(1, H.n + 1) if edge >> v & 1]
         for rest in itertools.combinations(vertices, H.k - 1):
             placed = sum(rest)
-            short = _completions(extend, colors_of, edges, placed, True, H.multi_color)
-            scan = _completions(extend, colors_of, edges, placed, False, H.multi_color)
+            short = _completions(table, edges, placed, True, H.multi_color)
+            scan = _completions(table, edges, placed, False, H.multi_color)
             assert short[-1] == scan[-1] == 0
             assert len(set(short)) == len(short) == len(scan)
             assert set(short) == set(scan)
@@ -589,57 +629,98 @@ def test_one_short_completions_match_the_scan(H, anchor, form):
 
 
 def _index_instances():
-    """Single-color instances on both sides of the dense index's rule, each
-    with r = m and r = m + 1."""
+    """(H, spec) for single-color instances on both sides of the dense
+    index's rule and of both list rules, each with r = m and r = m + 1."""
     spec = CycleSpec(10, 4, 3)
     for r in (spec.m, spec.m + 1):
         for t in range(2):
             ci = CoupledInstance(10, 4, r, derive_seed(2, r, t))
             for p in make_grid(0.37, 1.0, 8):  # csweep_tight10's grid
-                yield ci.realize(p)
+                yield ci.realize(p), spec
     for (n, k, ell), grid in [
         ((12, 3, 1), (0.02, 0.1, 0.35, 0.6, 1.0)),
         ((16, 4, 3), (0.005, 0.02, 0.1)),
         ((9, 5, 4), (0.05, 0.2, 0.5, 1.0)),
     ]:
-        m = CycleSpec(n, k, ell).m
-        for r in (m, m + 1):
+        spec = CycleSpec(n, k, ell)
+        for r in (spec.m, spec.m + 1):
             for i, p in enumerate(grid):
-                yield sample_colored(n, k, p, r, derive_seed(5, n, r, i))
+                yield sample_colored(n, k, p, r, derive_seed(5, n, r, i)), spec
 
 
-def test_dense_index_equals_the_loop():
+def _loop_lists(H) -> bool:
+    """The loop's list rule: n <= 16 and 2^(n+1) <= LOOP_LIST_LOAD * E * 2^k."""
+    return H.n <= 16 and 1 << (H.n + 1) <= LOOP_LIST_LOAD * (H.edge_count << H.k)
+
+
+def test_dense_index_equals_the_loop(monkeypatch):
     # the numpy routine builds the loop's index key for key, with no anchor,
-    # the rarest color and another color: the same dicts, colors_of in the
-    # same order (the completion scan reads it in that order), when its
-    # table holds more than DENSE_LIST_LOAD entries per (edge, subset) pair,
-    # and otherwise lists over every mask whose nonzero entries are exactly
-    # the dicts' items, with an edge list holding colors_of's items in order
+    # the rarest color and another color: in every form of either routine's
+    # table the nonzero entries are the same, and both routines list the
+    # same (edge, colors) pairs in the same order (the completion scan reads
+    # them in that order); the numpy routine hands over a list when its
+    # table holds at most DENSE_LIST_LOAD entries per (edge, subset) pair,
+    # the loop when it holds at most LOOP_LIST_LOAD, and dicts otherwise
     forms = set()
-    for H in _index_instances():
+    for H, _ in _index_instances():
         present = _present_edges(H)
         rarest = solver._rarest_color(H, present[1])
         for anchor in {0, rarest or 0, 1 if rarest != 1 else 2}:
             loop = _looped_edge_index(H, anchor, *present)
-            extend, colors_of, edges = loop
-            assert type(extend) is type(colors_of) is dict
-            assert list(edges) == list(colors_of.items())
+            assert type(loop[0]) is (list if _loop_lists(H) else dict), (H, anchor)
+            _check_table(H, *loop)
+            expected = _entries(loop[0])
+            for load, form in ((0, dict), (1 << 40, list)):
+                monkeypatch.setattr(solver, "LOOP_LIST_LOAD", load)
+                forced = _looped_edge_index(H, anchor, *present)
+                monkeypatch.undo()
+                assert type(forced[0]) is form and forced[1] == loop[1], (H, anchor)
+                assert _entries(forced[0]) == expected, (H, anchor)
             # the numpy routine is checked on every instance, chosen or not
             dense = _dense_edge_index(H, anchor, *present)
             listed = 1 << (H.n + 1) <= DENSE_LIST_LOAD * (H.edge_count << H.k)
+            assert type(dense[0]) is (list if listed else dict), (H, anchor)
             if listed:
-                assert dense[2] == list(colors_of.items()), (H, anchor)
-                for table, expected in zip(dense[:2], (extend, colors_of)):
-                    assert type(table) is list and len(table) == 1 << (H.n + 1)
-                    nonzero = {key: value for key, value in enumerate(table) if value}
-                    assert nonzero == expected, (H, anchor)
-            else:
-                assert dense[0] == extend and dense[2] == list(dense[1].items()), (H, anchor)
-                assert list(dense[1].items()) == list(colors_of.items()), (H, anchor)
+                assert len(dense[0]) == 1 << (H.n + 1)
+            _check_table(H, *dense)
+            assert _entries(dense[0]) == expected, (H, anchor)
+            assert dense[1] == loop[1], (H, anchor)
             chosen = _dense_index(H)
             assert _edge_index(H, anchor, *present) == (dense if chosen else loop)
-            forms.add("loop" if not chosen else "dense list" if listed else "dense dict")
-    assert forms == {"loop", "dense dict", "dense list"}
+            forms.add(
+                f"{'dense' if chosen else 'loop'} {type((dense if chosen else loop)[0]).__name__}"
+            )
+    assert forms == {"loop dict", "loop list", "dense dict", "dense list"}
+
+
+@pytest.mark.parametrize("budget", [None, 20])
+def test_forced_loop_forms_search_alike(budget, monkeypatch):
+    # the loop's list and dict tables give the same records: statuses, node
+    # counts and certificates, on single-color instances of several specs
+    # and on the directed instances MULTI_COLOR_SEARCH_PINS pins
+    q = q_from_p(0.05)
+    loose = CycleSpec(8, 3, 1)
+    instances = list(_index_instances()) + [
+        (sample_directed(8, 3, q, 4, derive_seed(1010, 1, t)), loose) for t in range(200)
+    ]
+    looped = solver._looped_edge_index
+    records = {}
+    for load, form in ((0, dict), (1 << 40, list)):
+        forms = set()
+
+        def recording(*args):
+            index = looped(*args)
+            forms.add(type(index[0]))
+            return index
+
+        monkeypatch.setattr(solver, "LOOP_LIST_LOAD", load)
+        monkeypatch.setattr(solver, "_looped_edge_index", recording)
+        records[form] = [find_rainbow_cycle(H, spec, budget).to_record() for H, spec in instances]
+        assert forms == {form}
+    assert records[list] == records[dict]
+    statuses = {record["status"] for record in records[list]}
+    assert {"found", "not_found"} <= statuses
+    assert ("unknown" in statuses) == (budget is not None)
 
 
 def test_dense_index_rule():
@@ -656,9 +737,12 @@ def test_dense_index_rule():
 def test_bench_shaped_searches_take_their_index_routine(monkeypatch, capsys):
     # the calls csweep_tight10, sweep_loose12 and couple_directed8 make:
     # every csweep search has 1,184-3,360 (edge, subset) pairs, at least a
-    # quarter of its 2,048-entry table, and takes the numpy pass and gets
-    # lists; sweep (<= 704 pairs) and couple (<= 232 pairs, or multi-color)
-    # take the loop and get dicts
+    # quarter of its 2,048-entry table, and takes the numpy pass and gets a
+    # list; sweep (<= 704 pairs) and couple (<= 232 pairs, or multi-color)
+    # take the loop, which lists a table holding at most 32 entries per
+    # pair: every couple search (n = 8 and at least m = 4 edges: 512 <= 32
+    # * 32) and the sweep searches with at least 256 pairs, where the rest
+    # get dicts
     taken = []
     edge_index = solver._edge_index
 
@@ -702,10 +786,13 @@ def test_bench_shaped_searches_take_their_index_routine(monkeypatch, capsys):
         dense and form is list and 1184 <= pairs <= 3360
         for _, pairs, dense, form in seen["csweep"]
     )
-    assert not any(
-        dense or form is not dict or pairs > 704 for _, pairs, dense, form in seen["sweep"]
+    assert not any(dense or pairs > 704 for _, pairs, dense, _ in seen["sweep"])
+    assert all(
+        form is (list if (1 << 13) <= LOOP_LIST_LOAD * pairs else dict)
+        for _, pairs, _, form in seen["sweep"]
     )
-    assert not any(dense or form is not dict for _, _, dense, form in seen["couple"])
+    assert {form for *_, form in seen["sweep"]} == {list, dict}
+    assert not any(dense or form is not list for _, _, dense, form in seen["couple"])
     assert all(multi or pairs <= 232 for multi, pairs, _, _ in seen["couple"])
     assert all(seen.values())
 
