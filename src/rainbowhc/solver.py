@@ -20,8 +20,10 @@ plan watches only where a cut can happen, and a window one vertex short of
 an edge reads its completions off the index instead of scanning the edges.
 Without a budget the search is exhaustive and proves absence; with one it
 gives up after a node quota and reports Unknown.  Each search plan is
-compiled once into Python source: one `while` loop per placement step, each
-nested in the previous step's, cut into functions of at most 15 steps.
+compiled once into Python source: one loop per placement step, each nested
+in the previous step's, cut into functions of at most 15 steps.  Up to
+n = 16 a step's loop iterates a per-n table of the candidate mask's vertex
+bits, in ascending order; beyond it, it pops the lowest candidate bit.
 
 The oracles enumerate all n! permutations outright and exist to pin the
 closed-form moment calculations to something independently computable, so
@@ -67,6 +69,9 @@ PAIRWISE_LIMIT = 7          # (n!)^2 cap for the pairwise second-moment oracle
 CHUNK_STEPS = 15            # placement steps per generated search function
 COLUMN_CHUNK = 1 << 14      # permutation columns per chunk of the multi-color oracle
 DENSE_INDEX_MAX_N = 16      # the numpy index's 2^(n+1)-entry table: 1 MB at n = 16
+# the largest n whose search loops over _candidate_bits(n): measured faster
+# at every n = 12..16 (see there); the table doubles with each vertex
+CANDIDATE_TABLE_MAX_N = 16
 # E * 2^k (present edges times subsets) from which the numpy index runs: it
 # overtook the loop at ~250-400 pairs for n <= 14 and ~900 at n = 16
 DENSE_INDEX_MIN_PAIRS = 1024
@@ -339,6 +344,32 @@ def _vertex_masks(n: int, k: int) -> tuple[tuple[int, ...], np.ndarray]:
     return tuple(np.bitwise_or.reduce(bits, axis=1).tolist()), bits
 
 
+@lru_cache(maxsize=4)
+def _candidate_bits(n: int) -> tuple[tuple[int, ...], ...]:
+    """bits[mask]: the vertex bits of mask in ascending order, for every
+    even mask over vertices 1..n, for n <= CANDIDATE_TABLE_MAX_N only.
+
+    The search loops over a step's candidates as bits[cand].  Bit 0 is the
+    anchor's tag, never a candidate, so every odd mask shares the empty
+    tuple.  The table holds 2^n tuples (tracemalloc, build time on a 2-core
+    VM): 0.3 MB and 1 ms at n = 12, 1.0 MB and 4 ms at n = 14, 6-7 MB and
+    30 ms at n = 16.  Against loops popping the lowest bit, warm CLI passes
+    in one process (alternating, process time, 12 passes each) took
+    x0.88-0.92 on tight (n, 4, 3) budgeted csweeps at each n = 12..16 and
+    x0.94 and x0.97 on loose (n, 3, 1) sweeps at n = 14 and 16, 8-12 of 12
+    passes faster.  So the table pays its build back after about 0.4 s of
+    csweep search at n = 16 and 1 s of sweep search; beyond n = 16 it
+    would double per vertex, and the loops keep popping the lowest bit.
+    """
+    even: list[tuple[int, ...]] = [()]
+    for v in range(1, n + 1):
+        bit = (1 << v,)
+        even += [low + bit for low in even]
+    bits: list[tuple[int, ...]] = [()] * (2 << n)
+    bits[::2] = even
+    return tuple(bits)
+
+
 def _edge_masks(n: int, k: int, ranks: np.ndarray) -> Union[tuple[int, ...], dict[int, int]]:
     """masks with masks[rank] the vertex bitmask of the k-set of that rank,
     a Python int, for each of these ranks: the cached _vertex_masks up to
@@ -557,25 +588,29 @@ def _search_source(spec: CycleSpec, anchored: bool, multi: bool) -> str:
     The source defines a factory, search(table, completions, claim,
     holder, held, choices, b, limit), binding one instance's edge index,
     the watched windows' completions, the multi-color matching, the list b
-    that receives the vertex bit placed at each step and the node limit.  It returns chunk0, which runs the search and returns the nodes
+    that receives the vertex bit placed at each step and the node limit.
+    It returns chunk0, which runs the search and returns the nodes
     expanded; b is written only when a cycle is found, at the leaf, so
     b[0] != 0 exactly then.
 
-    Each placement step is one `while` loop over its candidate vertices, and
-    the loop of step s+1 sits in the body of step s's, so backtracking is
-    the fall-through of an inner loop and a failed check is a `continue`.
-    CPython allows 20 statically nested blocks in a function, so the steps
-    are cut into chunks of at most CHUNK_STEPS (15), one function each; the
-    watched window's scan adds one more block inside a step.  The last step
-    of a chunk calls the next chunk with what the steps after it read (the
-    taken set, the vertex bits of every earlier step, the watched window's
-    completions and witness when its watch carries over, and the node
-    count) and gets the node count back.  Step s's vertex bit v<s>,
-    candidates cand<s>, witness x<s>, taken set z<s> and the node count are
-    all fast locals.  z<s> holds the vertices placed up to step s and, in
-    single-color mode, the colors used, whose bits lie past the vertex bits
-    (see _edge_index): one AND tests a color, and one AND tests a
-    completion of the watched window.
+    Each placement step is one loop over its candidate vertices in
+    ascending order: `for v<s> in bits[cand<s>]` up to n =
+    CANDIDATE_TABLE_MAX_N, where the factory binds bits = _candidate_bits(n),
+    and, as that table grows as 2^n, a `while cand<s>` loop popping the
+    lowest bit beyond it; this is the only place that picks the form.  The
+    loop of step s+1 sits in the body of step s's, so backtracking is the fall-through of an inner loop and a failed
+    check is a `continue`.  CPython allows 20 statically nested blocks in a
+    function, so the steps are cut into chunks of at most CHUNK_STEPS (15),
+    one function each; the watched window's scan adds one more block inside
+    a step.  The last step of a chunk calls the next chunk with what the
+    steps after it read (the taken set, the vertex bits of every earlier
+    step, the watched window's completions and witness when its watch
+    carries over, and the node count) and gets the node count back.  Step
+    s's vertex bit v<s>, candidates cand<s>, witness x<s>, taken set z<s>
+    and the node count are all fast locals.  z<s> holds the vertices placed
+    up to step s and, in single-color mode, the colors used, whose bits lie
+    past the vertex bits (see _edge_index): one AND tests a color, and one
+    AND tests a completion of the watched window.
 
     Everything the plan fixes is resolved here: each window mask a step
     reads is an OR of the bits of the steps placing that window's positions
@@ -584,15 +619,18 @@ def _search_source(spec: CycleSpec, anchored: bool, multi: bool) -> str:
     only at the steps that have it.  Filters subscript the table outright:
     a window's placed vertices always lie in a present edge of its class,
     put there by its own filter or by that of a window holding a superset
-    of them, so the key is there.  A multi-color window whose lowest color
-    is free takes it in place, which is what claim's first augmenting step
-    does.  The candidates, their order, the prunes and the node count are
+    of them, so the key is there.  Every step has a filter, and each reads
+    a proper subset's extenders, so a step's candidates hold only vertex
+    bits 1..n: an even index into bits.  A multi-color window whose lowest
+    color is free takes it in place, which is what claim's first augmenting
+    step does.  The candidates, their order, the prunes and the node count are
     those of find_rainbow_cycle's description.
     """
     order, member, filters, closing, ordered, watch, force_one = _search_plan(
         spec, anchored
     )
     n = spec.n
+    table_loops = n <= CANDIDATE_TABLE_MAX_N
     placed_at = [[s for s in range(n) if j in member[s]] for j in range(spec.m)]
 
     def placed(j: int, s: int) -> list[str]:
@@ -624,6 +662,8 @@ def _search_source(spec: CycleSpec, anchored: bool, multi: bool) -> str:
         "def search(table, completions, claim, holder, held, choices, b, limit):",
     ]
     out = lines.append
+    if table_loops:
+        out(f"    bits = _candidate_bits({n})")
 
     def step(s: int, pad: str) -> None:
         """Emit step s, its loop at indentation pad, and the steps it nests."""
@@ -653,10 +693,13 @@ def _search_source(spec: CycleSpec, anchored: bool, multi: bool) -> str:
         if s == force_one:
             out(f"{pad}if not {z} & 2:  # vertex 1")
             out(f"{pad}    cand{s} &= 2")
-        out(f"{pad}while cand{s}:")
         body = pad + "    "
-        out(f"{body}v{s} = cand{s} & -cand{s}")
-        out(f"{body}cand{s} ^= v{s}")
+        if table_loops:
+            out(f"{pad}for v{s} in bits[cand{s}]:")
+        else:
+            out(f"{pad}while cand{s}:")
+            out(f"{body}v{s} = cand{s} & -cand{s}")
+            out(f"{body}cand{s} ^= v{s}")
         out(f"{body}nodes += 1")
         out(f"{body}if nodes > limit:")
         out(f"{body}    raise _BudgetExceeded")
@@ -736,7 +779,7 @@ def _compiled_search(spec: CycleSpec, anchored: bool, multi: bool):
         f" {'multi' if multi else 'single'}-color>"
     )
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"_BudgetExceeded": _BudgetExceeded}
+    namespace = {"_BudgetExceeded": _BudgetExceeded, "_candidate_bits": _candidate_bits}
     exec(compile(source, filename, "exec"), namespace)
     return namespace["search"]
 
@@ -764,9 +807,12 @@ def find_rainbow_cycle(
     window joins the matching or the vertex is pruned.  Color c is bit
     n + 1 + c of those ints, so a single-color instance with r + n + 1 > 63
     searches its present colors numbered by rank instead, which keeps their
-    order and so the tree; the certificate names the original colors.  The plan is
-    compiled once into nested loops, one per step, in functions of at most
-    CHUNK_STEPS steps (see _search_source); this function binds it to the
+    order and so the tree; the certificate names the original colors.  The
+    plan is compiled once into nested loops, one per step, in functions of
+    at most CHUNK_STEPS steps (see _search_source); each loop iterates the
+    candidates' vertex bits in ascending order, read off the cached
+    _candidate_bits(n) table up to n = CANDIDATE_TABLE_MAX_N and popped one
+    lowest bit at a time beyond it.  This function binds the plan to the
     instance.
 
     A window whose next position comes more than one step later is read by

@@ -45,6 +45,7 @@ from rainbowhc.solver import (
     DENSE_LIST_LOAD,
     LOOP_LIST_LOAD,
     SearchOutcome,
+    _candidate_bits,
     _compiled_search,
     _completions,
     _dense_edge_index,
@@ -695,9 +696,11 @@ def test_dense_index_equals_the_loop(monkeypatch):
 
 @pytest.mark.parametrize("budget", [None, 20])
 def test_forced_loop_forms_search_alike(budget, monkeypatch):
-    # the loop's list and dict tables give the same records: statuses, node
-    # counts and certificates, on single-color instances of several specs
-    # and on the directed instances MULTI_COLOR_SEARCH_PINS pins
+    # the loop's list and dict tables, each searched by candidate loops over
+    # the bit-tuple table and by loops popping the lowest bit, give the same
+    # records: statuses, node counts and certificates, on single-color
+    # instances of several specs and on the directed instances
+    # MULTI_COLOR_SEARCH_PINS pins
     q = q_from_p(0.05)
     loose = CycleSpec(8, 3, 1)
     instances = list(_index_instances()) + [
@@ -705,20 +708,33 @@ def test_forced_loop_forms_search_alike(budget, monkeypatch):
     ]
     looped = solver._looped_edge_index
     records = {}
-    for load, form in ((0, dict), (1 << 40, list)):
-        forms = set()
+    try:
+        for loops, cap in (("table", solver.CANDIDATE_TABLE_MAX_N), ("pop", 0)):
+            # the cap below every n compiles every plan in the pop form
+            monkeypatch.setattr(solver, "CANDIDATE_TABLE_MAX_N", cap)
+            _compiled_search.cache_clear()
+            for load, form in ((0, dict), (1 << 40, list)):
+                forms = set()
 
-        def recording(*args):
-            index = looped(*args)
-            forms.add(type(index[0]))
-            return index
+                def recording(*args):
+                    index = looped(*args)
+                    forms.add(type(index[0]))
+                    return index
 
-        monkeypatch.setattr(solver, "LOOP_LIST_LOAD", load)
-        monkeypatch.setattr(solver, "_looped_edge_index", recording)
-        records[form] = [find_rainbow_cycle(H, spec, budget).to_record() for H, spec in instances]
-        assert forms == {form}
-    assert records[list] == records[dict]
-    statuses = {record["status"] for record in records[list]}
+                monkeypatch.setattr(solver, "LOOP_LIST_LOAD", load)
+                monkeypatch.setattr(solver, "_looped_edge_index", recording)
+                records[loops, form] = [
+                    find_rainbow_cycle(H, spec, budget).to_record() for H, spec in instances
+                ]
+                assert forms == {form}
+            plans = {spec for _, spec in instances}
+            for plan in itertools.product(plans, (False, True), (False, True)):
+                assert ("in bits[cand" in _search_source(*plan)) == (loops == "table")
+    finally:
+        _compiled_search.cache_clear()
+    assert len(records) == 4
+    assert all(got == records["table", list] for got in records.values())
+    statuses = {record["status"] for record in records["table", list]}
     assert {"found", "not_found"} <= statuses
     assert ("unknown" in statuses) == (budget is not None)
 
@@ -978,7 +994,13 @@ def test_every_plan_shape_compiles_and_runs_up_to_n64(n):
                 source = _search_source(spec, anchored, multi)
                 chunks = source.split("\n    def chunk")[1:]
                 assert len(chunks) == -(-n // CHUNK_STEPS)
-                assert all(chunk.count("while cand") <= CHUNK_STEPS for chunk in chunks)
+                # each step is one loop, over a bit-tuple table up to n = 16
+                # and popping the lowest bit beyond it
+                assert ("bits[" in source) == (n <= 16)
+                for chunk in chunks:
+                    first = int(chunk.split("(")[0]) * CHUNK_STEPS
+                    loops = chunk.count("while cand") + chunk.count(" in bits[cand")
+                    assert loops == min(CHUNK_STEPS, n - first)
                 assert callable(_compiled_search(spec, anchored, multi))
         perm = list(range(1, n + 1))
         rng.shuffle(perm)
@@ -1018,6 +1040,24 @@ def test_vertex_mask_table_holds_only_masks():
     last = math.comb(64, 3) - 1
     assert _edge_masks(64, 3, np.array([last])) == {last: (1 << 62) | (1 << 63) | (1 << 64)}
     assert peak < 3.5 * (1 << 20)
+
+
+def test_candidate_bit_table_is_built_only_up_to_n16():
+    # bits[mask] lists mask's vertex bits in ascending order; the table
+    # takes 7.2 MB at n = 16, and beyond it no table is built at all
+    _candidate_bits.cache_clear()
+    tracemalloc.start()
+    try:
+        bits = _candidate_bits(16)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(bits) == 1 << 17 and bits[0b1010_0110] == (2, 4, 32, 128)
+    assert bits[0] == bits[0b1010_0111] == () and bits[-2] == tuple(1 << v for v in range(1, 17))
+    assert size < 9 * (1 << 20)
+    _candidate_bits.cache_clear()
+    out = find_rainbow_cycle(sample_colored(30, 3, 0.05, 31, 1), CycleSpec(30, 3, 2), budget=300)
+    assert out.nodes_expanded and _candidate_bits.cache_info().currsize == 0
 
 
 def test_sparse_search_on_many_ksets_stays_small():
