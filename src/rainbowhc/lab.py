@@ -18,7 +18,7 @@ import csv
 import io
 import math
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 from .core import CycleSpec
@@ -104,7 +104,7 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        CycleSpec(self.n, self.k, self.ell)
+        self.spec  # validates (n, k, ell)
         object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
         if not self.p_grid:
             raise InvalidInput("empty p grid")
@@ -120,7 +120,7 @@ class SweepConfig:
         if self.budget is not None and self.budget <= 0:
             raise InvalidInput(f"need a positive budget, got {self.budget}")
 
-    @property
+    @cached_property  # writes the instance __dict__, which frozen allows
     def spec(self) -> CycleSpec:
         return CycleSpec(self.n, self.k, self.ell)
 

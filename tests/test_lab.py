@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 
@@ -49,6 +50,16 @@ def test_config_validation():
         small_config(r=0)  # no colors
     with pytest.raises(Exception):
         small_config(n=7)  # divisibility
+
+
+def test_config_builds_its_spec_once():
+    # every task reads config.spec; workers get it with the pickled config
+    cfg = small_config()
+    assert cfg.spec is cfg.spec
+    assert (cfg.spec.n, cfg.spec.k, cfg.spec.ell) == (6, 3, 1)
+    clone = pickle.loads(pickle.dumps(cfg))
+    assert clone == cfg and clone.spec == cfg.spec
+    assert replace(cfg, n=8).spec.n == 8
 
 
 def test_config_density_resolution():

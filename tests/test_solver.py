@@ -52,6 +52,7 @@ from rainbowhc.solver import (
     _dense_index,
     _edge_index,
     _edge_masks,
+    _edge_set_table,
     _looped_edge_index,
     _pair_counts,
     _perm_edge_table,
@@ -815,7 +816,7 @@ def test_bench_shaped_searches_take_their_index_routine(monkeypatch, capsys):
 
 def test_shared_caches_are_read_only():
     # cached arrays are handed to every caller; a write would reach them all
-    for array in (_perm_edge_table(6, 3, 1), _vertex_masks(10, 4)[1]):
+    for array in (_perm_edge_table(6, 3, 1), _edge_set_table(6, 3, 1)[0], _vertex_masks(10, 4)[1]):
         with pytest.raises(ValueError):
             array[0, 0] = 0
 
@@ -1202,13 +1203,64 @@ def test_count_multi_color_dense_agrees_with_per_permutation_sdr():
     assert strict >= 3
 
 
+def _per_permutation_counts(H, spec):
+    """(X, Y) read column by column off the permutation table, every
+    permutation tested on its own; SDRs memoised by color multiset."""
+    colors = H.by_rank[_perm_edge_table(spec.n, spec.k, spec.ell)]
+    present = np.logical_and.reduce(colors != 0, axis=0)
+    if H.multi_color:
+        sdr = {}
+        y_count = 0
+        for column in colors[:, present].T.tolist():
+            key = tuple(sorted(column))
+            if key not in sdr:
+                sdr[key] = distinct_color_system([color_bits(mask) for mask in key]) is not None
+            y_count += sdr[key]
+    else:
+        rainbow = present.copy()
+        for i, j in itertools.combinations(range(spec.m), 2):
+            rainbow &= colors[i] != colors[j]
+        y_count = int(np.count_nonzero(rainbow))
+    return int(np.count_nonzero(present)), y_count
+
+
+def test_count_matches_per_permutation_reference():
+    # every spec up to n = 7, single- and multi-color, at r in {m, m + 1}
+    # and two edge densities: the grouped count equals the ungrouped one
+    strict = {False: 0, True: 0}  # instances with 0 < Y < X, by multi_color
+    for spec in enumerate_specs(7):
+        for t, (r, p) in enumerate(itertools.product((spec.m, spec.m + 1), (0.6, 0.9))):
+            seed = derive_seed(80, spec.n, spec.k, spec.ell, t)
+            q = 1 - (1 - p) ** (1 / math.factorial(spec.k))  # a k-set present w.p. p
+            for H in (
+                sample_colored(spec.n, spec.k, p, r, seed),
+                sample_directed(spec.n, spec.k, q, r, seed),
+            ):
+                counts = count_hamperms(H, spec)
+                assert counts == _per_permutation_counts(H, spec), (spec, r, p, H.multi_color)
+                strict[H.multi_color] += 0 < counts[1] < counts[0]
+    assert min(strict.values()) >= 10
+
+
+def test_edge_set_table_groups_the_permutation_table():
+    for spec in enumerate_specs(8):
+        columns, weight = _edge_set_table(spec.n, spec.k, spec.ell)
+        raw = np.sort(_perm_edge_table(spec.n, spec.k, spec.ell), axis=0)
+        assert columns.flags.c_contiguous  # count_hamperms reads its rows
+        assert np.all(columns[1:] >= columns[:-1])  # each column sorted
+        grouped = set(map(tuple, columns.T.tolist()))
+        assert len(grouped) == columns.shape[1]  # distinct
+        assert grouped == set(map(tuple, raw.T.tolist()))
+        assert columns.shape[1] * weight == math.factorial(spec.n)
+
+
 def test_count_multi_color_streams_its_columns():
     # a dense (9, 7, 6) directed instance: every permutation is present and
     # rainbow.  Its (m, n!) array of Python-int color masks alone peaked at
     # ~100 MB; read in chunks, the call stays far below that
     spec = CycleSpec(9, 7, 6)
     H = sample_directed(9, 7, 0.1, 9, 1)
-    _perm_edge_table(9, 7, 6)  # cached, and not part of the call's peak
+    _edge_set_table(9, 7, 6)  # cached with the table it groups: not in the peak
     tracemalloc.start()
     try:
         counts = count_hamperms(H, spec)
