@@ -35,7 +35,7 @@ from .core import (
     check_colors,
     kset_count,
     ksets_of_ranks,
-    lex_rank,
+    lex_ranks,
 )
 from .errors import InvalidCycle, InvalidInput, NoRealRoot
 from .seeds import derive_seed_rows, mix64_array, unit_interval
@@ -109,10 +109,10 @@ class CoupledInstance:
             self.n, self.k, self.r, by_rank=np.where(self.us < p, self.colors, 0)
         )
 
-    def level_of(self, edges: Iterable[Sequence[int]]) -> float:
+    def level_of(self, edges: Sequence[Sequence[int]]) -> float:
         """The largest u_e over the given canonical k-sets: realize(p) holds
         all of them, with the same colors, exactly when p exceeds it."""
-        return max(float(self.us[lex_rank(self.n, edge)]) for edge in edges)
+        return float(self.us[lex_ranks(self.n, np.array(edges))].max())
 
 
 def q_from_p(p: float) -> float:

@@ -12,18 +12,20 @@ the order of the k-sets by rank; the solver owns its rank -> bitmask
 table, _vertex_masks, kept only for n <= 16.  Colors are
 pruned with used-color bits kept in the same int as the placed vertices
 (single-color) or an incremental distinct-representatives matching over int
-color bitmasks, Kuhn augmenting paths trying colors in ascending order
-(multi-color).  A window left half-placed by the order (the
+color bitmasks, Kuhn augmenting paths (_augment) trying colors in ascending
+order (multi-color).  A window left half-placed by the order (the
 windows through position 0 wrap around the cycle) is watched: a remembered
 completion edge is re-checked, and the branch cut when none is left.  The
-plan watches only where a cut can happen, and a window one vertex short of
-an edge reads its completions off the index instead of scanning the edges.
-Without a budget the search is exhaustive and proves absence; with one it
-gives up after a node quota and reports Unknown.  Each search plan is
-compiled once into Python source: one loop per placement step, each nested
-in the previous step's, cut into functions of at most 15 steps.  Up to
-n = 16 a step's loop iterates a per-n table of the candidate mask's vertex
-bits, in ascending order; beyond it, it pops the lowest candidate bit.
+plan watches only where a cut can happen.  A watch lists its window's
+completions afresh where it begins, with no memo: a window one vertex short
+of an edge reads them off the index, any other scans the edges, and the
+plan fixes which.  Without a budget the search is exhaustive and proves
+absence; with one it gives up after a node quota and reports Unknown.  Each
+search plan is compiled once into Python source: one loop per placement
+step, each nested in the previous step's, cut into functions of at most 15
+steps.  Up to n = 16 a step's loop iterates a per-n table of the candidate
+mask's vertex bits, in ascending order; beyond it, it pops the lowest
+candidate bit.
 
 The oracles enumerate all n! permutations outright and exist to pin the
 closed-form moment calculations to something independently computable, so
@@ -70,7 +72,6 @@ from .errors import InvalidInput, TooLarge
 ENUMERATION_LIMIT = 9       # n! enumeration cap for counting oracles
 PAIRWISE_LIMIT = 7          # (n!)^2 cap for the pairwise second-moment oracle
 CHUNK_STEPS = 15            # placement steps per generated search function
-COLUMN_CHUNK = 1 << 14      # permutation columns per chunk of the multi-color oracle
 DENSE_INDEX_MAX_N = 16      # the numpy index's 2^(n+1)-entry table: 1 MB at n = 16
 # the largest n whose search loops over _candidate_bits(n): measured faster
 # at every n = 12..16 (see there); the table doubles with each vertex
@@ -585,49 +586,75 @@ def _completions(
     return comps
 
 
+def _augment(
+    j: int, choices: list[int], holder: dict[int, int], held: list[int], visited: int
+) -> int:
+    """Kuhn augmenting path from window j, which holds no color, in the
+    multi-color search's matching of completed windows to distinct colors:
+    j tries the color bits of choices[j] outside visited in ascending order,
+    as core.distinct_color_system does, a held color moving its holder on.
+    Returns 0 once j holds a color; otherwise the colors visited, nonzero,
+    with nothing moved."""
+    rest = choices[j] & ~visited
+    while rest:
+        low = rest & -rest
+        visited |= low
+        h = holder.get(low)
+        if h is None or not (visited := _augment(h, choices, holder, held, visited)):
+            holder[low] = j
+            held[j] = low
+            return 0
+        rest = choices[j] & ~visited
+    return visited
+
+
 def _search_source(spec: CycleSpec, anchored: bool, multi: bool) -> str:
     """Python source of the search over _search_plan(spec, anchored).
 
-    The source defines a factory, search(table, completions, claim,
-    holder, held, choices, b, limit), binding one instance's edge index,
-    the watched windows' completions, the multi-color matching, the list b
-    that receives the vertex bit placed at each step and the node limit.
-    It returns chunk0, which runs the search and returns the nodes
+    The source defines a factory, search(table, edges, holder, held,
+    choices, b, limit), binding plain data only: one instance's edge index
+    (see _edge_index), the multi-color matching's state (see _augment), the
+    list b that receives the vertex bit placed at each step and the node
+    limit.  It returns chunk0, which runs the search and returns the nodes
     expanded; b is written only when a cycle is found, at the leaf, so
     b[0] != 0 exactly then.
 
-    Each placement step is one loop over its candidate vertices in
-    ascending order: `for v<s> in bits[cand<s>]` up to n =
-    CANDIDATE_TABLE_MAX_N, where the factory binds bits = _candidate_bits(n),
-    and, as that table grows as 2^n, a `while cand<s>` loop popping the
-    lowest bit beyond it; this is the only place that picks the form.  The
-    loop of step s+1 sits in the body of step s's, so backtracking is the fall-through of an inner loop and a failed
-    check is a `continue`.  CPython allows 20 statically nested blocks in a
-    function, so the steps are cut into chunks of at most CHUNK_STEPS (15),
-    one function each; the watched window's scan adds one more block inside
-    a step.  The last step of a chunk calls the next chunk with what the
-    steps after it read (the taken set, the vertex bits of every earlier
-    step, the watched window's completions and witness when its watch
-    carries over, and the node count) and gets the node count back.  Step
-    s's vertex bit v<s>, candidates cand<s>, witness x<s>, taken set z<s>
-    and the node count are all fast locals.  z<s> holds the vertices placed
-    up to step s and, in single-color mode, the colors used, whose bits lie
-    past the vertex bits (see _edge_index): one AND tests a color, and one
-    AND tests a completion of the watched window.
+    Each placement step is one loop over its candidate vertices in ascending
+    order: `for v<s> in bits[cand<s>]` up to n = CANDIDATE_TABLE_MAX_N,
+    where the factory binds bits = _candidate_bits(n), and, as that table
+    grows as 2^n, a `while cand<s>` loop popping the lowest bit beyond it;
+    this is the only place that picks the form.  The loop of step s+1 sits
+    in the body of step s's, so backtracking is the fall-through of an inner
+    loop and a failed check is a `continue`.  CPython allows 20 statically
+    nested blocks in a function, so the steps are cut into chunks of at most
+    CHUNK_STEPS (15), one function each; the watched window's scan adds one
+    more block inside a step.  The last step of a chunk calls the next chunk
+    with what the steps after it read (the taken set, the vertex bits of
+    every earlier step, the watched window's completions and witness when
+    its watch carries over, and the node count) and gets the node count
+    back.  Step s's vertex bit v<s>, candidates cand<s>, witness x<s>, taken
+    set z<s> and the node count are all fast locals.  z<s> holds the
+    vertices placed up to step s and, in single-color mode, the colors used,
+    whose bits lie past the vertex bits (see _edge_index): one AND tests a
+    color, and one AND tests a completion of the watched window.
 
     Everything the plan fixes is resolved here: each window mask a step
     reads is an OR of the bits of the steps placing that window's positions
     (plus the tag bit for window 0 of the color-anchored plan), filters and
     closing windows are unrolled, and rule, force-one and watch code appears
-    only at the steps that have it.  Filters subscript the table outright:
-    a window's placed vertices always lie in a present edge of its class,
-    put there by its own filter or by that of a window holding a superset
-    of them, so the key is there.  Every step has a filter, and each reads
-    a proper subset's extenders, so a step's candidates hold only vertex
-    bits 1..n: an even index into bits.  A multi-color window whose lowest
-    color is free takes it in place, which is what claim's first augmenting
-    step does.  The candidates, their order, the prunes and the node count are
-    those of find_rainbow_cycle's description.
+    only at the steps that have it.  A watch begins with a direct
+    _completions call whose one_short and multi arguments are literals: the
+    plan fixes how many of the window's positions are placed there, so it
+    is one short exactly when that count is k - 1.  Filters subscript the
+    table outright: a window's placed vertices always lie in a present edge
+    of its class, put there by its own filter or by that of a window
+    holding a superset of them, so the key is there.  Every step has a
+    filter, and each reads a proper subset's extenders, so a step's
+    candidates hold only vertex bits 1..n: an even index into bits.  A
+    multi-color window whose lowest color is free takes it in place, which
+    is what _augment's first step would do; otherwise _augment looks for an
+    augmenting path.  The candidates, their order, the prunes and the node
+    count are those of find_rainbow_cycle's description.
     """
     order, member, filters, closing, ordered, watch, force_one = _search_plan(
         spec, anchored
@@ -661,9 +688,7 @@ def _search_source(spec: CycleSpec, anchored: bool, multi: bool) -> str:
         names += [f"comps{watch_begin(s)}", f"x{s - 1}"] if carried(s) else []
         return ", ".join(names + ["nodes"])
 
-    lines = [
-        "def search(table, completions, claim, holder, held, choices, b, limit):",
-    ]
+    lines = ["def search(table, edges, holder, held, choices, b, limit):"]
     out = lines.append
     if table_loops:
         out(f"    bits = _candidate_bits({n})")
@@ -711,15 +736,14 @@ def _search_source(spec: CycleSpec, anchored: bool, multi: bool) -> str:
             out(f"{body}c = table[{before[j]} | v{s}]")
             if multi:
                 # the lowest color free is what the matching would take
+                out(f"{body}choices[{j}] = c")
                 out(f"{body}low = c & -c")
-                out(f"{body}if low in holder:")
-                out(f"{body}    if not claim({j}, c):")
-                lines.extend(f"{body}        {line}" for line in undo)
-                out(f"{body}        continue")
-                out(f"{body}else:")
+                out(f"{body}if low not in holder:")
                 out(f"{body}    holder[low] = {j}")
                 out(f"{body}    held[{j}] = low")
-                out(f"{body}    choices[{j}] = c")
+                out(f"{body}elif _augment({j}, choices, holder, held, 0):  # no augmenting path")
+                lines.extend(f"{body}    {line}" for line in undo)
+                out(f"{body}    continue")
                 undo.append(f"del holder[held[{j}]]")
             else:
                 out(f"{body}if {z} & c:")
@@ -734,7 +758,11 @@ def _search_source(spec: CycleSpec, anchored: bool, multi: bool) -> str:
         if wj is not None:
             comps = f"comps{watch_begin(s)}"
             if begins:
-                out(f"{body}{comps} = completions({before[wj]} | v{s})")
+                one_short = sum(t <= s for t in placed_at[wj]) == spec.k - 1
+                out(
+                    f"{body}{comps} = _completions(table, edges, {before[wj]} | v{s},"
+                    f" {one_short}, {multi})"
+                )
                 out(f"{body}x{s} = 0")
             else:
                 out(f"{body}x{s} = x{s - 1}")
@@ -782,7 +810,12 @@ def _compiled_search(spec: CycleSpec, anchored: bool, multi: bool):
         f" {'multi' if multi else 'single'}-color>"
     )
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"_BudgetExceeded": _BudgetExceeded, "_candidate_bits": _candidate_bits}
+    namespace = {
+        "_BudgetExceeded": _BudgetExceeded,
+        "_candidate_bits": _candidate_bits,
+        "_completions": _completions,
+        "_augment": _augment,
+    }
     exec(compile(source, filename, "exec"), namespace)
     return namespace["search"]
 
@@ -816,25 +849,27 @@ def find_rainbow_cycle(
     candidates' vertex bits in ascending order, read off the cached
     _candidate_bits(n) table up to n = CANDIDATE_TABLE_MAX_N and popped one
     lowest bit at a time beyond it.  This function binds the plan to the
-    instance.
+    instance's plain data: no closure and no cache lives per search.
 
     A window whose next position comes more than one step later is read by
     no extend filter until then; the windows through position 0 wait like
     this for most of the search.  After each step the plan watches one such
-    window, unless the watch could not cut (see _search_plan's watch
-    table), and the search keeps its completions (see _completions): the
-    present edges containing its placed vertices, each as the vertices
-    still missing plus its color (multi-color: no color, as the matching
-    may still reassign colors).  A window one vertex short of an edge
-    reads them off the index, one per vertex of its extend set; any other
-    scans the edges.  A placement that passes the color check descends
-    only if some completion has all its missing vertices free and its
-    color unused.  The index of the first such completion, the witness, is
-    passed down the branch; free vertices only shrink and used colors only
-    grow along a branch, so it only moves forward, a residual support in
-    the sense of Lecoutre and Hemery.  A cut depends only on whether some
-    completion fits, not on their order, so neither the dropped watches
-    nor the order of the lists read off the index change the search tree.
+    window, unless the watch could not cut (see _search_plan's watch table),
+    and the search lists its completions where the watch begins (see
+    _completions), afresh each time: the present edges containing its placed
+    vertices, each as the vertices still missing plus its color
+    (multi-color: no color, as the matching may still reassign colors).  A
+    window one vertex short of an edge reads them off the index, one per
+    vertex of its extend set; any other scans the edges.  The plan fixes
+    which, as it fixes how many of the window's positions are placed.  A
+    placement that passes the color check descends only if some completion
+    has all its missing vertices free and its color unused.  The index of
+    the first such completion, the witness, is passed down the branch; free
+    vertices only shrink and used colors only grow along a branch, so it
+    only moves forward, a residual support in the sense of Lecoutre and
+    Hemery.  A cut depends only on whether some completion fits, not on
+    their order, so neither the dropped watches nor the order of the lists
+    read off the index change the search tree.
 
     Rotating a permutation by multiples of k-ell moves every edge to the
     next window, so one rotation can be fixed.  With r = m colors a rainbow
@@ -881,7 +916,7 @@ def find_rainbow_cycle(
     if H.edge_count < m:
         return SearchOutcome(SearchStatus.NOT_FOUND, None, 0, reason="too_few_edges")
 
-    n, k = spec.n, spec.k
+    n = spec.n
     multi = H.multi_color
     ranks, slots = _present_edges(H)
     palette = None
@@ -899,46 +934,13 @@ def find_rainbow_cycle(
 
     anchored = bool(anchor)
     table, edges = _edge_index(H, anchor, ranks, slots)
-    completion_lists: dict[int, list[int]] = {}
-
-    def completions(placed: int) -> list[int]:
-        comps = completion_lists.get(placed)
-        if comps is None:
-            comps = completion_lists[placed] = _completions(
-                table, edges, placed, placed.bit_count() == k - 1, multi
-            )
-        return comps
-
     # multi-color matching of completed windows to distinct colors
     held = [0] * m  # the color each matched window holds, as a bit
     choices = [0] * m  # its candidate colors, as the table holds them
     holder: dict[int, int] = {}  # color bit -> the window holding it
-    visited = 0  # colors the current augmenting-path search has tried
-
-    def augment(j: int) -> bool:
-        nonlocal visited
-        rest = choices[j] & ~visited
-        while rest:
-            low = rest & -rest  # ascending color order, as in core.distinct_color_system
-            visited |= low
-            h = holder.get(low)
-            if h is None or augment(h):
-                holder[low] = j
-                held[j] = low
-                return True
-            rest = choices[j] & ~visited
-        return False
-
-    def claim(j: int, colors: int) -> bool:
-        """Match window j into one of its colors; False leaves no change."""
-        nonlocal visited
-        choices[j] = colors
-        visited = 0
-        return augment(j)
-
     placed = [0] * n  # the vertex bit placed at each step, written if found
     run = _compiled_search(spec, anchored, multi)(
-        table, completions, claim, holder, held, choices, placed,
+        table, edges, holder, held, choices, placed,
         sys.maxsize if budget is None else budget,
     )
     try:
@@ -946,9 +948,6 @@ def find_rainbow_cycle(
     except _BudgetExceeded:
         # raised at node budget + 1
         return SearchOutcome(SearchStatus.UNKNOWN, None, budget + 1)
-    finally:
-        # the recursive matcher reaches itself through its cell
-        del augment
     if not placed[0]:
         return SearchOutcome(SearchStatus.NOT_FOUND, None, nodes, reason="exhausted")
     # each step placed one vertex bit, so they are n distinct vertices of
@@ -956,7 +955,7 @@ def find_rainbow_cycle(
     if sum(placed) != (1 << (n + 1)) - 2:
         raise RuntimeError(f"the search placed {placed}, not a permutation of 1..{n}")
     if multi:
-        colors = held.copy()  # the leaf's matching, in window order
+        colors = held  # the leaf's matching, in window order
     else:
         # each window's edge has one color, read off the table here so that
         # the outcome holds no index
@@ -1054,14 +1053,12 @@ def count_hamperms(
 def _count_multi_color(slots: np.ndarray, table: np.ndarray) -> tuple[int, int]:
     """(present, with an SDR) columns of table, for multi-color slots.
     Whether a column has an SDR depends only on its multiset of color
-    masks, so each distinct one is solved once.  The present columns are
-    read COLUMN_CHUNK at a time: a whole (m, n!) array of Python-int masks
-    took ~100 MB at n = 9."""
+    masks, so each distinct one is solved once.  The table holds one column
+    per distinct edge set (see _edge_set_table), at most 20,160 at n <= 9,
+    so the present ones are gathered at once."""
     present = np.flatnonzero(np.logical_and.reduce((slots != 0)[table], axis=0))
-    columns: Counter = Counter()
-    for start in range(0, len(present), COLUMN_CHUNK):
-        masks = slots[table[:, present[start:start + COLUMN_CHUNK]]]
-        columns.update(tuple(sorted(column)) for column in masks.T.tolist())
+    masks = slots[table[:, present]]
+    columns = Counter(tuple(sorted(column)) for column in masks.T.tolist())
     y_count = sum(
         count
         for column, count in columns.items()

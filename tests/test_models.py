@@ -30,6 +30,8 @@ from rainbowhc import (
     verify_certificate,
 )
 from rainbowhc.chgio import dumps_chg
+from rainbowhc.core import lex_rank
+from rainbowhc.lab import make_grid
 from rainbowhc.models import _COLOR_SALT
 from rainbowhc.seeds import derive_seed, mix64, unit_interval
 
@@ -178,6 +180,24 @@ def test_level_of_is_when_the_edges_all_appear():
         below, above = ci.realize(level), ci.realize(math.nextafter(level, 1.0))
         assert not all(below.has_edge(e) for e in edges)
         assert all(above.has_edge(e) for e in edges)
+
+
+def test_level_of_ranks_every_edge_at_once():
+    # one lex_ranks call over the certificate equals the largest u_e of the
+    # scalar lex_rank calls, on the FOUND certificates of csweep_tight10's
+    # shape: (10, 4, 3) coupled instances at r = 10, its grid and budget
+    spec = CycleSpec(10, 4, 3)
+    found = 0
+    for seed in range(2, 7):
+        ci = CoupledInstance(10, 4, 10, derive_seed(seed, 0))
+        for p in make_grid(0.37, 1.0, 8):
+            outcome = find_rainbow_cycle(ci.realize(p), spec, 50_000)
+            if outcome.found:
+                edges = outcome.certificate.edges
+                scalar = max(float(ci.us[lex_rank(10, edge)]) for edge in edges)
+                assert ci.level_of(edges) == scalar
+                found += 1
+    assert found >= 20
 
 
 @given(st.integers(0, 2**63), st.floats(0, 1), st.floats(0, 1))

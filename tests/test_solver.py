@@ -567,7 +567,7 @@ def test_compiled_search_shows_its_source(anchored, multi):
     lines = [linecache.getline(code.co_filename, i + 1) for i in range(source.count("\n"))]
     assert "".join(lines) == source
     assert lines[0].startswith("def search(")
-    assert ("claim(" in source) == multi
+    assert ("_augment(" in source) == multi
     assert _compiled_search(spec, anchored, multi) is _compiled_search(spec, anchored, multi)
 
 
@@ -628,6 +628,47 @@ def test_one_short_completions_match_the_scan(H, anchor, form):
             assert set(short) == set(scan)
             low_bits = [c & -c for c in short[:-1]]
             assert low_bits == sorted(low_bits)
+
+
+@pytest.mark.parametrize(
+    "spec, p, p_directed",
+    [
+        (CycleSpec(10, 4, 3), 0.5, 0.1),
+        (CycleSpec(8, 3, 1), 0.3, 0.05),
+        (CycleSpec(8, 4, 2), 0.4, 0.06),
+        (CycleSpec(10, 5, 3), 0.5, 0.1),
+    ],
+    ids=["tight", "loose", "general", "general-two-watches"],
+)
+def test_each_watch_reads_the_completions_its_placed_count_picks(
+    spec, p, p_directed, monkeypatch
+):
+    # the plan fixes how many vertices a watched window holds where its
+    # watch begins, so the generated source passes the reader as a literal:
+    # one_short exactly when the window is one vertex short of an edge.  A
+    # wrong literal keeps every verdict and node count, only slower (the
+    # scan reads every edge), so the pins cannot see it
+    calls = []
+
+    def recording(table, edges, placed, one_short, multi):
+        calls.append((one_short, placed.bit_count() == spec.k - 1, multi))
+        return _completions(table, edges, placed, one_short, multi)
+
+    for multi in (False, True):
+        for r in (spec.m, spec.m + 1):  # color- and vertex-anchored
+            search = _compiled_search(spec, r == spec.m, multi)
+            monkeypatch.setitem(search.__globals__, "_completions", recording)
+            calls.clear()
+            sample = sample_directed if multi else sample_colored
+            for t in range(4):
+                H = sample(spec.n, spec.k, p_directed if multi else p, r, derive_seed(7, t))
+                find_rainbow_cycle(H, spec)
+            assert calls, (r, multi)
+            assert all(
+                one_short == short and m == multi for one_short, short, m in calls
+            ), (r, multi)
+            # every watch of a tight plan is one short, no other plan's here
+            assert {one_short for one_short, *_ in calls} == {spec.ell == spec.k - 1}
 
 
 def _index_instances():
@@ -1257,7 +1298,8 @@ def test_edge_set_table_groups_the_permutation_table():
 def test_count_multi_color_streams_its_columns():
     # a dense (9, 7, 6) directed instance: every permutation is present and
     # rainbow.  Its (m, n!) array of Python-int color masks alone peaked at
-    # ~100 MB; read in chunks, the call stays far below that
+    # ~100 MB; gathered over its 20,160 distinct edge sets at once, the call
+    # stays far below that
     spec = CycleSpec(9, 7, 6)
     H = sample_directed(9, 7, 0.1, 9, 1)
     _edge_set_table(9, 7, 6)  # cached with the table it groups: not in the peak
