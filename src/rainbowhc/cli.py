@@ -39,7 +39,7 @@ from .moments import (
     threshold_general,
     threshold_tight,
 )
-from .solver import ENUMERATION_LIMIT, count_hamperms, find_rainbow_cycle, overlap_profile
+from .solver import count_hamperms, find_rainbow_cycle, overlap_profile
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,12 +145,12 @@ def _cmd_solve(args):
 
 def _cmd_count(args):
     H = read_chg(args.infile)
-    x_count, y_count = count_hamperms(H, CycleSpec(H.n, H.k, args.ell), limit=args.limit)
+    x_count, y_count = count_hamperms(H, CycleSpec(H.n, H.k, args.ell))
     return {"n": H.n, "k": H.k, "ell": args.ell, "X_count": x_count, "Y_count": y_count}
 
 
 def _cmd_overlap(args):
-    profile = overlap_profile(CycleSpec(args.n, args.k, args.ell), limit=args.limit)
+    profile = overlap_profile(CycleSpec(args.n, args.k, args.ell))
     entries = sorted(profile.table.items())
     if args.format == "json":
         return {
@@ -256,10 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     seed = _flags("--seed", type=int, default=0)
     trials = _flags("--trials", type=int, required=True)
     runs = _flags("--workers", type=int, default=1, parents=[trials, seed])
-    limit = _flags(
-        "--limit", type=int, default=ENUMERATION_LIMIT,
-        help=f"largest n to enumerate; it can only lower the cap n <= {ENUMERATION_LIMIT}",
-    )
     table = _flags("--format", choices=("csv", "json"), default="csv")
     grid = _flags("--p-grid", required=True, help="start:stop:points[:spacing]")
     p = _flags("--p", type=float, required=True)
@@ -277,10 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs.add_parser(
         "solve", parents=[infile, ell, effort, out], help="search one instance for a rainbow cycle"
     )
-    subs.add_parser(
-        "count", parents=[infile, ell, limit, out], help="brute-force hamperm counts X and Y"
-    )
-    subs.add_parser("overlap", parents=[nk, ell, limit, table, out], help="overlap table N(b, a)")
+    subs.add_parser("count", parents=[infile, ell, out], help="brute-force hamperm counts X and Y")
+    subs.add_parser("overlap", parents=[nk, ell, table, out], help="overlap table N(b, a)")
 
     moments = subs.add_parser(
         "moments", parents=[nk, ell, colors, p, out], help="moment and threshold table"

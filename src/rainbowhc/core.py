@@ -27,6 +27,7 @@ _ENUMERATION_CAP = 2_000_000  # refuse to index more k-sets than this
 _UNRANK_CHUNK = 1 << 14       # present edges unranked at a time by items()
 _MAX_COLORS = (1 << 63) - 1   # the largest color a single-color int64 slot holds
 _MAX_MULTI_COLORS = 1 << 16   # a multi-color slot's mask has a bit per color: 8 KiB
+_MAX_MASK_BITS = 1 << 32      # all multi-color masks together: 512 MiB of bits
 
 
 def check_colors(r: int, multi_color: bool = False) -> None:
@@ -36,6 +37,13 @@ def check_colors(r: int, multi_color: bool = False) -> None:
         raise InvalidInput(f"need 1 <= r <= 2^63 - 1 colors, got r={r}")
     if multi_color and r > _MAX_MULTI_COLORS:
         raise InvalidInput(f"need r <= 2^16 colors in multi-color mode, got r={r}")
+
+
+def check_mask_bits(present: int, r: int) -> None:
+    """TooLarge unless `present` multi-color masks of up to r + 1 bits each
+    fit in _MAX_MASK_BITS bits; checked before any mask is built."""
+    if present * (r + 1) > _MAX_MASK_BITS:
+        raise TooLarge(f"{present} masks of up to {r + 1} bits exceed the 2^32-bit bound")
 
 
 def canonical_edge(vertices: Iterable[int]) -> Edge:
@@ -68,10 +76,13 @@ def lex_rank(n: int, edge: Edge) -> int:
     return math.comb(n, k) - 1 - sum(math.comb(n - v, k - j) for j, v in enumerate(edge))
 
 
+@lru_cache(maxsize=64)
 def _comb_column(n: int, k: int, t: int) -> np.ndarray:
     """C(n - v, t), all below C(n, k), for each vertex v that index k-t of a
     k-set of [n] can hold, ascending (a = n - v from t-1 to n-k+t-1)."""
-    return np.array([math.comb(a, t) for a in range(t - 1, n - k + t)], dtype=np.int64)
+    column = np.array([math.comb(a, t) for a in range(t - 1, n - k + t)], dtype=np.int64)
+    column.flags.writeable = False
+    return column
 
 
 def lex_ranks(n: int, rows: np.ndarray) -> np.ndarray:
@@ -201,8 +212,9 @@ class ColoredHypergraph:
     color c.  Zero means absent.  Build from a mapping of edges to colors
     (validated edge by edge), or pass such an array as ``by_rank`` (one
     vectorised range check; this is what the samplers do).  Construction
-    refuses C(n, k) above the enumeration cap (TooLarge) and an r that
-    check_colors refuses (InvalidInput) before it allocates anything.
+    refuses C(n, k) above the enumeration cap (TooLarge), an r that
+    check_colors refuses (InvalidInput) and a mapping whose multi-color
+    masks check_mask_bits refuses (TooLarge) before it allocates anything.
     """
 
     __slots__ = ("n", "k", "r", "multi_color", "by_rank", "edge_count")
@@ -237,6 +249,8 @@ class ColoredHypergraph:
         self, edges: Mapping[Edge, Iterable[int]], total: int
     ) -> np.ndarray:
         n, k, r = self.n, self.k, self.r
+        if self.multi_color:
+            check_mask_bits(len(edges), r)
         slots = np.zeros(total, dtype=object if self.multi_color else np.int64)
         for key, colors in edges.items():
             edge = canonical_edge(key)
@@ -429,6 +443,15 @@ def _augment(
     return False
 
 
+def check_spec_fits(H: ColoredHypergraph, spec: CycleSpec) -> None:
+    """InvalidInput unless H has the spec's n and k."""
+    if H.n != spec.n or H.k != spec.k:
+        raise InvalidInput(
+            f"hypergraph (n={H.n}, k={H.k}) does not match spec "
+            f"(n={spec.n}, k={spec.k})"
+        )
+
+
 def validate_cycle(
     H: ColoredHypergraph, pi: Hamperm
 ) -> Union[RainbowCertificate, CycleFailure]:
@@ -439,12 +462,7 @@ def validate_cycle(
     single-color mode, a bipartite-matching instance in multi-color mode).
     Otherwise reports the first missing edge (1-based) or non-rainbowness.
     """
-    spec = pi.spec
-    if H.n != spec.n or H.k != spec.k:
-        raise InvalidInput(
-            f"hypergraph (n={H.n}, k={H.k}) does not match spec "
-            f"(n={spec.n}, k={spec.k})"
-        )
+    check_spec_fits(H, pi.spec)
     edges = edges_of_hamperm(pi)
     color_sets = []
     for i, edge in enumerate(edges):
@@ -468,9 +486,7 @@ def verify_certificate(H: ColoredHypergraph, cert: object) -> bool:
     try:
         if not isinstance(cert, RainbowCertificate):
             return False
-        spec = cert.hamperm.spec
-        if H.n != spec.n or H.k != spec.k:
-            return False
+        check_spec_fits(H, cert.hamperm.spec)
         edges = edges_of_hamperm(cert.hamperm)
         if list(cert.edges) != edges:
             return False

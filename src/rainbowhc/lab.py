@@ -338,8 +338,8 @@ def couple_experiment(
     )
 
 
-def estimate_crossing(rows: Sequence[SweepResult], level: float = 0.5) -> Optional[float]:
-    """Linear interpolation of the p where phat crosses `level`.
+def estimate_crossing(rows: Sequence[SweepResult]) -> Optional[float]:
+    """Linear interpolation of the p where phat crosses 1/2.
 
     Rows must be sorted by p.  Returns None when phat never crosses (the
     no-bracket case).
@@ -348,11 +348,11 @@ def estimate_crossing(rows: Sequence[SweepResult], level: float = 0.5) -> Option
     if any(b <= a for (a, _), (b, _) in zip(points, points[1:])):
         raise InvalidInput("rows must be sorted by strictly increasing p")
     for (p0, y0), (p1, y1) in zip(points, points[1:]):
-        if y0 == level:
+        if y0 == 0.5:
             return p0
-        if (y0 - level) * (y1 - level) < 0:
-            return p0 + (level - y0) * (p1 - p0) / (y1 - y0)
-    if points and points[-1][1] == level:
+        if (y0 - 0.5) * (y1 - 0.5) < 0:
+            return p0 + (0.5 - y0) * (p1 - p0) / (y1 - y0)
+    if points and points[-1][1] == 0.5:
         return points[-1][0]
     return None
 

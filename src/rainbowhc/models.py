@@ -33,6 +33,7 @@ from .core import (
     RainbowCertificate,
     canonical_edge,
     check_colors,
+    check_mask_bits,
     kset_count,
     ksets_of_ranks,
     lex_ranks,
@@ -136,12 +137,14 @@ def sample_directed(n: int, k: int, q: float, r: int, seed: int) -> ColoredHyper
     For each k-set, each of its k! orderings is present independently with
     probability q and carries an independent uniform color; the output
     records, per k-set, the set of colors received (multi-color mode).
+    Too many mask bits (core.check_mask_bits) are refused before any color.
     """
     _check_probability(q, "q")
     check_colors(r, multi_color=True)
     total = kset_count(n, k)
     rng = _rng(seed)
     counts = rng.binomial(math.factorial(k), q, size=total)
+    check_mask_bits(int(np.count_nonzero(counts)), r)
     # one draw for every present ordering, in rank order: the same stream as
     # one draw per k-set
     colors = rng.integers(1, r + 1, size=int(counts.sum()))

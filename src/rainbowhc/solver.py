@@ -25,7 +25,8 @@ search plan is compiled once into Python source: one loop per placement
 step, each nested in the previous step's, cut into functions of at most 15
 steps.  Up to n = 16 a step's loop iterates a per-n table of the candidate
 mask's vertex bits, in ascending order; beyond it, it pops the lowest
-candidate bit.
+candidate bit.  The leaf hands a found cycle's vertex bits back by cycle
+position, so the plan is read only at compile time.
 
 The oracles enumerate all n! permutations outright and exist to pin the
 closed-form moment calculations to something independently computable, so
@@ -59,6 +60,7 @@ from .core import (
     CycleSpec,
     Hamperm,
     RainbowCertificate,
+    check_spec_fits,
     color_bits,
     distinct_color_system,
     edges_of_hamperm,
@@ -99,7 +101,7 @@ class SearchOutcome:
     """Result of one search: status, optional certificate, effort spent.
 
     A FOUND outcome of find_rainbow_cycle keeps only what the search
-    produced, the vertex bit placed at each step and the m windows' color
+    produced, the vertex bit at each cycle position and the m windows' color
     bits, as the arguments of _certificate, never the search index; the
     certificate is built from them when `certificate` is first read, and
     later reads return that same object.
@@ -149,22 +151,14 @@ class SearchOutcome:
 
 
 def _certificate(
-    spec: CycleSpec,
-    anchored: bool,
-    placed: list[int],
-    colors: list[int],
-    palette: Optional[list[int]],
+    spec: CycleSpec, placed: list[int], colors: list[int], palette: Optional[list[int]]
 ) -> RainbowCertificate:
-    """The certificate of a found cycle: placed[s] is the vertex bit placed at
-    step s of _search_plan(spec, anchored), and colors[j] the color bit of
-    window j (see _edge_index).  palette, if given, maps the color numbered
-    c in the search back to palette[c - 1] (see find_rainbow_cycle)."""
-    n = spec.n
-    at = [0] * n
-    for p, bit in zip(_search_plan(spec, anchored)[0], placed):
-        at[p] = bit.bit_length() - 1
-    pi = Hamperm(tuple(at), spec)
-    colors = [bit.bit_length() - 1 - (n + 1) for bit in colors]
+    """The certificate of a found cycle: placed[p] is the vertex bit at cycle
+    position p, and colors[j] the color bit of window j (see _edge_index).
+    palette, if given, maps the color numbered c in the search back to
+    palette[c - 1] (see find_rainbow_cycle)."""
+    pi = Hamperm(tuple(bit.bit_length() - 1 for bit in placed), spec)
+    colors = [bit.bit_length() - 1 - (spec.n + 1) for bit in colors]
     if palette is not None:
         colors = [palette[c - 1] for c in colors]
     return RainbowCertificate(pi, tuple(edges_of_hamperm(pi)), tuple(colors))
@@ -179,15 +173,19 @@ def _search_plan(spec: CycleSpec, anchored: bool):
     """Per-step tables for the edge-driven search, steps 0..n-1.
 
     The tables are the search's program: _search_source compiles them into
-    one nested loop per step, so nothing here is read while searching.
+    one nested loop per step, so nothing here is read while searching, nor
+    when a found cycle is decoded, as the leaf hands its vertex bits back in
+    position order.
 
-    order[s]: the position placed at step s.  The vertex-anchored plan
-        (anchored=False) places tight specs (ell = k-1) in the order
-        0, n-1, 1, 2, ..., n-2, so both cycle neighbours of position 0 come
-        first and the reflection rule below prunes at step 2, and every
-        other spec in position order.  The color-anchored plan
-        (anchored=True) places every spec in position order, so window 0,
-        which holds the anchor color's edge, is placed first.
+    order[s]: the position placed at step s; every plan places position 0
+        at step 0, so the leaf's b[0] marks a find (see _search_source).
+        The vertex-anchored plan (anchored=False) places tight specs
+        (ell = k-1) in the order 0, n-1, 1, 2, ..., n-2, so both cycle
+        neighbours of position 0 come first and the reflection rule below
+        prunes at step 2, and every other spec in position order.  The
+        color-anchored plan (anchored=True) places every spec in position
+        order, so window 0, which holds the anchor color's edge, is placed
+        first.
     member[s]: windows containing position order[s].
     filters[s]: the windows of member[s] whose extend sets the search
         intersects at step s.  A window is dropped when another member
@@ -614,10 +612,11 @@ def _search_source(spec: CycleSpec, anchored: bool, multi: bool) -> str:
     The source defines a factory, search(table, edges, holder, held,
     choices, b, limit), binding plain data only: one instance's edge index
     (see _edge_index), the multi-color matching's state (see _augment), the
-    list b that receives the vertex bit placed at each step and the node
+    list b that receives the vertex bit at each cycle position and the node
     limit.  It returns chunk0, which runs the search and returns the nodes
-    expanded; b is written only when a cycle is found, at the leaf, so
-    b[0] != 0 exactly then.
+    expanded; b is written only when a cycle is found, at the leaf, in
+    position order, so a found cycle is decoded without the plan.  Every
+    plan places position 0 at step 0, so b[0] != 0 exactly when one is.
 
     Each placement step is one loop over its candidate vertices in ascending
     order: `for v<s> in bits[cand<s>]` up to n = CANDIDATE_TABLE_MAX_N,
@@ -772,7 +771,7 @@ def _search_source(spec: CycleSpec, anchored: bool, multi: bool) -> str:
             lines.extend(f"{body}    {line}" for line in undo)
             out(f"{body}    continue")
         if s + 1 == n:
-            out(f"{body}b[:] = ({', '.join(f'v{t}' for t in range(n))})")
+            out(f"{body}b[:] = ({', '.join(f'v{order.index(p)}' for p in range(n))})")
             out(f"{body}return nodes")
             return
         if (s + 1) % CHUNK_STEPS:
@@ -902,11 +901,7 @@ def find_rainbow_cycle(
     ``budget + 1`` and returns UNKNOWN.  A FOUND outcome builds its
     certificate when it is first read (see SearchOutcome).
     """
-    if H.n != spec.n or H.k != spec.k:
-        raise InvalidInput(
-            f"hypergraph (n={H.n}, k={H.k}) does not match spec "
-            f"(n={spec.n}, k={spec.k})"
-        )
+    check_spec_fits(H, spec)
     if budget is not None and budget <= 0:
         raise InvalidInput(f"need a positive budget, got {budget}")
 
@@ -938,7 +933,7 @@ def find_rainbow_cycle(
     held = [0] * m  # the color each matched window holds, as a bit
     choices = [0] * m  # its candidate colors, as the table holds them
     holder: dict[int, int] = {}  # color bit -> the window holding it
-    placed = [0] * n  # the vertex bit placed at each step, written if found
+    placed = [0] * n  # the vertex bit at each position, written if found
     run = _compiled_search(spec, anchored, multi)(
         table, edges, holder, held, choices, placed,
         sys.maxsize if budget is None else budget,
@@ -959,14 +954,13 @@ def find_rainbow_cycle(
     else:
         # each window's edge has one color, read off the table here so that
         # the outcome holds no index
-        at = dict(zip(_search_plan(spec, anchored)[0], placed))
         colors = [
-            table[sum(at[p] for p in window) | (anchored and j == 0)]
+            table[sum(placed[p] for p in window) | (anchored and j == 0)]
             for j, window in enumerate(spec.windows())
         ]
     # the certificate is built when first read (SearchOutcome.certificate)
     return SearchOutcome(
-        SearchStatus.FOUND, None, nodes, _pending=(spec, anchored, placed, colors, palette)
+        SearchStatus.FOUND, None, nodes, _pending=(spec, placed, colors, palette)
     )
 
 
@@ -974,12 +968,10 @@ def find_rainbow_cycle(
 # permutation-enumeration machinery
 
 
-def _check_limit(n: int, limit: int, cap: int, kind: str) -> None:
-    """TooLarge unless n <= limit and n <= cap: a limit may lower the cap,
-    never raise it, as the oracles' tables and loops grow with n!."""
-    bound = min(limit, cap)
-    if n > bound:
-        raise TooLarge(f"n = {n} exceeds the {kind} limit {bound}")
+def _check_limit(n: int, cap: int, kind: str) -> None:
+    """TooLarge unless n <= cap, as the oracles' tables and loops grow with n!."""
+    if n > cap:
+        raise TooLarge(f"n = {n} exceeds the {kind} limit {cap}")
 
 
 @lru_cache(maxsize=2)  # one table is m x n! int64: ~26 MB at n = 9
@@ -1023,21 +1015,18 @@ def _edge_set_table(n: int, k: int, ell: int) -> tuple[np.ndarray, int]:
     return columns, weight
 
 
-def count_hamperms(
-    H: ColoredHypergraph, spec: CycleSpec, limit: int = ENUMERATION_LIMIT
-) -> tuple[int, int]:
+def count_hamperms(H: ColoredHypergraph, spec: CycleSpec) -> tuple[int, int]:
     """Count the permutations of [n] against H.
 
     Returns (X_count, Y_count): permutations whose induced edges all exist,
     and those additionally admitting a system of pairwise distinct colors.
     Both depend on a permutation only through its induced edge set, so each
     distinct set is tested once and counted with its weight (see
-    _edge_set_table).  limit may lower ENUMERATION_LIMIT, never raise it; a
-    larger n is TooLarge before anything is allocated.
+    _edge_set_table).  An n above ENUMERATION_LIMIT is TooLarge before
+    anything is allocated.
     """
-    if H.n != spec.n or H.k != spec.k:
-        raise InvalidInput("hypergraph does not match spec")
-    _check_limit(spec.n, limit, ENUMERATION_LIMIT, "enumeration")
+    check_spec_fits(H, spec)
+    _check_limit(spec.n, ENUMERATION_LIMIT, "enumeration")
     table, weight = _edge_set_table(spec.n, spec.k, spec.ell)
     if H.multi_color:
         x_sets, y_sets = _count_multi_color(H.by_rank, table)
@@ -1093,13 +1082,13 @@ class OverlapProfile:
         return agg
 
 
-def overlap_profile(spec: CycleSpec, limit: int = ENUMERATION_LIMIT) -> OverlapProfile:
+def overlap_profile(spec: CycleSpec) -> OverlapProfile:
     """Exhaustive N(b, a) via enumeration, reference cycle = identity.
 
     Fixing the reference permutation is sound because the table does not
     depend on it (relabeling vertices is a bijection on permutations).
     """
-    _check_limit(spec.n, limit, ENUMERATION_LIMIT, "enumeration")
+    _check_limit(spec.n, ENUMERATION_LIMIT, "enumeration")
     n, m = spec.n, spec.m
     identity = Hamperm(tuple(range(1, n + 1)), spec)
     ref_edges = edges_of_hamperm(identity)
@@ -1172,16 +1161,14 @@ def second_moment_from_profile(
     return math.factorial(spec.n) * total
 
 
-def second_moment_bruteforce(
-    spec: CycleSpec, p, r: int, limit: int = PAIRWISE_LIMIT
-) -> Fraction:
+def second_moment_bruteforce(spec: CycleSpec, p, r: int) -> Fraction:
     """Exact E(Y^2) by looping over all ordered permutation pairs.
 
     For each pair, the union size of the two induced edge sets and the shared
     count b are measured directly on edge bitmasks; the pair contributes
     p^{|union|} * Pr(both rainbow).  No overlap table, no path counting.
     """
-    _check_limit(spec.n, limit, PAIRWISE_LIMIT, "pairwise")
+    _check_limit(spec.n, PAIRWISE_LIMIT, "pairwise")
     p = _check_moment_args(p, r)
     total = Fraction(0)
     for (union, b), count in _pair_counts(spec):
@@ -1208,16 +1195,14 @@ def _pair_counts(spec: CycleSpec) -> tuple[tuple[tuple[int, int], int], ...]:
     return tuple(pair_counts.items())
 
 
-def expected_Y_bruteforce(
-    spec: CycleSpec, p, r: int, limit: int = ENUMERATION_LIMIT
-) -> Fraction:
+def expected_Y_bruteforce(spec: CycleSpec, p, r: int) -> Fraction:
     """Exact E(Y) summed over all n! permutations.
 
     Each permutation contributes p^d * (r)_d / r^d where d is its number of
     distinct induced edges (measured, not assumed): the distinct ranks in
     its column of the permutation table.
     """
-    _check_limit(spec.n, limit, ENUMERATION_LIMIT, "enumeration")
+    _check_limit(spec.n, ENUMERATION_LIMIT, "enumeration")
     p = _check_moment_args(p, r)
     ranks = np.sort(_perm_edge_table(spec.n, spec.k, spec.ell), axis=0)
     distinct = 1 + np.count_nonzero(ranks[1:] != ranks[:-1], axis=0)

@@ -70,7 +70,7 @@ PINNED_CALLS = (
     ("count --infile plain.chg --ell 1", 0,
      "a5906e36046c6bed577eca68843536226e1313abad1a401753cb2ade2a6bfa9a",
      None),
-    ("count --infile directed.chg --ell 1 --limit 8 --out counted.json", 0,
+    ("count --infile directed.chg --ell 1 --out counted.json", 0,
      EMPTY,
      "08640e33d441866ca84f441dbd983eb7e4129f4525109f63b0061f1e6af113e5"),
     ("overlap --n 6 --k 3 --ell 1", 0,
@@ -429,20 +429,29 @@ def test_budget_without_budgeted_mode_is_invalid_input(tmp_path, capsys):
         assert code == 0, command
 
 
-def test_limit_cannot_raise_the_enumeration_cap(tmp_path, capsys):
+def test_cli_refuses_n_above_the_enumeration_cap(tmp_path, capsys):
     # n = 12 would enumerate 12! permutations: TooLarge, not an OOM
-    code, out, err = run(
-        capsys, "overlap", "--n", "12", "--k", "3", "--ell", "1", "--limit", "12"
-    )
+    code, out, err = run(capsys, "overlap", "--n", "12", "--k", "3", "--ell", "1")
     assert (code, out) == (1, "") and "limit 9" in err
     chg = tmp_path / "h.chg"
     run(capsys, "gen", "--n", "12", "--k", "3", "--r", "6", "--p", "0.3",
         "--seed", "1", "--out", str(chg))
-    code, out, err = run(capsys, "count", "--infile", str(chg), "--ell", "1", "--limit", "12")
+    code, out, err = run(capsys, "count", "--infile", str(chg), "--ell", "1")
     assert (code, out) == (1, "") and "limit 9" in err
-    # a limit below the cap still applies
-    code, _, err = run(capsys, "overlap", "--n", "6", "--k", "3", "--ell", "1", "--limit", "5")
-    assert code == 1 and "limit 5" in err
+    # the cap is a constant: --limit is an unknown flag
+    small = tmp_path / "small.chg"
+    run(capsys, "gen", "--n", "6", "--k", "3", "--r", "3", "--p", "0.5", "--out", str(small))
+    for argv in (("overlap", "--n", "6", "--k", "3"), ("count", "--infile", str(small))):
+        code, out, err = run(capsys, *argv, "--ell", "1", "--limit", "5")
+        assert (code, out) == (1, "") and "unrecognized arguments: --limit" in err
+
+
+def test_directed_masks_past_the_bound_are_refused(capsys):
+    # C(400, 2) k-sets, each present at q = 1, of up to 2^16 + 1 mask bits
+    # exceed 2^32 bits: bad input (exit 1), not an OOM kill
+    code, out, err = run(capsys, "gen", "--model", "directed", "--n", "400", "--k", "2",
+                         "--r", "65536", "--q", "1", "--seed", "1")
+    assert (code, out) == (1, "") and "2^32" in err
 
 
 def test_import_leaves_the_process_pool_unimported():

@@ -19,7 +19,9 @@ from rainbowhc import (
     InvalidSpec,
     RainbowCertificate,
     TooLarge,
+    count_hamperms,
     edges_of_hamperm,
+    find_rainbow_cycle,
     read_chg,
     sample_colored,
     sample_directed,
@@ -29,6 +31,7 @@ from rainbowhc import (
 from rainbowhc.core import (
     _ENUMERATION_CAP,
     _UNRANK_CHUNK,
+    _comb_column,
     color_bits,
     distinct_color_system,
     ksets_of_ranks,
@@ -187,6 +190,9 @@ def test_lex_rank_is_combinations_order():
         assert [lex_rank(n, e) for e in combos] == ranks
         assert lex_ranks(n, np.array(combos, dtype=np.int32)).tolist() == ranks
         ksets = ksets_of_ranks(n, k, np.arange(len(ranks)))
+        # the columns both read are cached and read-only
+        assert _comb_column(n, k, 1) is _comb_column(n, k, 1)
+        assert not _comb_column(n, k, k).flags.writeable
         assert ksets.shape == (len(ranks), k)
         assert list(map(tuple, ksets.tolist())) == combos
         if n <= 8:
@@ -320,10 +326,19 @@ def test_validate_not_rainbow_by_pigeonhole():
 
 
 def test_validate_dimension_mismatch():
+    # one check serves every reader of (H, spec); verify_certificate says False
     spec = CycleSpec(6, 3, 1)
     H = ColoredHypergraph(7, 3, 3)
-    with pytest.raises(InvalidInput):
-        validate_cycle(H, Hamperm((1, 2, 3, 4, 5, 6), spec))
+    pi = Hamperm((1, 2, 3, 4, 5, 6), spec)
+    message = r"hypergraph \(n=7, k=3\) does not match spec \(n=6, k=3\)"
+    with pytest.raises(InvalidInput, match=message):
+        validate_cycle(H, pi)
+    with pytest.raises(InvalidInput, match=message):
+        find_rainbow_cycle(H, spec)
+    with pytest.raises(InvalidInput, match=message):
+        count_hamperms(H, spec)
+    cert = validate_cycle(ColoredHypergraph.complete_rainbow(6, 3), pi)
+    assert not verify_certificate(H, cert)
 
 
 def test_validate_multi_color_needs_matching():

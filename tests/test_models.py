@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from rainbowhc import (
     InvalidCycle,
     InvalidInput,
     NoRealRoot,
+    TooLarge,
     build_gamma,
     detect_color_collisions,
     edges_of_hamperm,
@@ -307,6 +309,24 @@ def test_sample_directed_beyond_64_colors(seed):
     colors = frozenset().union(*(cs for _, cs in H.items()))
     assert min(colors) >= 1 and 63 < max(colors) <= 70
     assert hashlib.sha256(dumps_chg(H).encode()).hexdigest() == MANY_COLOR_PINS[seed]
+
+
+def test_directed_masks_past_the_bound_are_refused_before_any_is_built():
+    # C(400, 2) present k-sets with masks of up to 2^16 + 1 bits exceed the
+    # 2^32-bit bound: refused after the presence draw, before any color
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="2\\^32"):
+            sample_directed(400, 2, 1.0, 1 << 16, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # below the 1.3 MB color draw
+    # the mapping constructor refuses the same total
+    edges = dict.fromkeys(itertools.combinations(range(1, 401), 2), (1,))
+    with pytest.raises(TooLarge, match="2\\^32"):
+        ColoredHypergraph(400, 2, 1 << 16, edges, multi_color=True)
+    assert ColoredHypergraph(400, 2, 1 << 15, edges, multi_color=True).edge_count == len(edges)
 
 
 def test_sample_directed_presence_frequency():

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import inspect
 import itertools
 import json
 import linecache
@@ -215,7 +216,8 @@ def _check_search_plan(spec, anchored):
         spec, anchored
     )
     n, k, windows = spec.n, spec.k, spec.windows()
-    assert sorted(order) == list(range(n))
+    # position 0 at step 0: the leaf's b[0] marks a find
+    assert sorted(order) == list(range(n)) and order[0] == 0
     step_of = {p: s for s, p in enumerate(order)}
     assert member == tuple(
         tuple(j for j, w in enumerate(windows) if p in w) for p in order
@@ -569,6 +571,21 @@ def test_compiled_search_shows_its_source(anchored, multi):
     assert lines[0].startswith("def search(")
     assert ("_augment(" in source) == multi
     assert _compiled_search(spec, anchored, multi) is _compiled_search(spec, anchored, multi)
+
+
+def test_a_found_cycle_is_decoded_without_the_plan():
+    # the leaf writes the vertex bits by position, so once the search is
+    # compiled neither the color read nor the certificate needs the plan
+    cases = [
+        (ColoredHypergraph.complete_rainbow(8, 3), CycleSpec(8, 3, 1)),  # vertex anchor
+        (sample_colored(8, 4, 1.0, 8, 1), CycleSpec(8, 4, 3)),  # color anchor
+    ]
+    for H, spec in cases:
+        find_rainbow_cycle(H, spec)
+        _search_plan.cache_clear()
+        outcome = find_rainbow_cycle(H, spec)
+        assert outcome.found and verify_certificate(H, outcome.certificate)
+        assert _search_plan.cache_info().currsize == 0
 
 
 def _entries(table) -> dict:
@@ -1132,25 +1149,27 @@ def test_count_limit():
         count_hamperms(ColoredHypergraph(10, 3, 5), spec)
 
 
-def test_limit_only_lowers_the_enumeration_caps():
-    # a limit above a cap is the cap: TooLarge before any n! table or loop
+def test_enumeration_caps_refuse_before_any_table():
+    # n above a cap is TooLarge before any n! table or loop, and the caps
+    # are constants: no oracle takes a limit
     spec = CycleSpec(12, 3, 1)
     tracemalloc.start()
     try:
-        with pytest.raises(TooLarge):
-            count_hamperms(ColoredHypergraph(12, 3, 4), spec, limit=12)
-        with pytest.raises(TooLarge):
-            overlap_profile(spec, limit=12)
-        with pytest.raises(TooLarge):
-            expected_Y_bruteforce(spec, 0.5, 4, limit=12)
-        with pytest.raises(TooLarge):
-            second_moment_bruteforce(CycleSpec(8, 3, 1), 0.5, 4, limit=8)
+        with pytest.raises(TooLarge, match="limit 9"):
+            count_hamperms(ColoredHypergraph(12, 3, 4), spec)
+        with pytest.raises(TooLarge, match="limit 9"):
+            overlap_profile(spec)
+        with pytest.raises(TooLarge, match="limit 9"):
+            expected_Y_bruteforce(spec, 0.5, 4)
+        with pytest.raises(TooLarge, match="limit 7"):
+            second_moment_bruteforce(CycleSpec(8, 3, 1), 0.5, 4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    with pytest.raises(TooLarge):
-        overlap_profile(CycleSpec(6, 3, 1), limit=5)
+    for oracle in (count_hamperms, overlap_profile, expected_Y_bruteforce,
+                   second_moment_bruteforce):
+        assert "limit" not in inspect.signature(oracle).parameters
 
 
 def test_count_planted_single_cycle_multiplicity():
