@@ -43,6 +43,8 @@ def make_grid(start: float, stop: float, points: int, spacing: str = "linear") -
     beyond TASK_CAP points, before any is made."""
     if points < 1:
         raise InvalidInput(f"need at least one grid point, got {points}")
+    if spacing not in ("linear", "geometric"):
+        raise InvalidInput(f"unknown spacing {spacing!r}")
     _check_tasks(points, 1)
     if points == 1:
         return (float(start),)
@@ -51,12 +53,10 @@ def make_grid(start: float, stop: float, points: int, spacing: str = "linear") -
     if spacing == "linear":
         step = (stop - start) / (points - 1)
         return tuple(start + i * step for i in range(points))
-    if spacing == "geometric":
-        if start <= 0:
-            raise InvalidInput("geometric spacing needs start > 0")
-        ratio = (stop / start) ** (1.0 / (points - 1))
-        return tuple(start * ratio**i for i in range(points))
-    raise InvalidInput(f"unknown spacing {spacing!r}")
+    if start <= 0:
+        raise InvalidInput("geometric spacing needs start > 0")
+    ratio = (stop / start) ** (1.0 / (points - 1))
+    return tuple(start * ratio**i for i in range(points))
 
 
 def _check_tasks(points: int, trials: int) -> None:

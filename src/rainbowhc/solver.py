@@ -3,13 +3,13 @@
 The searcher places one vertex per cycle position, in a placement order set
 by the spec and the anchor that fixes the rotation (the rarest color when
 r = m, vertex 1 otherwise), and extends only into edges that exist, using a
-per-instance vertex-bitmask index of the present edges, built in one numpy
-pass on dense single-color instances and by a per-subset loop otherwise.
-The index is one table subscripted by vertex mask, holding each proper
-subset's extenders and each edge's colors: a flat list over every mask
-when it is well filled, a dict of the present keys otherwise.  Core owns
-the order of the k-sets by rank; the solver owns its rank -> bitmask
-table, _vertex_masks, kept only for n <= 16.  Colors are
+per-instance vertex-bitmask index of the present edges.  The index is one
+table subscripted by vertex mask, holding each proper subset's extenders
+and each edge's colors: a flat list over every mask or a dict of the
+present keys, built in one numpy pass or by a per-subset loop, as
+_edge_index alone decides.  No per-n table over every mask or k-set is
+built past n = TABLE_MAX_N.  Core owns the order of the k-sets by rank;
+the solver owns its rank -> bitmask table, _vertex_masks.  Colors are
 pruned with used-color bits kept in the same int as the placed vertices
 (single-color) or an incremental distinct-representatives matching over int
 color bitmasks, Kuhn augmenting paths (_augment) trying colors in ascending
@@ -23,10 +23,10 @@ plan fixes which.  Without a budget the search is exhaustive and proves
 absence; with one it gives up after a node quota and reports Unknown.  Each
 search plan is compiled once into Python source: one loop per placement
 step, each nested in the previous step's, cut into functions of at most 15
-steps.  Up to n = 16 a step's loop iterates a per-n table of the candidate
-mask's vertex bits, in ascending order; beyond it, it pops the lowest
-candidate bit.  The leaf hands a found cycle's vertex bits back by cycle
-position, so the plan is read only at compile time.
+steps.  Up to TABLE_MAX_N a step's loop iterates a per-n table of the
+candidate mask's vertex bits, in ascending order; beyond it, it pops the
+lowest candidate bit.  The leaf hands a found cycle's vertex bits back by
+cycle position, so the plan is read only at compile time.
 
 The oracles enumerate all n! permutations outright and exist to pin the
 closed-form moment calculations to something independently computable, so
@@ -74,10 +74,10 @@ from .errors import InvalidInput, TooLarge
 ENUMERATION_LIMIT = 9       # n! enumeration cap for counting oracles
 PAIRWISE_LIMIT = 7          # (n!)^2 cap for the pairwise second-moment oracle
 CHUNK_STEPS = 15            # placement steps per generated search function
-DENSE_INDEX_MAX_N = 16      # the numpy index's 2^(n+1)-entry table: 1 MB at n = 16
-# the largest n whose search loops over _candidate_bits(n): measured faster
-# at every n = 12..16 (see there); the table doubles with each vertex
-CANDIDATE_TABLE_MAX_N = 16
+# the largest n with per-n tables over every vertex mask or k-set, each
+# doubling with a vertex: _candidate_bits (6-7 MB at n = 16), _vertex_masks,
+# the numpy index's 2^(n+1)-entry table (1 MB) and list-form indexes
+TABLE_MAX_N = 16
 # E * 2^k (present edges times subsets) from which the numpy index runs: it
 # overtook the loop at ~250-400 pairs for n <= 14 and ~900 at n = 16
 DENSE_INDEX_MIN_PAIRS = 1024
@@ -168,14 +168,14 @@ class _BudgetExceeded(Exception):
     pass
 
 
-@lru_cache(maxsize=None)
 def _search_plan(spec: CycleSpec, anchored: bool):
     """Per-step tables for the edge-driven search, steps 0..n-1.
 
     The tables are the search's program: _search_source compiles them into
-    one nested loop per step, so nothing here is read while searching, nor
-    when a found cycle is decoded, as the leaf hands its vertex bits back in
-    position order.
+    one nested loop per step, which _compiled_search caches, so a plan is
+    built once per compiled search and nothing here is read while
+    searching, nor when a found cycle is decoded, as the leaf hands its
+    vertex bits back in position order.
 
     order[s]: the position placed at step s; every plan places position 0
         at step 0, so the leaf's b[0] marks a find (see _search_source).
@@ -334,11 +334,12 @@ def _vertex_bits(n: int, k: int, ranks: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _vertex_masks(n: int, k: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """_vertex_bits of every k-set, for n <= DENSE_INDEX_MAX_N only.
+    """_vertex_bits of every k-set, read only up to n = TABLE_MAX_N (see
+    _edge_index).
 
     Returns (masks, bits): masks[rank] is the vertex bitmask of the k-set of
     that rank, a Python int; bits[rank] is the read-only int64 row of its k
-    vertex bits, which the dense index reads.  Beyond n = 16 nothing is
+    vertex bits, which the dense index reads.  Beyond the bound nothing is
     cached: a Python int per k-set took ~404 MB at (2000, 2).
     """
     bits = _vertex_bits(n, k, np.arange(kset_count(n, k)))
@@ -349,7 +350,8 @@ def _vertex_masks(n: int, k: int) -> tuple[tuple[int, ...], np.ndarray]:
 @lru_cache(maxsize=4)
 def _candidate_bits(n: int) -> tuple[tuple[int, ...], ...]:
     """bits[mask]: the vertex bits of mask in ascending order, for every
-    even mask over vertices 1..n, for n <= CANDIDATE_TABLE_MAX_N only.
+    even mask over vertices 1..n, read only up to n = TABLE_MAX_N (see
+    _search_source).
 
     The search loops over a step's candidates as bits[cand].  Bit 0 is the
     anchor's tag, never a candidate, so every odd mask shares the empty
@@ -370,32 +372,6 @@ def _candidate_bits(n: int) -> tuple[tuple[int, ...], ...]:
     bits: list[tuple[int, ...]] = [()] * (2 << n)
     bits[::2] = even
     return tuple(bits)
-
-
-def _edge_masks(n: int, k: int, ranks: np.ndarray) -> Union[tuple[int, ...], dict[int, int]]:
-    """masks with masks[rank] the vertex bitmask of the k-set of that rank,
-    a Python int, for each of these ranks: the cached _vertex_masks up to
-    DENSE_INDEX_MAX_N, a dict of just these ranks beyond it."""
-    if n <= DENSE_INDEX_MAX_N:
-        return _vertex_masks(n, k)[0]
-    masks = np.bitwise_or.reduce(_vertex_bits(n, k, ranks), axis=1)
-    return dict(zip(ranks.tolist(), masks.tolist()))
-
-
-def _dense_index(H: ColoredHypergraph) -> bool:
-    """Whether _edge_index builds H's index in one numpy pass.
-
-    Only single-color instances with n <= DENSE_INDEX_MAX_N and at least
-    DENSE_INDEX_MIN_PAIRS (edge, subset) pairs, E * 2^k, take that pass:
-    on small instances its fixed numpy costs make it slower than the
-    per-subset loop, which is also the only routine for multi-color and
-    larger-n instances.
-    """
-    return (
-        not H.multi_color
-        and H.n <= DENSE_INDEX_MAX_N
-        and H.edge_count << H.k >= DENSE_INDEX_MIN_PAIRS
-    )
 
 
 _Index = Union[dict[int, int], list[int]]
@@ -425,38 +401,57 @@ def _edge_index(
 
     The table comes in one of two forms, which the search subscripts alike:
     a dict holding just those keys, or a list over all 2^(n+1) masks holding
-    0 at every other one.  Two routines build it, the instance choosing
-    which (see _dense_index): _dense_edge_index in one numpy pass and
-    _looped_edge_index one subset at a time, each choosing the form by how
-    full a list would be.
+    0 at every other one.  Two routines build it, _dense_edge_index in one
+    numpy pass and _looped_edge_index one subset at a time.  This function
+    alone reads the rules that shape it, and hands the routine its form
+    (and the loop its masks), with E * 2^k (edge, subset) pairs:
+    - the numpy pass runs iff H is single-color, n <= TABLE_MAX_N and there
+      are at least DENSE_INDEX_MIN_PAIRS pairs; on smaller instances its
+      fixed numpy costs make it slower than the loop;
+    - the table is a list iff n <= TABLE_MAX_N and the list holds at most
+      DENSE_LIST_LOAD (numpy pass) or LOOP_LIST_LOAD (loop) entries per
+      pair, 2^(n+1) <= load * E * 2^k (each routine gives its measurements);
+    - the loop reads the cached _vertex_masks up to n = TABLE_MAX_N, and
+      beyond it a dict of just these ranks' masks, made for this search.
     """
-    return (_dense_edge_index if _dense_index(H) else _looped_edge_index)(
-        H, anchor, ranks, slots
-    )
+    n, k = H.n, H.k
+    if n > TABLE_MAX_N:
+        masks = np.bitwise_or.reduce(_vertex_bits(n, k, ranks), axis=1)
+        masks = dict(zip(ranks.tolist(), masks.tolist()))
+        return _looped_edge_index(H, anchor, ranks, slots, masks, False)
+    pairs = len(ranks) << k
+    if not H.multi_color and pairs >= DENSE_INDEX_MIN_PAIRS:
+        listed = 1 << (n + 1) <= DENSE_LIST_LOAD * pairs
+        return _dense_edge_index(H, anchor, ranks, slots, listed)
+    listed = 1 << (n + 1) <= LOOP_LIST_LOAD * pairs
+    return _looped_edge_index(H, anchor, ranks, slots, _vertex_masks(n, k)[0], listed)
 
 
 def _looped_edge_index(
-    H: ColoredHypergraph, anchor: int, ranks: np.ndarray, slots: np.ndarray
+    H: ColoredHypergraph,
+    anchor: int,
+    ranks: np.ndarray,
+    slots: np.ndarray,
+    masks: Union[tuple[int, ...], dict[int, int]],
+    listed: bool,
 ) -> tuple[_Index, _Edges]:
     """_edge_index of any instance: each edge's proper subsets walked in a
-    loop, largest first, each one a table update.
+    loop, largest first, each one a table update.  masks[rank] is the vertex
+    bitmask of the k-set of each of these ranks, a Python int; the table is
+    a flat list if listed and a dict otherwise (see _edge_index).
 
-    The table is a flat list when n <= DENSE_INDEX_MAX_N and it holds at
-    most LOOP_LIST_LOAD entries per (edge, subset) pair, 2^(n+1) <= 32 *
-    E * 2^k, and a dict otherwise.  The loop writes the list in place, so
-    a list costs only its allocation more than a dict, and every write and
-    read after that is a list subscript.  Search time with a list over
-    time with a dict, on loop instances shaped like couple_directed8's
-    (8, 3, 1) and sweep_loose12's (12, 3, 1) plus sparse (14, 3, 1) and
-    (12, 4, 3) ones (best of 7 in-process runs each, "load" is 2^(n+1) /
-    (E * 2^k)): x0.87-0.92 at loads below 48 (149 couple searches at
-    loads under 8: x0.87), x0.99 at 48-64 and x1.10 at 64-96; searches
-    shorter than 20 us gained little at any load (x0.97-1.02).
+    The loop writes the list in place, so a list costs only its allocation
+    more than a dict, and every write and read after that is a list
+    subscript.  Search time with a list over time with a dict, on loop
+    instances shaped like couple_directed8's (8, 3, 1) and sweep_loose12's
+    (12, 3, 1) plus sparse (14, 3, 1) and (12, 4, 3) ones (best of 7
+    in-process runs each, "load" is 2^(n+1) / (E * 2^k)): x0.87-0.92 at
+    loads below 48 (149 couple searches at loads under 8: x0.87), x0.99 at
+    48-64 and x1.10 at 64-96; searches shorter than 20 us gained little at
+    any load (x0.97-1.02), hence LOOP_LIST_LOAD = 32.
     """
-    n = H.n
-    masks = _edge_masks(n, H.k, ranks)
     multi = H.multi_color
-    shift = n + 1
+    shift = H.n + 1
     # no edge carries color 0, so without an anchor no edge carries its bit
     anchor_bit = 1 << (anchor + shift)
     edges = []
@@ -472,10 +467,11 @@ def _looped_edge_index(
     # each proper subset sub of an edge, largest first, gains edge ^ sub; a
     # tagged edge's subsets keep its tag: from sub = S | 1 (S even), sub - 2
     # is S - 1, the untagged step from S with bit 0 set, so steps of 2 walk
-    # the same subsets tagged, down to the tag alone
-    size = 1 << shift
-    if n <= DENSE_INDEX_MAX_N and size <= LOOP_LIST_LOAD * (len(ranks) << H.k):
-        table: _Index = [0] * size
+    # the same subsets tagged, down to the tag alone.  One walk per form: a
+    # single walk into a defaultdict, copied to a dict at the end, built
+    # dict tables x1.14-1.34 slower at (12, 3, 1) and (18, 3, 1)
+    if listed:
+        table: _Index = [0] * (1 << shift)
         for edge, bits in edges:
             table[edge] = bits
             tag = edge & 1
@@ -499,10 +495,10 @@ def _looped_edge_index(
 
 
 def _dense_edge_index(
-    H: ColoredHypergraph, anchor: int, ranks: np.ndarray, slots: np.ndarray
+    H: ColoredHypergraph, anchor: int, ranks: np.ndarray, slots: np.ndarray, listed: bool
 ) -> tuple[_Index, _Edges]:
-    """_edge_index of a single-color instance with n <= DENSE_INDEX_MAX_N, in
-    one numpy pass: every subset of every edge is one entry of an (E, 2^k)
+    """_edge_index of a single-color instance with n <= TABLE_MAX_N, in one
+    numpy pass: every subset of every edge is one entry of an (E, 2^k)
     array, the product of the edges' vertex bits with the 0/1 matrix of
     subset patterns.  Its last column is the edge itself, the others are the
     proper subsets, which the anchor's edges tag with bit 0; one unbuffered
@@ -511,17 +507,16 @@ def _dense_edge_index(
     The edges' colors are written in afterwards in Python, as a renumbered
     color's bit can lie past bit 63.
 
-    When that table holds at most DENSE_LIST_LOAD entries per (edge,
-    subset) pair, 2^(n+1) <= 4 * E * 2^k, it is handed over as a list: a
-    list subscript is cheaper than a dict's.  Every csweep_tight10 search
-    passes the rule, and its traced search time per pass went 18.3-19.3 ->
-    15.9-16.2 ms at the same 43,545 nodes.  Sparser tables become dicts of
-    their nonzero entries: a list costs O(2^n) to build (tolist took ~20 us
+    If listed (see _edge_index for the rule), that table is handed over as
+    a list: a list subscript is cheaper than a dict's.  Every csweep_tight10
+    search is listed, and its traced search time per pass went 18.3-19.3 ->
+    15.9-16.2 ms at the same 43,545 nodes.  Otherwise it becomes a dict of
+    its nonzero entries: a list costs O(2^n) to build (tolist took ~20 us
     at n = 10, ~0.9 ms at n = 16) and its reads stop being cheaper once it
     outgrows the cache.  Search time with lists over time with dicts, budget
     20,000, on the coupled realizations of six (n, k, k-1) trials at r = n
     (median of 10 alternating in-process pairs; "load" is 2^(n+1) /
-    (E * 2^k)):
+    (E * 2^k)), which set DENSE_LIST_LOAD = 4:
     - k = 4, n = 12: x0.84-0.90 at p = 0.35-0.6 (load 1.7-3.4), x1.03 at
       p = 0.25 (load 3.9-4.9), x1.18 at p = 0.15 (load 6.1-7.4);
     - k = 4, n = 14: x0.89-0.93 at p = 0.3-0.7 (load 2.8-7.1), x1.35-4.1
@@ -540,14 +535,14 @@ def _dense_edge_index(
     present = list(
         zip((edges | tags).tolist(), [1 << (slot + n + 1) for slot in slots.tolist()])
     )
-    if len(table) > DENSE_LIST_LOAD * (len(ranks) << k):
-        keys = np.flatnonzero(table != 0)  # a bool scan: ~4x faster than int64's
-        index: _Index = dict(zip(keys.tolist(), table[keys].tolist()))
-        index.update(present)
-    else:
-        index = table.tolist()
+    if listed:
+        index: _Index = table.tolist()
         for edge, bits in present:
             index[edge] = bits
+    else:
+        keys = np.flatnonzero(table != 0)  # a bool scan: ~4x faster than int64's
+        index = dict(zip(keys.tolist(), table[keys].tolist()))
+        index.update(present)
     return index, present
 
 
@@ -619,23 +614,24 @@ def _search_source(spec: CycleSpec, anchored: bool, multi: bool) -> str:
     plan places position 0 at step 0, so b[0] != 0 exactly when one is.
 
     Each placement step is one loop over its candidate vertices in ascending
-    order: `for v<s> in bits[cand<s>]` up to n = CANDIDATE_TABLE_MAX_N,
-    where the factory binds bits = _candidate_bits(n), and, as that table
-    grows as 2^n, a `while cand<s>` loop popping the lowest bit beyond it;
-    this is the only place that picks the form.  The loop of step s+1 sits
-    in the body of step s's, so backtracking is the fall-through of an inner
-    loop and a failed check is a `continue`.  CPython allows 20 statically
-    nested blocks in a function, so the steps are cut into chunks of at most
-    CHUNK_STEPS (15), one function each; the watched window's scan adds one
-    more block inside a step.  The last step of a chunk calls the next chunk
-    with what the steps after it read (the taken set, the vertex bits of
-    every earlier step, the watched window's completions and witness when
-    its watch carries over, and the node count) and gets the node count
-    back.  Step s's vertex bit v<s>, candidates cand<s>, witness x<s>, taken
-    set z<s> and the node count are all fast locals.  z<s> holds the
-    vertices placed up to step s and, in single-color mode, the colors used,
-    whose bits lie past the vertex bits (see _edge_index): one AND tests a
-    color, and one AND tests a completion of the watched window.
+    order: `for v<s> in bits[cand<s>]` up to n = TABLE_MAX_N, where the
+    factory binds bits = _candidate_bits(n), and, as that table grows as
+    2^n, a `while cand<s>` loop popping the lowest bit beyond it; this is
+    the only place that picks the form, as _edge_index is for the index.
+    The loop of step s+1 sits in the body of step s's, so backtracking is
+    the fall-through of an inner loop and a failed check is a `continue`.
+    CPython allows 20 statically nested blocks in a function, so the steps
+    are cut into chunks of at most CHUNK_STEPS (15), one function each; the
+    watched window's scan adds one more block inside a step.  The last step
+    of a chunk calls the next chunk with what the steps after it read (the
+    taken set, the vertex bits of every earlier step, the watched window's
+    completions and witness when its watch carries over, and the node count)
+    and gets the node count back.  Step s's vertex bit v<s>, candidates
+    cand<s>, witness x<s>, taken set z<s> and the node count are all fast
+    locals.  z<s> holds the vertices placed up to step s and, in
+    single-color mode, the colors used, whose bits lie past the vertex bits
+    (see _edge_index): one AND tests a color, and one AND tests a completion
+    of the watched window.
 
     Everything the plan fixes is resolved here: each window mask a step
     reads is an OR of the bits of the steps placing that window's positions
@@ -659,7 +655,7 @@ def _search_source(spec: CycleSpec, anchored: bool, multi: bool) -> str:
         spec, anchored
     )
     n = spec.n
-    table_loops = n <= CANDIDATE_TABLE_MAX_N
+    table_loops = n <= TABLE_MAX_N
     placed_at = [[s for s in range(n) if j in member[s]] for j in range(spec.m)]
 
     def placed(j: int, s: int) -> list[str]:
@@ -846,8 +842,8 @@ def find_rainbow_cycle(
     plan is compiled once into nested loops, one per step, in functions of
     at most CHUNK_STEPS steps (see _search_source); each loop iterates the
     candidates' vertex bits in ascending order, read off the cached
-    _candidate_bits(n) table up to n = CANDIDATE_TABLE_MAX_N and popped one
-    lowest bit at a time beyond it.  This function binds the plan to the
+    _candidate_bits(n) table up to n = TABLE_MAX_N and popped one lowest
+    bit at a time beyond it.  This function binds the plan to the
     instance's plain data: no closure and no cache lives per search.
 
     A window whose next position comes more than one step later is read by

@@ -476,6 +476,15 @@ def test_unparsable_grid_is_invalid_input(capsys):
     assert code == 1 and "--p-grid" in err
 
 
+@pytest.mark.parametrize("points", ["1", "2"])
+def test_unknown_grid_spacing_is_invalid_input(points, capsys):
+    code, out, err = run(
+        capsys, "sweep", "--n", "6", "--k", "3", "--ell", "1", "--r", "3",
+        "--p-grid", f"0.3:0.1:{points}:bogus", "--trials", "2",
+    )
+    assert (code, out) == (1, "") and "unknown spacing 'bogus'" in err
+
+
 def test_internal_value_error_exits_2(monkeypatch, capsys):
     # a bare ValueError is a bug in the program, not bad input
     import rainbowhc.cli as cli

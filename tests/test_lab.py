@@ -84,6 +84,12 @@ def test_make_grid_linear_and_geometric():
         make_grid(0.5, 0.1, 3)
     with pytest.raises(InvalidInput):
         make_grid(0.0, 0.5, 3, "geometric")
+    # a one-point grid ignores its spacing, but not a misspelt one, and
+    # start == stop is fine there
+    assert make_grid(0.64, 0.64, 1, "geometric") == (0.64,)
+    for points in (1, 2):
+        with pytest.raises(InvalidInput, match="unknown spacing 'bogus'"):
+            make_grid(0.3, 1.0, points, "bogus")
 
 
 # -- Wilson intervals ------------------------------------------------------------

@@ -45,14 +45,13 @@ from rainbowhc.solver import (
     DENSE_INDEX_MIN_PAIRS,
     DENSE_LIST_LOAD,
     LOOP_LIST_LOAD,
+    TABLE_MAX_N,
     SearchOutcome,
     _candidate_bits,
     _compiled_search,
     _completions,
     _dense_edge_index,
-    _dense_index,
     _edge_index,
-    _edge_masks,
     _edge_set_table,
     _looped_edge_index,
     _pair_counts,
@@ -441,14 +440,13 @@ def test_planted_cycle_found_under_relabeling(multi):
 
 
 def test_search_leaves_no_garbage():
-    # the recursive closures of a search reach themselves through their
-    # cells; the search breaks those cycles, so nothing waits for the
+    # a search leaves no reference cycle, so nothing it made waits for the
     # collector, whatever the plan, the index routine or the way the search
     # ends (each search runs once first: compiling a plan leaves garbage of
     # its own, once per process)
     loose, tight = CycleSpec(8, 3, 1), CycleSpec(10, 4, 3)
     dense = CoupledInstance(10, 4, 10, derive_seed(2, 0)).realize(0.64)
-    assert _dense_index(dense)
+    assert _index_routine(dense)[0]  # the numpy pass
     instances = [
         (sample_colored(8, 3, 0.3, 4, seed=2), loose),
         (sample_colored(8, 3, 0.3, 5, seed=0), loose),
@@ -573,7 +571,7 @@ def test_compiled_search_shows_its_source(anchored, multi):
     assert _compiled_search(spec, anchored, multi) is _compiled_search(spec, anchored, multi)
 
 
-def test_a_found_cycle_is_decoded_without_the_plan():
+def test_a_found_cycle_is_decoded_without_the_plan(monkeypatch):
     # the leaf writes the vertex bits by position, so once the search is
     # compiled neither the color read nor the certificate needs the plan
     cases = [
@@ -582,10 +580,14 @@ def test_a_found_cycle_is_decoded_without_the_plan():
     ]
     for H, spec in cases:
         find_rainbow_cycle(H, spec)
-        _search_plan.cache_clear()
+
+    def unread(spec, anchored):
+        raise AssertionError(f"the plan of {spec} was read")
+
+    monkeypatch.setattr(solver, "_search_plan", unread)
+    for H, spec in cases:
         outcome = find_rainbow_cycle(H, spec)
         assert outcome.found and verify_certificate(H, outcome.certificate)
-        assert _search_plan.cache_info().currsize == 0
 
 
 def _entries(table) -> dict:
@@ -708,105 +710,191 @@ def _index_instances():
                 yield sample_colored(n, k, p, r, derive_seed(5, n, r, i)), spec
 
 
-def _loop_lists(H) -> bool:
-    """The loop's list rule: n <= 16 and 2^(n+1) <= LOOP_LIST_LOAD * E * 2^k."""
-    return H.n <= 16 and 1 << (H.n + 1) <= LOOP_LIST_LOAD * (H.edge_count << H.k)
+def _numpy_pass(H) -> bool:
+    """The numpy pass's rule: single-color, n <= TABLE_MAX_N and
+    E * 2^k >= DENSE_INDEX_MIN_PAIRS."""
+    return (
+        not H.multi_color
+        and H.n <= TABLE_MAX_N
+        and H.edge_count << H.k >= DENSE_INDEX_MIN_PAIRS
+    )
 
 
-def test_dense_index_equals_the_loop(monkeypatch):
+def _lists(H, load: int) -> bool:
+    """A list rule: n <= TABLE_MAX_N and 2^(n+1) <= load * E * 2^k."""
+    return H.n <= TABLE_MAX_N and 1 << (H.n + 1) <= load * (H.edge_count << H.k)
+
+
+def _record_index_routines(mp, taken: list) -> None:
+    """Patch both index routines through mp so that each build appends
+    (multi-color, E * 2^k, whether the numpy pass ran, the table's type) to
+    taken."""
+    for routine in (_dense_edge_index, _looped_edge_index):
+        def recording(H, *args, routine=routine):
+            index = routine(H, *args)
+            dense = routine is _dense_edge_index
+            taken.append((H.multi_color, H.edge_count << H.k, dense, type(index[0])))
+            return index
+
+        mp.setattr(solver, routine.__name__, recording)
+
+
+def _index_routine(H, anchor: int = 0) -> tuple:
+    """(whether _edge_index builds H's index in the numpy pass, the type of
+    the table it hands back)."""
+    taken = []
+    with pytest.MonkeyPatch.context() as mp:
+        _record_index_routines(mp, taken)
+        _edge_index(H, anchor, *_present_edges(H))
+    (record,) = taken
+    return record[2:]
+
+
+def test_dense_index_equals_the_loop():
     # the numpy routine builds the loop's index key for key, with no anchor,
-    # the rarest color and another color: in every form of either routine's
+    # the rarest color and another color: in both forms of either routine's
     # table the nonzero entries are the same, and both routines list the
     # same (edge, colors) pairs in the same order (the completion scan reads
-    # them in that order); the numpy routine hands over a list when its
-    # table holds at most DENSE_LIST_LOAD entries per (edge, subset) pair,
-    # the loop when it holds at most LOOP_LIST_LOAD, and dicts otherwise
-    forms = set()
+    # them in that order).  _edge_index builds what its rules pick: the
+    # numpy pass on single-color instances with enough (edge, subset) pairs
+    # and the loop otherwise, a list when it holds at most DENSE_LIST_LOAD
+    # or LOOP_LIST_LOAD entries per pair, and a dict otherwise
+    picked = set()
     for H, _ in _index_instances():
         present = _present_edges(H)
+        masks = _vertex_masks(H.n, H.k)[0]
         rarest = solver._rarest_color(H, present[1])
         for anchor in {0, rarest or 0, 1 if rarest != 1 else 2}:
-            loop = _looped_edge_index(H, anchor, *present)
-            assert type(loop[0]) is (list if _loop_lists(H) else dict), (H, anchor)
-            _check_table(H, *loop)
-            expected = _entries(loop[0])
-            for load, form in ((0, dict), (1 << 40, list)):
-                monkeypatch.setattr(solver, "LOOP_LIST_LOAD", load)
-                forced = _looped_edge_index(H, anchor, *present)
-                monkeypatch.undo()
-                assert type(forced[0]) is form and forced[1] == loop[1], (H, anchor)
-                assert _entries(forced[0]) == expected, (H, anchor)
-            # the numpy routine is checked on every instance, chosen or not
-            dense = _dense_edge_index(H, anchor, *present)
-            listed = 1 << (H.n + 1) <= DENSE_LIST_LOAD * (H.edge_count << H.k)
-            assert type(dense[0]) is (list if listed else dict), (H, anchor)
-            if listed:
-                assert len(dense[0]) == 1 << (H.n + 1)
-            _check_table(H, *dense)
-            assert _entries(dense[0]) == expected, (H, anchor)
-            assert dense[1] == loop[1], (H, anchor)
-            chosen = _dense_index(H)
-            assert _edge_index(H, anchor, *present) == (dense if chosen else loop)
-            forms.add(
-                f"{'dense' if chosen else 'loop'} {type((dense if chosen else loop)[0]).__name__}"
-            )
-    assert forms == {"loop dict", "loop list", "dense dict", "dense list"}
+            built = {}
+            for dense, listed in itertools.product((False, True), repeat=2):
+                index = (
+                    _dense_edge_index(H, anchor, *present, listed) if dense
+                    else _looped_edge_index(H, anchor, *present, masks, listed)
+                )
+                assert type(index[0]) is (list if listed else dict), (H, anchor)
+                if listed:
+                    assert len(index[0]) == 1 << (H.n + 1)
+                _check_table(H, *index)
+                built[dense, listed] = index
+            table, edges = built[False, False]
+            for index in built.values():
+                assert _entries(index[0]) == _entries(table), (H, anchor)
+                assert index[1] == edges, (H, anchor)
+            dense = _numpy_pass(H)
+            listed = _lists(H, DENSE_LIST_LOAD if dense else LOOP_LIST_LOAD)
+            assert _index_routine(H, anchor) == (dense, list if listed else dict)
+            assert _edge_index(H, anchor, *present) == built[dense, listed]
+            picked.add((dense, listed))
+    assert picked == set(itertools.product((False, True), repeat=2))
+
+
+def _searched_instances():
+    """_index_instances and the directed instances MULTI_COLOR_SEARCH_PINS
+    pins."""
+    loose = CycleSpec(8, 3, 1)
+    return list(_index_instances()) + [
+        (sample_directed(8, 3, q_from_p(0.05), 4, derive_seed(1010, 1, t)), loose)
+        for t in range(200)
+    ]
+
+
+def _records(instances, budget) -> list[dict]:
+    return [find_rainbow_cycle(H, spec, budget).to_record() for H, spec in instances]
 
 
 @pytest.mark.parametrize("budget", [None, 20])
 def test_forced_loop_forms_search_alike(budget, monkeypatch):
-    # the loop's list and dict tables, each searched by candidate loops over
-    # the bit-tuple table and by loops popping the lowest bit, give the same
-    # records: statuses, node counts and certificates, on single-color
-    # instances of several specs and on the directed instances
-    # MULTI_COLOR_SEARCH_PINS pins
-    q = q_from_p(0.05)
-    loose = CycleSpec(8, 3, 1)
-    instances = list(_index_instances()) + [
-        (sample_directed(8, 3, q, 4, derive_seed(1010, 1, t)), loose) for t in range(200)
-    ]
+    # the loop's list and dict tables, each forced on every index the loop
+    # builds, give the records of the forms _edge_index picks: statuses,
+    # node counts and certificates, on single-color instances of several
+    # specs and on the directed instances MULTI_COLOR_SEARCH_PINS pins
+    instances = _searched_instances()
+    picked = _records(instances, budget)
     looped = solver._looped_edge_index
-    records = {}
-    try:
-        for loops, cap in (("table", solver.CANDIDATE_TABLE_MAX_N), ("pop", 0)):
-            # the cap below every n compiles every plan in the pop form
-            monkeypatch.setattr(solver, "CANDIDATE_TABLE_MAX_N", cap)
-            _compiled_search.cache_clear()
-            for load, form in ((0, dict), (1 << 40, list)):
-                forms = set()
+    for form in (list, dict):
+        forms = set()
 
-                def recording(*args):
-                    index = looped(*args)
-                    forms.add(type(index[0]))
-                    return index
+        def forced(H, anchor, ranks, slots, masks, listed):
+            index = looped(H, anchor, ranks, slots, masks, form is list)
+            forms.add(type(index[0]))
+            return index
 
-                monkeypatch.setattr(solver, "LOOP_LIST_LOAD", load)
-                monkeypatch.setattr(solver, "_looped_edge_index", recording)
-                records[loops, form] = [
-                    find_rainbow_cycle(H, spec, budget).to_record() for H, spec in instances
-                ]
-                assert forms == {form}
-            plans = {spec for _, spec in instances}
-            for plan in itertools.product(plans, (False, True), (False, True)):
-                assert ("in bits[cand" in _search_source(*plan)) == (loops == "table")
-    finally:
-        _compiled_search.cache_clear()
-    assert len(records) == 4
-    assert all(got == records["table", list] for got in records.values())
-    statuses = {record["status"] for record in records["table", list]}
+        monkeypatch.setattr(solver, "_looped_edge_index", forced)
+        assert _records(instances, budget) == picked, form
+        monkeypatch.undo()
+        assert forms == {form}
+    statuses = {record["status"] for record in picked}
     assert {"found", "not_found"} <= statuses
     assert ("unknown" in statuses) == (budget is not None)
 
 
+def _oracle_sized_instances():
+    """(H, spec) at n <= 9 for the counting oracle: single- and multi-color,
+    r = m and r = m + 1."""
+    for (n, k, ell), p, q in [
+        ((8, 3, 1), 0.3, 0.05),
+        ((8, 4, 2), 0.4, 0.06),
+        ((9, 4, 3), 0.6, 0.1),
+    ]:
+        spec = CycleSpec(n, k, ell)
+        for r in (spec.m, spec.m + 1):
+            for t in range(4):
+                seed = derive_seed(29, n, r, t)
+                yield sample_colored(n, k, p, r, seed), spec
+                yield sample_directed(n, k, q, r, seed), spec
+
+
+def test_large_n_regime_searches_alike(monkeypatch):
+    # with TABLE_MAX_N at 0 every search takes the path of n > 16 (loops
+    # popping the lowest candidate bit, the loop builder, masks unranked for
+    # the search alone and dict tables) at sizes the oracle reaches: its
+    # records are the default regime's, and its verdicts the oracle's
+    instances = _searched_instances()
+    oracle = list(_oracle_sized_instances())
+    default = [_records(instances, budget) for budget in (None, 20)]
+    looped = solver._looped_edge_index
+    built = []
+
+    def recording(H, anchor, ranks, slots, masks, listed):
+        built.append((type(masks), listed))
+        return looped(H, anchor, ranks, slots, masks, listed)
+
+    def unused(*args):
+        raise AssertionError("the numpy pass ran past TABLE_MAX_N")
+
+    monkeypatch.setattr(solver, "TABLE_MAX_N", 0)
+    monkeypatch.setattr(solver, "_looped_edge_index", recording)
+    monkeypatch.setattr(solver, "_dense_edge_index", unused)
+    _compiled_search.cache_clear()
+    try:
+        large = [_records(instances, budget) for budget in (None, 20)]
+        checks = [solver_agrees_with_oracle(H, spec) for H, spec in oracle]
+        plans = {(spec, H.r == spec.m, H.multi_color) for H, spec in instances + oracle}
+        sources = [_search_source(*plan) for plan in plans]
+    finally:
+        monkeypatch.undo()
+        _compiled_search.cache_clear()
+    assert large == default
+    assert set(built) == {(dict, False)}
+    assert all(
+        "while cand0:" in source and "_candidate_bits" not in source for source in sources
+    )
+    assert all(agree for agree, _, _ in checks)
+    assert {outcome.found for _, outcome, _ in checks} == {False, True}
+    assert {H.multi_color for H, _ in oracle} == {False, True}
+
+
 def test_dense_index_rule():
-    # single-color, n <= 16 and E * 2^k >= DENSE_INDEX_MIN_PAIRS, nothing else
+    # single-color, n <= TABLE_MAX_N and E * 2^k >= DENSE_INDEX_MIN_PAIRS,
+    # nothing else
     H = sample_colored(10, 4, 1.0, 10, 1)
-    assert H.edge_count << 4 >= DENSE_INDEX_MIN_PAIRS and _dense_index(H)
-    assert not _dense_index(sample_colored(10, 4, 0.05, 10, 1))
-    assert _dense_index(sample_colored(16, 3, 0.3, 16, 1))
-    assert not _dense_index(sample_colored(17, 3, 0.3, 17, 1))
+    assert H.edge_count << 4 >= DENSE_INDEX_MIN_PAIRS and _index_routine(H)[0]
+    assert not _index_routine(sample_colored(10, 4, 0.05, 10, 1))[0]
+    assert _index_routine(sample_colored(16, 3, 0.3, 16, 1))[0]
+    assert not _index_routine(sample_colored(17, 3, 0.3, 17, 1))[0]
     directed = sample_directed(10, 4, 0.05, 10, 1)
-    assert directed.edge_count << 4 >= DENSE_INDEX_MIN_PAIRS and not _dense_index(directed)
+    assert directed.edge_count << 4 >= DENSE_INDEX_MIN_PAIRS
+    assert not _index_routine(directed)[0]
 
 
 def test_bench_shaped_searches_take_their_index_routine(monkeypatch, capsys):
@@ -819,19 +907,7 @@ def test_bench_shaped_searches_take_their_index_routine(monkeypatch, capsys):
     # * 32) and the sweep searches with at least 256 pairs, where the rest
     # get dicts
     taken = []
-    edge_index = solver._edge_index
-
-    def recording(H):
-        taken.append([H.multi_color, H.edge_count << H.k, _dense_index(H)])
-        return taken[-1][2]
-
-    def recording_form(*args):
-        index = edge_index(*args)
-        taken[-1].append(type(index[0]))
-        return index
-
-    monkeypatch.setattr(solver, "_dense_index", recording)
-    monkeypatch.setattr(solver, "_edge_index", recording_form)
+    _record_index_routines(monkeypatch, taken)
     calls = {
         "csweep": [
             ["csweep", "--n", "10", "--k", "4", "--ell", "3", "--c", "1",
@@ -1096,8 +1172,11 @@ def test_vertex_mask_table_holds_only_masks():
     out, peak = _search_peak(sample_colored(64, 3, 0.05, 65, 2), spec)
     assert out.status is SearchStatus.UNKNOWN
     assert _vertex_masks.cache_info().currsize == 0
-    last = math.comb(64, 3) - 1
-    assert _edge_masks(64, 3, np.array([last])) == {last: (1 << 62) | (1 << 63) | (1 << 64)}
+    last = ColoredHypergraph(64, 3, 65, {(62, 63, 64): {1}})
+    assert _edge_index(last, 0, *_present_edges(last))[1] == [
+        ((1 << 62) | (1 << 63) | (1 << 64), 1 << 66)
+    ]
+    assert _vertex_masks.cache_info().currsize == 0
     assert peak < 3.5 * (1 << 20)
 
 
