@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -62,14 +63,14 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def _budget(args) -> Optional[int]:
-    """The node budget that --mode and --budget ask for; None is exhaustive."""
-    if args.mode == "exhaustive":
-        if args.budget is not None:
-            # an exhaustive search would ignore it
-            raise InvalidInput("a budget needs budgeted mode")
-        return None
-    if args.budget is None or args.budget <= 0:
-        raise InvalidInput("budgeted mode needs a positive budget")
+    """The node budget that --mode and --budget ask for; None is exhaustive.
+    Only the flags' pairing is checked here; solver.check_budget refuses a
+    non-positive budget."""
+    if args.mode == "exhaustive" and args.budget is not None:
+        # an exhaustive search would ignore it
+        raise InvalidInput("a budget needs budgeted mode")
+    if args.mode == "budgeted" and args.budget is None:
+        raise InvalidInput("budgeted mode needs --budget")
     return args.budget
 
 
@@ -180,11 +181,15 @@ def _cmd_moments(args):
         record["threshold_tight"] = threshold_tight(args.k, c, args.n)
     if args.k >= 4:
         record["K_constant"] = K_constant(args.k)
-    if c > 1:
+    if c > 1 and args.n <= 100_000:  # the scan takes about 6 us per b
         b_star, value = claim_max(c, args.n)
         record["claim_max"] = {"b": b_star, "value": value}
     if args.format == "json":
-        return record
+        # strict JSON has no inf or nan
+        return {
+            key: None if isinstance(value, float) and not math.isfinite(value) else value
+            for key, value in record.items()
+        }
     width = max(len(key) for key in record)
     return "\n".join(f"{key.ljust(width)}  {value}" for key, value in record.items()) + "\n"
 
@@ -312,7 +317,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             elif isinstance(result, tuple):
                 write_chg(result[0], fh, result[1])
             else:
-                fh.write(json.dumps(result, indent=2) + "\n")
+                fh.write(json.dumps(result, indent=2, allow_nan=False) + "\n")
         return 0
     except SystemExit as exc:
         return int(exc.code or 0)

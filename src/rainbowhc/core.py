@@ -39,6 +39,12 @@ def check_colors(r: int, multi_color: bool = False) -> None:
         raise InvalidInput(f"need r <= 2^16 colors in multi-color mode, got r={r}")
 
 
+def check_probability(p: float, name: str = "p") -> None:
+    """InvalidInput unless p lies in [0, 1]; NaN compares False, so it is refused."""
+    if not 0 <= p <= 1:
+        raise InvalidInput(f"{name} must lie in [0, 1], got {p}")
+
+
 def check_mask_bits(present: int, r: int) -> None:
     """TooLarge unless `present` multi-color masks of up to r + 1 bits each
     fit in _MAX_MASK_BITS bits; checked before any mask is built."""

@@ -5,12 +5,13 @@ class RainbowError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidSpec(RainbowError, ValueError):
-    """Cycle geometry parameters are internally inconsistent."""
-
-
 class InvalidInput(RainbowError, ValueError):
     """Arguments violate a documented precondition."""
+
+
+class InvalidSpec(InvalidInput):
+    """Cycle geometry parameters are internally inconsistent: an
+    InvalidInput, so a caller that refuses bad input refuses these too."""
 
 
 class InvalidCycle(RainbowError, ValueError):

@@ -21,11 +21,11 @@ from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
-from .core import CycleSpec
+from .core import CycleSpec, check_colors, check_probability
 from .errors import InvalidInput, TooLarge
 from .models import CoupledInstance, q_from_p, sample_colored, sample_directed
 from .seeds import derive_seed
-from .solver import SearchStatus, find_rainbow_cycle
+from .solver import SearchStatus, check_budget, find_rainbow_cycle
 
 SWEEP_CSV_COLUMNS = (
     "n", "k", "ell", "r", "p", "trials", "found", "not_found",
@@ -41,11 +41,9 @@ TASK_CAP = 500_000
 def make_grid(start: float, stop: float, points: int, spacing: str = "linear") -> tuple[float, ...]:
     """Strictly increasing probability grid, linear or geometric; TooLarge
     beyond TASK_CAP points, before any is made."""
-    if points < 1:
-        raise InvalidInput(f"need at least one grid point, got {points}")
+    _check_runs(points, 1, 1)
     if spacing not in ("linear", "geometric"):
         raise InvalidInput(f"unknown spacing {spacing!r}")
-    _check_tasks(points, 1)
     if points == 1:
         return (float(start),)
     if not start < stop:
@@ -59,8 +57,12 @@ def make_grid(start: float, stop: float, points: int, spacing: str = "linear") -
     return tuple(start * ratio**i for i in range(points))
 
 
-def _check_tasks(points: int, trials: int) -> None:
-    """TooLarge when points x trials exceeds TASK_CAP."""
+def _check_runs(points: int, trials: int, workers: int) -> None:
+    """InvalidInput unless there is at least one grid point, trial and
+    worker; TooLarge when points x trials exceeds TASK_CAP."""
+    for name, value in (("grid points", points), ("trials", trials), ("workers", workers)):
+        if value < 1:
+            raise InvalidInput(f"need {name} >= 1, got {value}")
     if points * trials > TASK_CAP:
         raise TooLarge(
             f"need grid points x trials <= {TASK_CAP:,}, got {points} x {trials}"
@@ -87,10 +89,12 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 class SweepConfig:
     """One sweep: cycle geometry, color count, p-grid, search budget, workers.
 
-    r is the color count itself; a color density c resolves to it through
-    moments.colors_at_density.  budget=None searches exhaustively; a
-    positive budget caps each search at that many nodes (see
-    find_rainbow_cycle).  Grid points times trials is at most TASK_CAP.
+    r is the color count itself, one a slot holds (core.check_colors); a
+    color density c resolves to it through moments.colors_at_density.
+    budget=None searches exhaustively; a positive budget caps each search
+    at that many nodes (see find_rainbow_cycle).  Grid points times trials
+    is at most TASK_CAP.  Every rule is checked here, when the config is
+    built, by the function that owns it.
     """
 
     n: int
@@ -106,19 +110,13 @@ class SweepConfig:
     def __post_init__(self) -> None:
         self.spec  # validates (n, k, ell)
         object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
-        if not self.p_grid:
-            raise InvalidInput("empty p grid")
+        _check_runs(len(self.p_grid), self.trials, self.workers)
         for p in self.p_grid:
-            if not 0.0 <= p <= 1.0:
-                raise InvalidInput(f"grid point {p} outside [0, 1]")
+            check_probability(p)
         if any(b <= a for a, b in zip(self.p_grid, self.p_grid[1:])):
             raise InvalidInput("p grid must be strictly increasing")
-        for name in ("r", "trials", "workers"):
-            if getattr(self, name) < 1:
-                raise InvalidInput(f"need {name} >= 1, got {getattr(self, name)}")
-        _check_tasks(len(self.p_grid), self.trials)
-        if self.budget is not None and self.budget <= 0:
-            raise InvalidInput(f"need a positive budget, got {self.budget}")
+        check_colors(self.r)
+        check_budget(self.budget)
 
     @cached_property  # writes the instance __dict__, which frozen allows
     def spec(self) -> CycleSpec:
@@ -140,7 +138,9 @@ class SweepResult:
     mean_nodes: float
 
 
-def _aggregate(config: SweepConfig, per_point: list[list[tuple[str, int]]]) -> list[SweepResult]:
+def _aggregate(
+    config: SweepConfig, per_point: Sequence[Sequence[tuple[str, int]]]
+) -> list[SweepResult]:
     rows = []
     for p, outcomes in zip(config.p_grid, per_point):
         found = sum(1 for s, _ in outcomes if s == SearchStatus.FOUND.value)
@@ -192,12 +192,11 @@ def _sweep_task(config: SweepConfig, task: tuple[int, int]) -> tuple[str, int]:
 
 def run_sweep(config: SweepConfig) -> list[SweepResult]:
     """Independent instances at every grid point; deterministic in config."""
-    tasks = [(i, t) for i in range(len(config.p_grid)) for t in range(config.trials)]
+    points, trials = len(config.p_grid), config.trials
+    tasks = [(i, t) for i in range(points) for t in range(trials)]
     results = _run_tasks(partial(_sweep_task, config), tasks, config.workers)
-    per_point: list[list[tuple[str, int]]] = [[] for _ in config.p_grid]
-    for (point, _), outcome in zip(tasks, results):
-        per_point[point].append(outcome)
-    return _aggregate(config, per_point)
+    # point-major task order: point i's outcomes are one slice
+    return _aggregate(config, [results[i * trials:(i + 1) * trials] for i in range(points)])
 
 
 def _coupled_task(config: SweepConfig, trial: int) -> list[tuple[str, int]]:
@@ -259,12 +258,7 @@ def run_coupled_sweep(config: SweepConfig) -> list[SweepResult]:
     coupled instances (exhaustive mode); mean_nodes is the mean effort the
     bisection actually spent, settled points counting 0.
     """
-    matrix = coupled_outcome_matrix(config)
-    per_point = [
-        [matrix[t][i] for t in range(config.trials)]
-        for i in range(len(config.p_grid))
-    ]
-    return _aggregate(config, per_point)
+    return _aggregate(config, list(zip(*coupled_outcome_matrix(config))))
 
 
 @dataclass(frozen=True)
@@ -307,21 +301,16 @@ def couple_experiment(
     The undirected model runs at p, the directed model at the matched
     q = q_from_p(p) with multi-color solving; the directed probability should
     dominate, and `holds` reports whether phat_directed >= phat_undirected
-    minus two pooled standard errors.  Needs (k-1) | n, r = n/(k-1),
-    p <= 1/8, exhaustive-feasible n and at most TASK_CAP trials.  Trials run as one task each
+    minus two pooled standard errors.  Needs a loose CycleSpec(n, k, 1),
+    whose m = n/(k-1) is r, p <= 1/8, exhaustive-feasible n and at most
+    TASK_CAP trials.  Trials run as one task each
     (a process pool when workers > 1) and are summed in trial order, so the
     outcome does not depend on the worker count.
     """
-    if k < 2 or n % (k - 1) != 0:
-        raise InvalidInput(f"k - 1 = {k - 1} must divide n = {n}")
-    if trials < 1:
-        raise InvalidInput(f"need trials >= 1, got {trials}")
-    _check_tasks(1, trials)
-    if workers < 1:
-        raise InvalidInput(f"need workers >= 1, got {workers}")
-    r = n // (k - 1)
-    q = q_from_p(p)
     spec = CycleSpec(n, k, 1)
+    r = spec.m
+    _check_runs(1, trials, workers)
+    q = q_from_p(p)
     found = _run_tasks(partial(_couple_task, spec, r, p, q, seed), range(trials), workers)
     found_u = sum(u for u, _ in found)
     found_d = sum(d for _, d in found)

@@ -34,6 +34,7 @@ from .core import (
     canonical_edge,
     check_colors,
     check_mask_bits,
+    check_probability,
     kset_count,
     ksets_of_ranks,
     lex_ranks,
@@ -42,11 +43,6 @@ from .errors import InvalidCycle, InvalidInput, NoRealRoot
 from .seeds import derive_seed_rows, mix64_array, unit_interval
 
 _COLOR_SALT = 0xC2B2AE3D27D4EB4F
-
-
-def _check_probability(p: float, name: str = "p") -> None:
-    if not 0.0 <= p <= 1.0:
-        raise InvalidInput(f"{name} must lie in [0, 1], got {p}")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -60,7 +56,7 @@ def sample_colored(n: int, k: int, p: float, r: int, seed: int) -> ColoredHyperg
     Draws one uniform and then one color for every k-set in lex order, so
     the result is a deterministic function of the seed.
     """
-    _check_probability(p)
+    check_probability(p)
     check_colors(r)
     total = kset_count(n, k)
     rng = _rng(seed)
@@ -105,7 +101,7 @@ class CoupledInstance:
         object.__setattr__(self, "colors", colors)
 
     def realize(self, p: float) -> ColoredHypergraph:
-        _check_probability(p)
+        check_probability(p)
         return ColoredHypergraph(
             self.n, self.k, self.r, by_rank=np.where(self.us < p, self.colors, 0)
         )
@@ -139,7 +135,7 @@ def sample_directed(n: int, k: int, q: float, r: int, seed: int) -> ColoredHyper
     records, per k-set, the set of colors received (multi-color mode).
     Too many mask bits (core.check_mask_bits) are refused before any color.
     """
-    _check_probability(q, "q")
+    check_probability(q, "q")
     check_colors(r, multi_color=True)
     total = kset_count(n, k)
     rng = _rng(seed)

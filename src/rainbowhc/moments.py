@@ -11,6 +11,8 @@ log-gamma, since n! overflows immediately otherwise.
 
 Threshold expressions are returned bare, without (1 +/- eps) factors; a
 caller probing either side of a threshold multiplies by its own factor.
+Every formula returns a float for every input it accepts: inf above the
+float range, 0.0 below it.
 A color density c becomes the color count r = floor(c*n) in
 colors_at_density, the one place that rounds.  The color-ratio claim
 machinery evaluates f(x) = ((c-x)/c)^((c-x)/x) and its derivative sign,
@@ -21,11 +23,12 @@ prefactor ((c-1)/c)^(c-1).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .core import CycleSpec
+from .core import CycleSpec, check_probability
 from .errors import InvalidInput
 
 Rational = Union[int, float, Fraction]
@@ -38,7 +41,8 @@ def colors_at_density(n: int, c: Rational) -> int:
 
 @dataclass(frozen=True)
 class MomentParams:
-    """Inputs of the moment formulas: cycle geometry plus (p, r)."""
+    """Inputs of the moment formulas and oracles: cycle geometry plus (p, r),
+    p in [0, 1] and r >= 1, with no slot bound on r (see core.check_colors)."""
 
     n: int
     k: int
@@ -50,8 +54,7 @@ class MomentParams:
         CycleSpec(self.n, self.k, self.ell)  # validates geometry
         if self.r < 1:
             raise InvalidInput(f"need r >= 1, got {self.r}")
-        if not 0 <= self.p <= 1:
-            raise InvalidInput(f"p must lie in [0, 1], got {self.p}")
+        check_probability(self.p)
 
     @property
     def m(self) -> int:
@@ -135,7 +138,10 @@ def threshold_general(k: int, ell: int, c: Rational, n: int) -> float:
     boundary = Fraction(1, k - ell)
     if c < boundary:
         raise InvalidInput(f"need c >= 1/(k-ell) = {boundary}, got {c}")
-    base = math.exp(k - ell + 1) / n ** (k - ell)
+    try:
+        base = math.exp(k - ell + 1) / n ** (k - ell)
+    except OverflowError:  # e^(k-ell+1) or n^(k-ell) past the float range
+        base = math.exp(k - ell + 1 - (k - ell) * math.log(n))
     if c > boundary:
         ratio = float((c - boundary) / c)
         exponent = float((k - ell) * c - 1)
@@ -166,6 +172,8 @@ def K_constant(k: int) -> float:
     """Second-moment constant 4 * k! * k * e^(k+1) (regime k > ell >= 3)."""
     if k < 4:
         raise InvalidInput(f"need k >= 4, got k={k}")
+    if math.lgamma(k + 1) > math.log(sys.float_info.max):
+        return math.inf  # k! is past the float range: no need to build it
     return 4.0 * math.factorial(k) * k * math.exp(k + 1)
 
 
@@ -176,7 +184,10 @@ def two_overlap_threshold(k: int, n: int, omega: float) -> float:
         raise InvalidInput(f"need k > 2, got k={k}")
     if omega <= 0:
         raise InvalidInput("omega must be positive")
-    return omega / n ** (k - 2)
+    try:
+        return omega / n ** (k - 2)
+    except OverflowError:  # n^(k-2) past the float range
+        return math.exp(math.log(omega) - (k - 2) * math.log(n))
 
 
 def loose_threshold(k: int, n: int, omega: float) -> float:
@@ -186,7 +197,10 @@ def loose_threshold(k: int, n: int, omega: float) -> float:
         raise InvalidInput(f"need k >= 2, got k={k}")
     if omega <= 0:
         raise InvalidInput("omega must be positive")
-    return omega * math.log(n) / n ** (k - 1)
+    try:
+        return omega * math.log(n) / n ** (k - 1)
+    except OverflowError:  # n^(k-1) past the float range
+        return math.exp(math.log(omega * math.log(n)) - (k - 1) * math.log(n))
 
 
 def claim_f(c: float, x: float) -> float:

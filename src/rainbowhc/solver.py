@@ -70,6 +70,7 @@ from .core import (
     verify_certificate,
 )
 from .errors import InvalidInput, TooLarge
+from .moments import MomentParams
 
 ENUMERATION_LIMIT = 9       # n! enumeration cap for counting oracles
 PAIRWISE_LIMIT = 7          # (n!)^2 cap for the pairwise second-moment oracle
@@ -815,6 +816,12 @@ def _compiled_search(spec: CycleSpec, anchored: bool, multi: bool):
     return namespace["search"]
 
 
+def check_budget(budget: Optional[int]) -> None:
+    """InvalidInput unless budget is None (exhaustive) or a positive node count."""
+    if budget is not None and budget <= 0:
+        raise InvalidInput(f"need a positive budget, got {budget}")
+
+
 def find_rainbow_cycle(
     H: ColoredHypergraph,
     spec: CycleSpec,
@@ -898,8 +905,7 @@ def find_rainbow_cycle(
     certificate when it is first read (see SearchOutcome).
     """
     check_spec_fits(H, spec)
-    if budget is not None and budget <= 0:
-        raise InvalidInput(f"need a positive budget, got {budget}")
+    check_budget(budget)
 
     m = spec.m
     if H.r < m:
@@ -1129,15 +1135,6 @@ def _both_rainbow_probability(b: int, m: int, r: int) -> Fraction:
     )
 
 
-def _check_moment_args(p, r: int) -> Fraction:
-    """p as a Fraction; InvalidInput unless p lies in [0, 1] and r >= 1."""
-    if r < 1:
-        raise InvalidInput(f"need at least one color, got r = {r}")
-    if not 0 <= p <= 1:  # NaN compares False with everything
-        raise InvalidInput(f"p must lie in [0, 1], got {p}")
-    return Fraction(p)
-
-
 def second_moment_from_profile(
     profile: OverlapProfile, p, r: int
 ) -> Fraction:
@@ -1150,7 +1147,8 @@ def second_moment_from_profile(
     m = spec.m
     if r < m:
         raise InvalidInput(f"r = {r} < m = {m}: E(Y) = 0 regime")
-    p = _check_moment_args(p, r)
+    MomentParams(spec.n, spec.k, spec.ell, p, r)  # checks p and r
+    p = Fraction(p)
     total = Fraction(0)
     for b, count in profile.by_overlap().items():
         total += count * p ** (2 * m - b) * _both_rainbow_probability(b, m, r)
@@ -1165,7 +1163,8 @@ def second_moment_bruteforce(spec: CycleSpec, p, r: int) -> Fraction:
     p^{|union|} * Pr(both rainbow).  No overlap table, no path counting.
     """
     _check_limit(spec.n, PAIRWISE_LIMIT, "pairwise")
-    p = _check_moment_args(p, r)
+    MomentParams(spec.n, spec.k, spec.ell, p, r)  # checks p and r
+    p = Fraction(p)
     total = Fraction(0)
     for (union, b), count in _pair_counts(spec):
         total += count * p**union * _both_rainbow_probability(b, spec.m, r)
@@ -1199,7 +1198,8 @@ def expected_Y_bruteforce(spec: CycleSpec, p, r: int) -> Fraction:
     its column of the permutation table.
     """
     _check_limit(spec.n, ENUMERATION_LIMIT, "enumeration")
-    p = _check_moment_args(p, r)
+    MomentParams(spec.n, spec.k, spec.ell, p, r)  # checks p and r
+    p = Fraction(p)
     ranks = np.sort(_perm_edge_table(spec.n, spec.k, spec.ell), axis=0)
     distinct = 1 + np.count_nonzero(ranks[1:] != ranks[:-1], axis=0)
     total = Fraction(0)

@@ -376,7 +376,8 @@ def test_criterion_11_determinism():
 
     first = csv_for(run_sweep, 1)
     ok = all(csv_for(run_sweep, w) == first for w in (1, 2, 4))
-    # csweep realizes through a per-process cache of coupled arrays
+    # csweep builds each trial's coupled instance in the worker that runs
+    # the trial and bisects its grid there
     coupled = csv_for(run_coupled_sweep, 1)
     ok = ok and all(csv_for(run_coupled_sweep, w) == coupled for w in (1, 2))
 

@@ -266,8 +266,49 @@ def test_moments_below_the_color_boundary(capsys):
         )
         assert (code, err) == (0, "")
         record = json.loads(out)
-        assert record["r"] == 3 and record["log_expected_Y"] == float("-inf")
+        # E(Y) = 0 here: its log, -inf, is written as null
+        assert record["r"] == 3 and record["log_expected_Y"] is None
         assert "threshold_general" not in record and "threshold_tight" not in record
+
+
+def _strict_json(text):
+    """json.loads that refuses the non-standard NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        ("--n 400 --k 200 --ell 199 --r 400 --p 0.5", "K_constant"),  # k! past floats
+        ("--n 300 --k 150 --ell 149 --r 300 --p 0.5", "K_constant"),  # the product past them
+        ("--n 12 --k 4 --ell 3 --r 11 --p 0.5", "log_expected_Y"),    # r < m: -inf
+        # n^(k-ell) is past the float range, the threshold (~1e-265) is not
+        ("--n 1030 --k 105 --ell 2 --r 1030 --p 0.5", "threshold_general"),
+    ],
+)
+def test_moments_past_the_float_range(argv, field, capsys):
+    code, text, err = run(capsys, "moments", *argv.split())
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "moments", *argv.split(), "--format", "json")
+    assert (code, err) == (0, "")
+    value = _strict_json(out)[field]
+    if field == "threshold_general":
+        assert 0 < value < 1e-260
+    else:
+        # text keeps inf and -inf; JSON writes null
+        assert value is None and any(
+            line.split() in ([field, "inf"], [field, "-inf"]) for line in text.splitlines()
+        )
+
+
+def test_moments_scans_claim_max_up_to_n_100000(capsys):
+    # claim_max scans b = 1..n; past n = 100,000 the record leaves it out
+    argv = ["--k", "4", "--ell", "3", "--c", "2", "--p", "0.1", "--format", "json"]
+    code, out, _ = run(capsys, "moments", "--n", "100001", *argv)
+    assert code == 0 and "claim_max" not in json.loads(out)
 
 
 def test_sweep_commands(tmp_path, capsys):

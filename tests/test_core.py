@@ -68,6 +68,10 @@ def test_spec_rejects_bad_geometry(n, k, ell):
         CycleSpec(n, k, ell)
 
 
+def test_bad_geometry_is_bad_input():
+    assert issubclass(InvalidSpec, InvalidInput)
+
+
 def test_hamperm_must_be_permutation():
     spec = CycleSpec(6, 3, 1)
     with pytest.raises(InvalidInput):

@@ -52,6 +52,12 @@ def test_config_validation():
         small_config(n=7)  # divisibility
 
 
+def test_config_refuses_colors_no_slot_holds():
+    # refused when the config is built, not by the first sampler
+    with pytest.raises(InvalidInput, match="2\\^63 - 1"):
+        small_config(r=2**63)
+
+
 def test_config_builds_its_spec_once():
     # every task reads config.spec; workers get it with the pickled config
     cfg = small_config()

@@ -209,6 +209,21 @@ def test_omega_helpers():
         loose_threshold(3, 100, -1.0)
 
 
+def test_formulas_past_the_float_range_return_floats():
+    # inf above the float range, 0.0 below it, and the quotient through logs
+    # where only the power n^d is past it
+    # past k = 170, k! is not built at all: k = 10^9 returns at once
+    assert K_constant(150) == K_constant(171) == K_constant(10**9) == math.inf
+    assert threshold_general(105, 2, 1, 1030) == pytest.approx(
+        math.exp(104 - 103 * math.log(1030)), rel=1e-12
+    )
+    assert two_overlap_threshold(200, 10**4, 1.0) == 0.0
+    assert loose_threshold(200, 10**4, 1.0) == 0.0
+    assert loose_threshold(120, 400, 1e100) == pytest.approx(
+        math.exp(math.log(1e100 * math.log(400)) - 119 * math.log(400)), rel=1e-12
+    )
+
+
 # -- claim ---------------------------------------------------------------------------
 
 def test_claim_f_values():
