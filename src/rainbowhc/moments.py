@@ -12,7 +12,8 @@ log-gamma, since n! overflows immediately otherwise.
 Threshold expressions are returned bare, without (1 +/- eps) factors; a
 caller probing either side of a threshold multiplies by its own factor.
 Every formula returns a float for every input it accepts: inf above the
-float range, 0.0 below it.
+float range, 0.0 below it.  MomentParams accepts only an n and r whose
+log-factorial is a float, so no formula meets inf - inf.
 A color density c becomes the color count r = floor(c*n) in
 colors_at_density, the one place that rounds.  The color-ratio claim
 machinery evaluates f(x) = ((c-x)/c)^((c-x)/x) and its derivative sign,
@@ -42,7 +43,8 @@ def colors_at_density(n: int, c: Rational) -> int:
 @dataclass(frozen=True)
 class MomentParams:
     """Inputs of the moment formulas and oracles: cycle geometry plus (p, r),
-    p in [0, 1] and r >= 1, with no slot bound on r (see core.check_colors)."""
+    p in [0, 1] and r >= 1, with no slot bound on r (see core.check_colors).
+    log(n!) and log(r!) must be floats: n and r up to about 2.5e305."""
 
     n: int
     k: int
@@ -54,6 +56,11 @@ class MomentParams:
         CycleSpec(self.n, self.k, self.ell)  # validates geometry
         if self.r < 1:
             raise InvalidInput(f"need r >= 1, got {self.r}")
+        for name, value in (("n", self.n), ("r", self.r)):
+            try:
+                math.lgamma(value + 1)
+            except OverflowError:
+                raise InvalidInput(f"log({name}!) is past the float range") from None
         check_probability(self.p)
 
     @property
@@ -126,6 +133,15 @@ def asymptotic_expected_Y(params: MomentParams) -> float:
     return 0.5 * math.log(2 * math.pi * n * r / (r - m)) + n * bracket
 
 
+def _over_power(x: float, n: int, d: int) -> float:
+    """x / n^d for x > 0, through logs once n^d is past the float range, so
+    no exact power of millions of digits is built only to overflow."""
+    # the margin of 1 covers the rounding of d * log(n)
+    if d * math.log(n) < math.log(sys.float_info.max) - 1:
+        return x / n**d
+    return math.exp(math.log(x) - d * math.log(n))
+
+
 def threshold_general(k: int, ell: int, c: Rational, n: int) -> float:
     """First-moment threshold for rainbow ell-cycles, k > ell >= 2.
 
@@ -165,7 +181,7 @@ def threshold_tight(k: int, c: Rational, n: int) -> float:
     e^2/n at c = 1, ((c-1)/c)^(c-1) * e^2/n for c > 1."""
     if k < 4:
         raise InvalidInput(f"tight-cycle threshold needs k >= 4, got k={k}")
-    return tight_prefactor(c) * math.exp(2) / n
+    return _over_power(tight_prefactor(c) * math.exp(2), n, 1)
 
 
 def K_constant(k: int) -> float:
@@ -184,10 +200,7 @@ def two_overlap_threshold(k: int, n: int, omega: float) -> float:
         raise InvalidInput(f"need k > 2, got k={k}")
     if omega <= 0:
         raise InvalidInput("omega must be positive")
-    try:
-        return omega / n ** (k - 2)
-    except OverflowError:  # n^(k-2) past the float range
-        return math.exp(math.log(omega) - (k - 2) * math.log(n))
+    return _over_power(omega, n, k - 2)
 
 
 def loose_threshold(k: int, n: int, omega: float) -> float:
@@ -197,10 +210,7 @@ def loose_threshold(k: int, n: int, omega: float) -> float:
         raise InvalidInput(f"need k >= 2, got k={k}")
     if omega <= 0:
         raise InvalidInput("omega must be positive")
-    try:
-        return omega * math.log(n) / n ** (k - 1)
-    except OverflowError:  # n^(k-1) past the float range
-        return math.exp(math.log(omega * math.log(n)) - (k - 1) * math.log(n))
+    return _over_power(omega * math.log(n), n, k - 1)
 
 
 def claim_f(c: float, x: float) -> float:

@@ -414,6 +414,15 @@ def test_exit_codes(tmp_path, capsys):
     ):
         code, _, err = run(capsys, *argv)
         assert code == 1 and "2^63 - 1" in err, argv
+    # an n or r whose log-factorial is past the float range is bad input:
+    # no formula can take it
+    for argv in (
+        ("--n", str(10**310), "--c", "1"),
+        ("--n", str(10**307), "--c", "1"),
+        ("--n", "12", "--r", str(10**310)),
+    ):
+        code, _, err = run(capsys, "moments", *argv, "--k", "4", "--ell", "3", "--p", "0.5")
+        assert code == 1 and "past the float range" in err, argv
     # a multi-color slot is a mask with a bit per color, so multi-color mode
     # refuses more than 2^16 colors before any draw or mask
     multi = tmp_path / "multi.chg"

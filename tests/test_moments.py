@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -222,6 +223,17 @@ def test_formulas_past_the_float_range_return_floats():
     assert loose_threshold(120, 400, 1e100) == pytest.approx(
         math.exp(math.log(1e100 * math.log(400)) - 119 * math.log(400)), rel=1e-12
     )
+    # e^2/n through logs: a subnormal at n = 10^310, 0.0 past it
+    assert threshold_tight(4, 1, 10**310) == pytest.approx(math.exp(2) * 1e-310, rel=1e-9)
+    assert threshold_tight(4, 1, 10**400) == 0.0
+
+
+def test_thresholds_past_the_float_range_build_no_huge_power():
+    # n^d with d = 10^6 has millions of digits; the log test comes first
+    for threshold in (loose_threshold, two_overlap_threshold):
+        start = time.perf_counter()
+        assert threshold(10**6, 2 * 10**6, 1.0) == 0.0
+        assert time.perf_counter() - start < 0.5, threshold.__name__
 
 
 # -- claim ---------------------------------------------------------------------------
