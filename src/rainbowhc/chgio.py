@@ -3,15 +3,17 @@
 Lines starting with '#' are comments and may appear anywhere.  The first data
 line is ``n k r`` optionally followed by the token ``multi``.  Every further
 data line is k strictly increasing vertex ids followed by one color id, all
-1-based and whitespace separated.  A k-set may repeat with a different color
-only in multi mode; repeating a (k-set, color) pair is always a parse error.
+1-based and whitespace separated.  An error in that form names the line;
+ColoredHypergraph.from_pairs owns the edges, and its errors name the k-set.
 """
 
 from __future__ import annotations
 
 import io
+from contextlib import nullcontext
+from itertools import takewhile
 from pathlib import Path
-from typing import Sequence, TextIO, Union
+from typing import Iterator, Sequence, TextIO, Union
 
 from .core import ColoredHypergraph, kset_count
 from .errors import InvalidInput
@@ -19,59 +21,63 @@ from .errors import InvalidInput
 PathOrFile = Union[str, Path, TextIO]
 
 
-def read_chg(source: PathOrFile) -> ColoredHypergraph:
+def _opened(source: PathOrFile, mode: str = "r"):
+    """A context holding a text file: a path is opened, a file is used as is."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return _parse(fh)
-    return _parse(source)
+        return open(source, mode, encoding="utf-8")
+    return nullcontext(source)
+
+
+def read_chg(source: PathOrFile) -> ColoredHypergraph:
+    with _opened(source) as fh:
+        return _parse(fh)
 
 
 def _parse(fh: TextIO) -> ColoredHypergraph:
-    header = None
-    n = k = r = 0
-    multi = False
-    pairs: dict[tuple[int, ...], set[int]] = {}
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if header is None:
-            multi = tokens[-1] == "multi"
-            if multi:
-                tokens = tokens[:-1]
-            if len(tokens) != 3:
-                raise InvalidInput(f"line {lineno}: header must be 'n k r [multi]'")
-            try:
-                n, k, r = (int(t) for t in tokens)
-            except ValueError as exc:
-                raise InvalidInput(f"line {lineno}: non-integer header field") from exc
-            kset_count(n, k)  # refuse an oversized header before reading edges
-            header = (n, k, r)
-            continue
+    lines = (
+        (lineno, line.split())
+        for lineno, raw in enumerate(fh, start=1)
+        if (line := raw.strip()) and not line.startswith("#")
+    )
+    lineno, tokens = next(lines, (0, []))
+    if not tokens:
+        raise InvalidInput("no header line found")
+    multi = tokens[-1] == "multi"
+    if multi:
+        tokens = tokens[:-1]
+    if len(tokens) != 3:
+        raise InvalidInput(f"line {lineno}: header must be 'n k r [multi]'")
+    try:
+        n, k, r = (int(t) for t in tokens)
+    except ValueError as exc:
+        raise InvalidInput(f"line {lineno}: non-integer header field") from exc
+    kset_count(n, k)  # refuse an oversized header before reading edges
+    return ColoredHypergraph.from_pairs(n, k, r, _pairs(lines, k), multi_color=multi)
+
+
+def _pairs(lines: Iterator[tuple[int, list[str]]], k: int) -> Iterator[tuple[list[int], int]]:
+    """The (vertices, color) pair of each edge line, in file order."""
+    for lineno, tokens in lines:
         if len(tokens) != k + 1:
             raise InvalidInput(
                 f"line {lineno}: expected {k} vertices and a color, got {len(tokens)} fields"
             )
         try:
-            values = [int(t) for t in tokens]
+            *vertices, color = (int(t) for t in tokens)
         except ValueError as exc:
             raise InvalidInput(f"line {lineno}: non-integer field") from exc
-        vertices, color = values[:-1], values[-1]
         if any(b <= a for a, b in zip(vertices, vertices[1:])):
             raise InvalidInput(f"line {lineno}: vertices must be strictly increasing")
-        edge = tuple(vertices)
-        colors = pairs.setdefault(edge, set())
-        if color in colors:
-            raise InvalidInput(f"line {lineno}: repeated (edge, color) pair")
-        if colors and not multi:
-            raise InvalidInput(
-                f"line {lineno}: duplicate edge {edge} needs the 'multi' header token"
-            )
-        colors.add(color)
-    if header is None:
-        raise InvalidInput("no header line found")
-    return ColoredHypergraph(n, k, r, pairs, multi_color=multi)
+        yield vertices, color
+
+
+def leading_comments(source: PathOrFile) -> list[str]:
+    """The comments above the header line, as write_chg was given them: each
+    loses its '#' and one space after it, the inverse of _emit."""
+    with _opened(source) as fh:
+        lines = (raw.rstrip("\n").lstrip() for raw in fh)
+        head = takewhile(lambda line: not line or line.startswith("#"), lines)
+        return [line[1:].removeprefix(" ") for line in head if line]
 
 
 def write_chg(
@@ -80,16 +86,14 @@ def write_chg(
     header_comments: Sequence[str] = (),
 ) -> None:
     """Write H; ``header_comments`` become leading '#' lines (metadata)."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8") as fh:
-            _emit(H, fh, header_comments)
-    else:
-        _emit(H, target, header_comments)
+    with _opened(target, "w") as fh:
+        _emit(H, fh, header_comments)
 
 
 def _emit(H: ColoredHypergraph, fh: TextIO, header_comments: Sequence[str]) -> None:
-    for comment in header_comments:
-        fh.write(f"# {comment}\n")
+    if any("\n" in comment or "\r" in comment for comment in header_comments):
+        raise InvalidInput("a header comment must be one line")
+    fh.writelines(f"# {comment}\n" for comment in header_comments)
     tail = " multi" if H.multi_color else ""
     fh.write(f"{H.n} {H.k} {H.r}{tail}\n")
     for edge, colors in H.items():  # lex order, i.e. sorted

@@ -10,13 +10,13 @@ import argparse
 import json
 import math
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import __version__
-from .chgio import read_chg, write_chg
+from .chgio import leading_comments, read_chg, write_chg
 from .core import CycleSpec, CycleFailure, Hamperm, validate_cycle
 from .errors import RainbowError, InvalidInput
 from .lab import (
@@ -122,25 +122,13 @@ def _cmd_check(args):
     }
 
 
-def _header_comments(path: str) -> list[str]:
-    comments = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                comments.append(line.lstrip("# "))
-            elif line:
-                break
-    return comments
-
-
 def _cmd_solve(args):
     H = read_chg(args.infile)
     spec = CycleSpec(H.n, H.k, args.ell)
     budget = _budget(args)
     return find_rainbow_cycle(H, spec, budget).to_record(
         budget=budget,
-        provenance={"source": args.infile, "header": _header_comments(args.infile)},
+        provenance={"source": args.infile, "header": leading_comments(args.infile)},
     )
 
 
@@ -164,26 +152,25 @@ def _cmd_overlap(args):
 
 def _cmd_moments(args):
     params = MomentParams(args.n, args.k, args.ell, args.p, _colors(args))
-    c = params.c
-    boundary = Fraction(1, args.k - args.ell)
     record: dict = {
         "n": args.n, "k": args.k, "ell": args.ell, "m": params.m,
-        "p": args.p, "r": params.r, "c": str(c),
+        "p": args.p, "r": params.r, "c": str(params.c),
         "log_expected_Y": log_expected_Y(params),
     }
     if args.n <= 40:
         record["exact_expected_Y"] = str(exact_expected_Y(params))
-    if c >= boundary and args.p > 0:
-        record["log_asymptotic_expected_Y"] = asymptotic_expected_Y(params)
-    if args.ell >= 2 and c >= boundary:
-        record["threshold_general"] = threshold_general(args.k, args.ell, c, args.n)
-    if args.k >= 4 and c >= 1:
-        record["threshold_tight"] = threshold_tight(args.k, c, args.n)
-    if args.k >= 4:
-        record["K_constant"] = K_constant(args.k)
-    if c > 1 and args.n <= 100_000:  # the scan takes about 6 us per b
-        b_star, value = claim_max(c, args.n)
-        record["claim_max"] = {"b": b_star, "value": value}
+    # each formula owns its domain: a field is left out where it refuses
+    formulas = {
+        "log_asymptotic_expected_Y": lambda: asymptotic_expected_Y(params),
+        "threshold_general": lambda: threshold_general(args.k, args.ell, params.c, args.n),
+        "threshold_tight": lambda: threshold_tight(args.k, params.c, args.n),
+        "K_constant": lambda: K_constant(args.k),
+    }
+    if args.n <= 100_000:  # the scan takes about 6 us per b
+        formulas["claim_max"] = lambda: dict(zip(("b", "value"), claim_max(params.c, args.n)))
+    for key, formula in formulas.items():
+        with suppress(InvalidInput):
+            record[key] = formula()
     if args.format == "json":
         # strict JSON has no inf or nan
         return {

@@ -117,11 +117,10 @@ def q_from_p(p: float) -> float:
 
     Defined for 0 <= p <= 1/8; the smaller root is the one that vanishes
     with p, which is the regime the coupling is used in.  Evaluated as
-    2p / (1 + sqrt(1 - 8p)) to avoid cancellation at small p.  A NaN p is
-    InvalidInput, like a negative one.
+    2p / (1 + sqrt(1 - 8p)) to avoid cancellation at small p.  A p above 1/8
+    that check_probability accepts is NoRealRoot.
     """
-    if not p >= 0:  # NaN compares False with everything
-        raise InvalidInput(f"p must be nonnegative, got {p}")
+    check_probability(p)
     if p > 0.125:
         raise NoRealRoot(f"q - 2q^2 = p has no real root for p = {p} > 1/8")
     return 2.0 * p / (1.0 + math.sqrt(1.0 - 8.0 * p))
@@ -153,8 +152,8 @@ def sample_directed(n: int, k: int, q: float, r: int, seed: int) -> ColoredHyper
 def build_gamma(H: ColoredHypergraph) -> ColoredHypergraph:
     """Map each base edge e with |e ∩ X| = 2 to e ∪ {n + color(e)}.
 
-    Requires the most restrictive loose setting: single-color H with
-    (k-1) | n and r = n/(k-1).  Base edges meeting X in any other size are
+    Requires the most restrictive loose setting: single-color H with a loose
+    CycleSpec(n, k, 1) and r = n/(k-1).  Base edges meeting X in any other size are
     ignored.  The result is (k+1)-uniform on n + m vertices, m = n/(k-1),
     with r = 1 and every edge colored 1.  Its vertices split into
     X = [1, m], Y = [m+1, n] and Z = [n+1, n+m]: every edge has exactly 2
@@ -162,9 +161,7 @@ def build_gamma(H: ColoredHypergraph) -> ColoredHypergraph:
     """
     if H.multi_color:
         raise InvalidInput("reduction needs a single-color hypergraph")
-    if H.k < 2 or H.n % (H.k - 1) != 0:
-        raise InvalidInput(f"k - 1 = {H.k - 1} must divide n = {H.n}")
-    m = H.n // (H.k - 1)
+    m = CycleSpec(H.n, H.k, 1).m
     if H.r != m:
         raise InvalidInput(f"need r = n/(k-1) = {m}, got r = {H.r}")
     gamma_edges = {}

@@ -130,7 +130,10 @@ def asymptotic_expected_Y(params: MomentParams) -> float:
     cf = float(c)
     excess = cf - inv
     bracket += excess * (math.log(cf) - math.log(excess))
-    return 0.5 * math.log(2 * math.pi * n * r / (r - m)) + n * bracket
+    log_prefactor = math.log(2 * math.pi * n * r / (r - m))
+    if math.isinf(log_prefactor):  # n * r is past the float range: add the logs
+        log_prefactor = math.log(2 * math.pi) + math.log(n) + math.log(r) - math.log(r - m)
+    return 0.5 * log_prefactor + n * bracket
 
 
 def _over_power(x: float, n: int, d: int) -> float:

@@ -109,10 +109,10 @@ class SearchOutcome:
     """
 
     status: SearchStatus
-    _certificate: Optional[RainbowCertificate] = field(repr=False)
     nodes_expanded: int
     reason: Optional[str] = None
     _pending: Optional[tuple] = field(default=None, repr=False)
+    _certificate: Optional[RainbowCertificate] = field(default=None, init=False, repr=False)
 
     @property
     def certificate(self) -> Optional[RainbowCertificate]:
@@ -909,9 +909,9 @@ def find_rainbow_cycle(
 
     m = spec.m
     if H.r < m:
-        return SearchOutcome(SearchStatus.NOT_FOUND, None, 0, reason="insufficient_colors")
+        return SearchOutcome(SearchStatus.NOT_FOUND, 0, reason="insufficient_colors")
     if H.edge_count < m:
-        return SearchOutcome(SearchStatus.NOT_FOUND, None, 0, reason="too_few_edges")
+        return SearchOutcome(SearchStatus.NOT_FOUND, 0, reason="too_few_edges")
 
     n = spec.n
     multi = H.multi_color
@@ -927,7 +927,7 @@ def find_rainbow_cycle(
     if H.r == m:
         anchor = _rarest_color(H, slots)
         if anchor is None:
-            return SearchOutcome(SearchStatus.NOT_FOUND, None, 0, reason="missing_color")
+            return SearchOutcome(SearchStatus.NOT_FOUND, 0, reason="missing_color")
 
     anchored = bool(anchor)
     table, edges = _edge_index(H, anchor, ranks, slots)
@@ -944,9 +944,9 @@ def find_rainbow_cycle(
         nodes = run()
     except _BudgetExceeded:
         # raised at node budget + 1
-        return SearchOutcome(SearchStatus.UNKNOWN, None, budget + 1)
+        return SearchOutcome(SearchStatus.UNKNOWN, budget + 1)
     if not placed[0]:
-        return SearchOutcome(SearchStatus.NOT_FOUND, None, nodes, reason="exhausted")
+        return SearchOutcome(SearchStatus.NOT_FOUND, nodes, reason="exhausted")
     # each step placed one vertex bit, so they are n distinct vertices of
     # [n] exactly when they sum to bits 1..n
     if sum(placed) != (1 << (n + 1)) - 2:
@@ -961,9 +961,7 @@ def find_rainbow_cycle(
             for j, window in enumerate(spec.windows())
         ]
     # the certificate is built when first read (SearchOutcome.certificate)
-    return SearchOutcome(
-        SearchStatus.FOUND, None, nodes, _pending=(spec, placed, colors, palette)
-    )
+    return SearchOutcome(SearchStatus.FOUND, nodes, _pending=(spec, placed, colors, palette))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rainbowhc import build_gamma, read_chg
+from rainbowhc import build_gamma, read_chg, write_chg
 from rainbowhc.cli import main
 
 
@@ -223,6 +224,15 @@ def test_solve_and_check_pipeline(tmp_path, capsys):
     assert json.loads(out)["valid"] in (True, False)
 
 
+def test_solve_reports_the_comments_write_chg_wrote(tmp_path, capsys):
+    chg = tmp_path / "h.chg"
+    comments = ["#5 run", " leading space", "generator=test"]
+    write_chg(read_chg(io.StringIO("6 3 3\n1 2 3 1\n")), chg, comments)
+    code, out, _ = run(capsys, "solve", "--infile", str(chg), "--ell", "1")
+    assert code == 0
+    assert json.loads(out)["provenance"]["header"] == comments
+
+
 def test_count_command(tmp_path, capsys):
     chg = tmp_path / "h.chg"
     run(capsys, "gen", "--n", "6", "--k", "3", "--r", "3", "--p", "0.6",
@@ -371,7 +381,7 @@ def test_couple_rejects_a_nan_density(capsys, workers):
         "--trials", "4", "--seed", "3", "--workers", workers,
     )
     assert (code, out) == (1, "")
-    assert "p must be nonnegative, got nan" in err
+    assert "p must lie in [0, 1], got nan" in err
 
 
 def test_exit_codes(tmp_path, capsys):

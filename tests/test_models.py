@@ -16,6 +16,7 @@ from rainbowhc import (
     Hamperm,
     InvalidCycle,
     InvalidInput,
+    InvalidSpec,
     NoRealRoot,
     TooLarge,
     build_gamma,
@@ -269,6 +270,9 @@ def test_q_from_p_domain():
         q_from_p(0.2)
     with pytest.raises(InvalidInput):
         q_from_p(-0.01)
+    # above 1, p is no probability at all: bad input, not a missing root
+    with pytest.raises(InvalidInput, match=r"p must lie in \[0, 1\], got 1.5"):
+        q_from_p(1.5)
 
 
 def test_q_from_p_rejects_nan():
@@ -380,6 +384,9 @@ def test_build_gamma_preconditions():
         build_gamma(sample_colored(6, 3, 0.5, 4, seed=1))  # r != m
     with pytest.raises(InvalidInput):
         build_gamma(sample_directed(6, 3, 0.3, 3, seed=1))  # multi-color
+    # 3 divides 6 and r = 6/3, but CycleSpec(6, 4, 1) needs n >= 2k - 1 = 7
+    with pytest.raises(InvalidSpec, match="2k - ell"):
+        build_gamma(sample_colored(6, 4, 0.5, 2, seed=1))
 
 
 def _hand_gamma_instance():

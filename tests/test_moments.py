@@ -226,6 +226,9 @@ def test_formulas_past_the_float_range_return_floats():
     # e^2/n through logs: a subnormal at n = 10^310, 0.0 past it
     assert threshold_tight(4, 1, 10**310) == pytest.approx(math.exp(2) * 1e-310, rel=1e-9)
     assert threshold_tight(4, 1, 10**400) == 0.0
+    # the dense Stirling prefactor 2*pi*n*r overflows at n = 10^154, c = 2
+    params = MomentParams.from_color_density(10**154, 4, 3, 1e-154, 2)
+    assert asymptotic_expected_Y(params) == pytest.approx(log_expected_Y(params), rel=1e-12)
 
 
 def test_thresholds_past_the_float_range_build_no_huge_power():
