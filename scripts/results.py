@@ -17,6 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from rainbowhc import (
+    CycleSpec,
     MomentParams,
     SweepConfig,
     asymptotic_expected_Y,
@@ -72,7 +73,7 @@ def _crossing(rows, label: str) -> str:
 
 def loose_sweep() -> str:
     n, k, trials = 12, 3, 60
-    r = n // (k - 1)  # the fewest colors a rainbow loose cycle can use
+    r = CycleSpec(n, k, 1).m  # the fewest colors a rainbow loose cycle can use
     rows, table, command = _sweep(n, k, 1, r, 0.02, 0.35, 9, trials, seed=1)
     notes = [f"# r = {r} colors, {trials} trials/point\n", _crossing(rows, " p ~ ")]
     for omega in (1.0, 2.0, 4.0):

@@ -13,7 +13,7 @@ so everything here can be shared freely across concurrent workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import ClassVar, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -383,14 +383,15 @@ class ColoredHypergraph:
 
 @dataclass(frozen=True)
 class RainbowCertificate:
-    """Self-validating witness: a hamperm, its induced edges, their colors."""
+    """Self-validating witness: a hamperm and the colors of its induced
+    edges, which are derived from the hamperm, never given."""
 
     hamperm: Hamperm
-    edges: tuple[Edge, ...]
     colors: tuple[int, ...]
+    edges: tuple[Edge, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
+        object.__setattr__(self, "edges", tuple(edges_of_hamperm(self.hamperm)))
         object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
 
 
@@ -403,14 +404,6 @@ class CycleFailure:
 
     kind: str
     edge_index: Optional[int] = None  # 1-based induced-edge index, missing_edge only
-
-    @classmethod
-    def missing_edge(cls, index: int) -> "CycleFailure":
-        return cls(cls.MISSING_EDGE, index)
-
-    @classmethod
-    def not_rainbow(cls) -> "CycleFailure":
-        return cls(cls.NOT_RAINBOW)
 
 
 def distinct_color_system(color_sets: Sequence[Iterable[int]]) -> Optional[list[int]]:
@@ -469,17 +462,16 @@ def validate_cycle(
     Otherwise reports the first missing edge (1-based) or non-rainbowness.
     """
     check_spec_fits(H, pi.spec)
-    edges = edges_of_hamperm(pi)
     color_sets = []
-    for i, edge in enumerate(edges):
+    for i, edge in enumerate(edges_of_hamperm(pi)):
         colors = H.colors_of(edge)
         if not colors:
-            return CycleFailure.missing_edge(i + 1)
+            return CycleFailure(CycleFailure.MISSING_EDGE, i + 1)
         color_sets.append(colors)
     chosen = distinct_color_system(color_sets)
     if chosen is None:
-        return CycleFailure.not_rainbow()
-    return RainbowCertificate(pi, tuple(edges), tuple(chosen))
+        return CycleFailure(CycleFailure.NOT_RAINBOW)
+    return RainbowCertificate(pi, tuple(chosen))
 
 
 def verify_certificate(H: ColoredHypergraph, cert: object) -> bool:

@@ -173,17 +173,17 @@ def build_gamma(H: ColoredHypergraph) -> ColoredHypergraph:
     return ColoredHypergraph(H.n + m, H.k + 1, 1, gamma_edges)
 
 
-def _loose_base(G: ColoredHypergraph) -> tuple[int, int, int]:
-    """(n, k, m) of the base instances that build_gamma reduces to G's
-    shape: G has n + m = k·m vertices and uniformity k + 1."""
+def _loose_base(G: ColoredHypergraph) -> CycleSpec:
+    """The loose CycleSpec(n, k, 1) of the base instances that build_gamma
+    reduces to G's shape: G has n + m = k·m vertices and uniformity k + 1.
+    InvalidSpec where that spec is refused."""
     k = G.k - 1
     if k < 2 or G.n % k != 0:
         raise InvalidInput(
             f"no loose instance reduces to n = {G.n}, k = {G.k}: "
             f"need k >= 3 and k - 1 dividing n"
         )
-    m = G.n // k
-    return G.n - m, k, m
+    return CycleSpec(G.n - G.n // k, k, 1)
 
 
 def _cycle_intersections(
@@ -191,7 +191,7 @@ def _cycle_intersections(
 ) -> list[int]:
     """Shared vertex s_i between consecutive cycle edges, s_1 joining the
     last and first edge; raises InvalidCycle unless every consecutive pair
-    meets in exactly one vertex of X = [1, x_max], all m connectors distinct."""
+    meets in exactly one vertex of X = [1, x_max]."""
     m = len(cycle)
     shared = []
     for i in range(m):
@@ -210,8 +210,6 @@ def _cycle_intersections(
                 f"outside X = [1, {x_max}]"
             )
         shared.append(s)
-    if len(set(shared)) != m:
-        raise InvalidCycle("cycle connector vertices repeat")
     return shared
 
 
@@ -224,47 +222,38 @@ def gamma_cycle_to_rainbow(
     whose consecutive intersections are single vertices of X.  Each edge's
     Z vertex z becomes the color z - n; the result is a certificate for a
     rainbow loose Hamilton cycle of the base hypergraph (rainbow because the
-    m distinct Z vertices give m distinct colors).
+    m distinct Z vertices give m distinct colors).  Hamperm refuses a cycle
+    that does not visit every base vertex exactly once.
     """
-    n, k, m = _loose_base(G)
+    spec = _loose_base(G)
+    n, m = spec.n, spec.m
     cyc = [canonical_edge(e) for e in cycle]
     if len(cyc) != m:
         raise InvalidCycle(f"need {m} edges for a loose Hamilton cycle, got {len(cyc)}")
-    if len(set(cyc)) != m:
-        raise InvalidCycle("cycle repeats an edge")
+    colors = []
     for e in cyc:
         if not G.has_edge(e):
             raise InvalidCycle(f"edge {e} is not an edge of the reduced graph")
-
-    bases = []
-    colors = []
-    for e in cyc:
         zs = [v for v in e if v > n]
         if len(zs) != 1:
             raise InvalidCycle(f"edge {e} carries {len(zs)} color vertices, expected 1")
         colors.append(zs[0] - n)
-        bases.append(tuple(v for v in e if v <= n))
+    if len(set(colors)) != m:
+        raise InvalidCycle("cycle uses a color vertex twice")
 
+    # Block i of the base permutation is the connector s_i followed by the
+    # rest of base edge i, sorted, without the next connector s_{i+1}.
     shared = _cycle_intersections(cyc, m)
-    covered = set(itertools.chain.from_iterable(cyc))
-    if covered != set(range(1, G.n + 1)):
-        raise InvalidCycle("cycle does not span all vertices of the reduced graph")
-
-    # Rebuild the base permutation: block i is the connector s_i followed by
-    # the sorted interior of base edge i; the next connector opens block i+1.
     perm: list[int] = []
-    for i in range(m):
-        s_here = shared[i]
-        s_next = shared[(i + 1) % m]
-        interior = sorted(set(bases[i]) - {s_here, s_next})
-        if len(interior) != k - 2:
-            raise InvalidCycle(f"edge {bases[i]} has a malformed interior")
-        perm.append(s_here)
-        perm.extend(interior)
-    spec = CycleSpec(n, k, 1)
-    hamperm = Hamperm(tuple(perm), spec)
-    ordered_edges = tuple(tuple(sorted(b)) for b in bases)
-    return RainbowCertificate(hamperm, ordered_edges, tuple(colors))
+    for i, e in enumerate(cyc):
+        ends = (shared[i], shared[(i + 1) % m])
+        perm.append(ends[0])
+        perm.extend(v for v in e if v <= n and v not in ends)
+    try:
+        hamperm = Hamperm(tuple(perm), spec)
+    except InvalidInput:
+        raise InvalidCycle("cycle does not visit every base vertex exactly once") from None
+    return RainbowCertificate(hamperm, tuple(colors))
 
 
 def gamma_cycle_from_certificate(cert: RainbowCertificate) -> list[tuple[int, ...]]:
@@ -312,27 +301,21 @@ def find_gamma_cycle(G: ColoredHypergraph) -> Optional[list[tuple[int, ...]]]:
     pair and otherwise fresh vertices.  Independent of the hamperm solver;
     returns the cycle in order, or None when none exists.
     """
-    _, _, m = _loose_base(G)
-    by_x_pair: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    m = _loose_base(G).m
+    adjacency: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     for e in G.edges():
         xs = [v for v in e if v <= m]
         if len(xs) != 2:
             raise InvalidInput(f"reduced-graph edge {e} has {len(xs)} X vertices")
-        by_x_pair.setdefault((xs[0], xs[1]), []).append(e)
-    adjacency: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for (a, b), group in sorted(by_x_pair.items()):
-        for e in group:
-            adjacency.setdefault(a, []).append((b, e))
-            adjacency.setdefault(b, []).append((a, e))
+        a, b = xs
+        adjacency.setdefault(a, []).append((b, e))
+        adjacency.setdefault(b, []).append((a, e))
     for lst in adjacency.values():
         lst.sort()
 
     used_x = {1}
     used_rest: set[int] = set()
     path: list[tuple[int, ...]] = []
-
-    def rest_vertices(e: tuple[int, ...]) -> list[int]:
-        return [v for v in e if v > m]
 
     def extend(x: int) -> bool:
         if len(path) == m:
@@ -344,7 +327,7 @@ def find_gamma_cycle(G: ColoredHypergraph) -> Optional[list[tuple[int, ...]]]:
                     continue
             elif nxt in used_x:
                 continue
-            rest = rest_vertices(e)
+            rest = e[2:]  # the vertices after e's X pair, the two smallest
             if any(v in used_rest for v in rest):
                 continue
             path.append(e)

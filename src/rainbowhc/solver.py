@@ -162,7 +162,7 @@ def _certificate(
     colors = [bit.bit_length() - 1 - (spec.n + 1) for bit in colors]
     if palette is not None:
         colors = [palette[c - 1] for c in colors]
-    return RainbowCertificate(pi, tuple(edges_of_hamperm(pi)), tuple(colors))
+    return RainbowCertificate(pi, tuple(colors))
 
 
 class _BudgetExceeded(Exception):

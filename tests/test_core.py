@@ -381,16 +381,23 @@ def test_verify_rejects_tampering():
     cert = validate_cycle(H, Hamperm((1, 2, 3, 4, 5, 6), spec))
     assert verify_certificate(H, cert)
     # repeated color
-    bad = RainbowCertificate(cert.hamperm, cert.edges, (5,) * len(cert.colors))
+    bad = RainbowCertificate(cert.hamperm, (5,) * len(cert.colors))
     assert not verify_certificate(H, bad)
-    # edge list disagrees with the hamperm
-    rolled = cert.edges[1:] + cert.edges[:1]
-    assert not verify_certificate(H, RainbowCertificate(cert.hamperm, rolled, cert.colors))
+    # the edge list is derived from the hamperm, so it cannot disagree with it
+    assert cert.edges == tuple(edges_of_hamperm(cert.hamperm))
     # color not on that edge in H
     wrong = list(cert.colors)
     wrong[0] = wrong[1]
-    assert not verify_certificate(H, RainbowCertificate(cert.hamperm, cert.edges, tuple(wrong)))
+    assert not verify_certificate(H, RainbowCertificate(cert.hamperm, tuple(wrong)))
     assert not verify_certificate(H, "not a certificate")
+
+
+def test_certificate_derives_its_edges_from_the_hamperm():
+    spec = CycleSpec(8, 4, 2)
+    h = Hamperm((3, 1, 4, 8, 5, 2, 6, 7), spec)
+    cert = RainbowCertificate(h, (4, 2, 3, 1))
+    assert cert.edges == tuple(edges_of_hamperm(h))
+    assert cert.colors == (4, 2, 3, 1)
 
 
 @given(spec_and_perm(), st.integers(0, 2**32))

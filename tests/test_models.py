@@ -486,6 +486,56 @@ def test_gamma_functions_refuse_a_graph_no_loose_instance_reduces_to():
         gamma_cycle_to_rainbow(G, [(1, 2, 3, 4)])
 
 
+def test_gamma_functions_refuse_a_shape_whose_base_cycle_spec_is_refused():
+    # base (6, 4) with m = 2 is below n >= 2k - 1: the two edges share two
+    # vertices, so they are no loose cycle
+    G = ColoredHypergraph(8, 5, 1, {(1, 2, 3, 4, 7): {1}, (1, 2, 5, 6, 8): {1}})
+    with pytest.raises(InvalidInput):
+        find_gamma_cycle(G)
+    with pytest.raises(InvalidInput):
+        gamma_cycle_to_rainbow(G, [(1, 2, 3, 4, 7), (1, 2, 5, 6, 8)])
+
+
+# A reduced graph of base (12, 3): X = [1, 6], Y = [7, 12], Z = [13, 18].
+# _LOOSE_CYCLE is a loose Hamilton cycle with connectors 1, ..., 6; the other
+# edges make the malformed cycles below.
+_LOOSE_CYCLE = [
+    (1, 2, 7, 13), (2, 3, 8, 14), (3, 4, 9, 15),
+    (4, 5, 10, 16), (5, 6, 11, 17), (1, 6, 12, 18),
+]
+_FIGURE_EIGHT = [  # connectors 1, 2, 3, 1, 4, 5: vertex 1 joins twice
+    (1, 2, 7, 13), (2, 3, 8, 14), (1, 3, 9, 15),
+    (1, 4, 10, 16), (4, 5, 11, 17), (1, 5, 12, 18),
+]
+_NOT_IN_G = (1, 2, 8, 13)
+_MALFORMED_CYCLES = {
+    "wrong length": _LOOSE_CYCLE[:5],
+    "edge not in G": [_NOT_IN_G] + _LOOSE_CYCLE[1:],
+    "intersection outside X": [_LOOSE_CYCLE[0], (3, 7, 8, 14)] + _LOOSE_CYCLE[2:],
+    "edge repeated non-adjacently": _LOOSE_CYCLE[:2] + [_LOOSE_CYCLE[0]] + _LOOSE_CYCLE[3:],
+    "repeated connector": _FIGURE_EIGHT,
+    "color vertex used twice": _LOOSE_CYCLE[:2] + [(3, 4, 9, 13)] + _LOOSE_CYCLE[3:],
+    "edge with two color vertices": [(1, 2, 13, 14)] + _LOOSE_CYCLE[1:],
+}
+_MALFORMED_GAMMA = ColoredHypergraph(
+    18, 4, 1,
+    {e: {1} for cycle in (_LOOSE_CYCLE, *_MALFORMED_CYCLES.values()) for e in cycle
+     if e != _NOT_IN_G},
+)
+
+
+def test_gamma_cycle_to_rainbow_accepts_the_unspoilt_cycle():
+    cert = gamma_cycle_to_rainbow(_MALFORMED_GAMMA, _LOOSE_CYCLE)
+    assert cert.hamperm.pi == (1, 7, 2, 8, 3, 9, 4, 10, 5, 11, 6, 12)
+    assert cert.colors == (1, 2, 3, 4, 5, 6)
+
+
+@pytest.mark.parametrize("cycle", _MALFORMED_CYCLES.values(), ids=_MALFORMED_CYCLES.keys())
+def test_gamma_cycle_to_rainbow_refuses_each_malformed_cycle(cycle):
+    with pytest.raises(InvalidCycle):
+        gamma_cycle_to_rainbow(_MALFORMED_GAMMA, cycle)
+
+
 # -- detect_color_collisions ---------------------------------------------------
 
 def test_collision_planted_pair():
