@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
@@ -168,9 +169,9 @@ def _aggregate(
 
 def _run_tasks(fn: Callable, tasks: Sequence, workers: int) -> list:
     """fn over tasks, results in task order; a process pool when more than
-    one worker has a task (under fork the pool starts every worker up
-    front, busy or not)."""
-    workers = min(workers, len(tasks))
+    one worker has a task and a CPU (under fork the pool starts every worker
+    up front, busy or not)."""
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(task) for task in tasks]
     # imported here: the pool brings in multiprocessing, which a one-worker
@@ -303,8 +304,8 @@ def couple_experiment(
     dominate, and `holds` reports whether phat_directed >= phat_undirected
     minus two pooled standard errors.  Needs a loose CycleSpec(n, k, 1),
     whose m = n/(k-1) is r, p <= 1/8, exhaustive-feasible n and at most
-    TASK_CAP trials.  Trials run as one task each
-    (a process pool when workers > 1) and are summed in trial order, so the
+    TASK_CAP trials.  Trials run as one task each (see _run_tasks for
+    the pool) and are summed in trial order, so the
     outcome does not depend on the worker count.
     """
     spec = CycleSpec(n, k, 1)

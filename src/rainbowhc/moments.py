@@ -137,35 +137,34 @@ def asymptotic_expected_Y(params: MomentParams) -> float:
 
 
 def _over_power(x: float, n: int, d: int) -> float:
-    """x / n^d for x > 0, through logs once n^d is past the float range, so
+    """x / n^d for x > 0, through logs where n^d is past the float range, so
     no exact power of millions of digits is built only to overflow."""
     # the margin of 1 covers the rounding of d * log(n)
-    if d * math.log(n) < math.log(sys.float_info.max) - 1:
-        return x / n**d
+    if d * math.log(n) < math.log(sys.float_info.max) + 1:
+        try:
+            return x / n**d
+        except OverflowError:  # n^d is just past the float range
+            pass
     return math.exp(math.log(x) - d * math.log(n))
 
 
 def threshold_general(k: int, ell: int, c: Rational, n: int) -> float:
-    """First-moment threshold for rainbow ell-cycles, k > ell >= 2.
+    """First-moment threshold for rainbow ell-cycles, k > ell >= 2, on a
+    cycle shape's n: tight_prefactor((k-ell)c) * e^(k-ell+1) / n^(k-ell),
 
         c  = 1/(k-ell):  e^(k-ell+1) / n^(k-ell)
         c  > 1/(k-ell):  ((c - 1/(k-ell))/c)^((k-ell)c - 1) * e^(k-ell+1) / n^(k-ell)
     """
     if not k > ell >= 2:
         raise InvalidInput(f"need k > ell >= 2, got k={k}, ell={ell}")
+    d = k - ell
     c = Fraction(c)
-    boundary = Fraction(1, k - ell)
+    boundary = Fraction(1, d)
     if c < boundary:
         raise InvalidInput(f"need c >= 1/(k-ell) = {boundary}, got {c}")
-    try:
-        base = math.exp(k - ell + 1) / n ** (k - ell)
-    except OverflowError:  # e^(k-ell+1) or n^(k-ell) past the float range
-        base = math.exp(k - ell + 1 - (k - ell) * math.log(n))
-    if c > boundary:
-        ratio = float((c - boundary) / c)
-        exponent = float((k - ell) * c - 1)
-        base *= ratio**exponent
-    return base
+    if d + 1 > math.log(sys.float_info.max):  # e^(d+1) overflows
+        return 0.0  # exact for n >= 8, and a cycle shape has n >= 2k - ell > 1400
+    return _over_power(math.exp(d + 1), n, d) * tight_prefactor(d * c)
 
 
 def tight_prefactor(c: Rational) -> float:

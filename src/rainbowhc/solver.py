@@ -50,7 +50,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -97,7 +97,7 @@ class SearchStatus(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class SearchOutcome:
     """Result of one search: status, optional certificate, effort spent.
 
@@ -112,15 +112,11 @@ class SearchOutcome:
     nodes_expanded: int
     reason: Optional[str] = None
     _pending: Optional[tuple] = field(default=None, repr=False)
-    _certificate: Optional[RainbowCertificate] = field(default=None, init=False, repr=False)
 
-    @property
+    @cached_property  # writes the instance __dict__, which frozen allows
     def certificate(self) -> Optional[RainbowCertificate]:
         """The witness of a FOUND outcome, None otherwise; built on first read."""
-        if self._pending is not None:
-            object.__setattr__(self, "_certificate", _certificate(*self._pending))
-            object.__setattr__(self, "_pending", None)
-        return self._certificate
+        return None if self._pending is None else _certificate(*self._pending)
 
     @property
     def found(self) -> bool:

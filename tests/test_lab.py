@@ -1,4 +1,5 @@
 import math
+import os
 import pickle
 from dataclasses import replace
 from fractions import Fraction
@@ -332,7 +333,30 @@ def test_pool_gets_no_more_workers_than_tasks(monkeypatch):
     assert one == couple_experiment(6, 3, 0.05, 1, seed=1)
     cfg = small_config(p_grid=(0.4,), trials=3)
     assert run_sweep(replace(cfg, workers=8)) == run_sweep(cfg)
-    assert sizes == [3]
+    workers = min(3, os.cpu_count() or 1)
+    assert sizes == ([workers] if workers > 1 else [])  # no more than the CPUs
+
+
+def test_pool_gets_no_more_workers_than_cpus(monkeypatch):
+    # a one-thread pool stands in and records the size asked for, so no
+    # process starts however many workers are asked for
+    import concurrent.futures
+
+    sizes = []
+
+    def recording_pool(max_workers):
+        sizes.append(max_workers)
+        return concurrent.futures.ThreadPoolExecutor(1)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    cpus = os.cpu_count() or 1
+    cfg = small_config(p_grid=(0.4,), trials=cpus + 2)
+    assert run_sweep(replace(cfg, workers=10**6)) == run_sweep(cfg)
+    assert len(sizes) <= 1 and all(size <= cpus for size in sizes)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: no pool
+    sizes.clear()
+    assert run_sweep(replace(cfg, workers=10**6)) == run_sweep(cfg)
+    assert sizes == []
 
 
 # -- crossing estimation ------------------------------------------------------------------

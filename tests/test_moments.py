@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -237,6 +238,23 @@ def test_thresholds_past_the_float_range_build_no_huge_power():
         start = time.perf_counter()
         assert threshold(10**6, 2 * 10**6, 1.0) == 0.0
         assert time.perf_counter() - start < 0.5, threshold.__name__
+    # n^700 with n = 7 * 10^10000 has seven million digits
+    start = time.perf_counter()
+    assert threshold_general(702, 2, 1, 7 * 10**10000) == 0.0
+    assert time.perf_counter() - start < 0.5
+    # k - ell >= 709: e^(k-ell+1) itself is past the float range
+    assert threshold_general(800, 2, 1, 2394) == 0.0
+
+
+def test_thresholds_just_below_the_float_range_are_exact_quotients():
+    # d * log(n) within 1 of the float range's log: n^d is still a float,
+    # so the quotient is taken directly, not through logs
+    for d in (2, 3, 40):
+        n = int(math.exp((math.log(sys.float_info.max) - 0.5) / d))
+        assert two_overlap_threshold(d + 2, n, 1.0) == 1.0 / n**d
+        assert loose_threshold(d + 1, n, 1.0) == math.log(n) / n**d
+        assert threshold_general(d + 2, 2, Fraction(1, d), n) == math.exp(d + 1) / n**d
+    assert threshold_tight(4, 1, 10**308) == math.exp(2) / 10**308
 
 
 # -- claim ---------------------------------------------------------------------------
