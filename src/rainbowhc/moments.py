@@ -136,21 +136,32 @@ def asymptotic_expected_Y(params: MomentParams) -> float:
     return 0.5 * log_prefactor + n * bracket
 
 
-def _over_power(x: float, n: int, d: int) -> float:
-    """x / n^d for x > 0, through logs where n^d is past the float range, so
-    no exact power of millions of digits is built only to overflow."""
+def _check_n(n: int) -> None:
+    """InvalidInput unless n >= 1: a threshold's n counts vertices."""
+    if n < 1:
+        raise InvalidInput(f"need n >= 1, got {n}")
+
+
+def _over_power(x: float, n: int, d: int, a: int = 0) -> float:
+    """x * e^a / n^d for x > 0 and n >= 1 (see _check_n), through logs where
+    e^a or n^d is past the float range, so no exact power of millions of
+    digits is built only to overflow; inf where the quotient is past it."""
+    _check_n(n)
     # the margin of 1 covers the rounding of d * log(n)
     if d * math.log(n) < math.log(sys.float_info.max) + 1:
         try:
-            return x / n**d
-        except OverflowError:  # n^d is just past the float range
+            return (x * math.exp(a) if a else x) / n**d
+        except OverflowError:  # e^a or n^d is just past the float range
             pass
-    return math.exp(math.log(x) - d * math.log(n))
+    try:
+        return math.exp(math.log(x) + a - d * math.log(n))
+    except OverflowError:
+        return math.inf
 
 
 def threshold_general(k: int, ell: int, c: Rational, n: int) -> float:
-    """First-moment threshold for rainbow ell-cycles, k > ell >= 2, on a
-    cycle shape's n: tight_prefactor((k-ell)c) * e^(k-ell+1) / n^(k-ell),
+    """First-moment threshold for rainbow ell-cycles, k > ell >= 2, on
+    n >= 1 vertices: tight_prefactor((k-ell)c) * e^(k-ell+1) / n^(k-ell),
 
         c  = 1/(k-ell):  e^(k-ell+1) / n^(k-ell)
         c  > 1/(k-ell):  ((c - 1/(k-ell))/c)^((k-ell)c - 1) * e^(k-ell+1) / n^(k-ell)
@@ -162,9 +173,7 @@ def threshold_general(k: int, ell: int, c: Rational, n: int) -> float:
     boundary = Fraction(1, d)
     if c < boundary:
         raise InvalidInput(f"need c >= 1/(k-ell) = {boundary}, got {c}")
-    if d + 1 > math.log(sys.float_info.max):  # e^(d+1) overflows
-        return 0.0  # exact for n >= 8, and a cycle shape has n >= 2k - ell > 1400
-    return _over_power(math.exp(d + 1), n, d) * tight_prefactor(d * c)
+    return _over_power(1.0, n, d, d + 1) * tight_prefactor(d * c)
 
 
 def tight_prefactor(c: Rational) -> float:
@@ -212,6 +221,7 @@ def loose_threshold(k: int, n: int, omega: float) -> float:
         raise InvalidInput(f"need k >= 2, got k={k}")
     if omega <= 0:
         raise InvalidInput("omega must be positive")
+    _check_n(n)  # before log(n)
     return _over_power(omega * math.log(n), n, k - 1)
 
 

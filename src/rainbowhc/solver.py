@@ -101,11 +101,11 @@ class SearchStatus(Enum):
 class SearchOutcome:
     """Result of one search: status, optional certificate, effort spent.
 
-    A FOUND outcome of find_rainbow_cycle keeps only what the search
-    produced, the vertex bit at each cycle position and the m windows' color
-    bits, as the arguments of _certificate, never the search index; the
-    certificate is built from them when `certificate` is first read, and
-    later reads return that same object.
+    A FOUND outcome of find_rainbow_cycle keeps the instance and what the
+    search produced, the vertex bit at each cycle position (and, multi-color,
+    the matching's color bits), as the arguments of _certificate, never the
+    search index; the certificate is built from them when `certificate` is
+    first read, and later reads return that same object.
     """
 
     status: SearchStatus
@@ -148,16 +148,20 @@ class SearchOutcome:
 
 
 def _certificate(
-    spec: CycleSpec, placed: list[int], colors: list[int], palette: Optional[list[int]]
+    spec: CycleSpec, placed: list[int], H: ColoredHypergraph, held: Optional[list[int]]
 ) -> RainbowCertificate:
-    """The certificate of a found cycle: placed[p] is the vertex bit at cycle
-    position p, and colors[j] the color bit of window j (see _edge_index).
-    palette, if given, maps the color numbered c in the search back to
-    palette[c - 1] (see find_rainbow_cycle)."""
+    """The certificate of a found cycle of H: placed[p] is the vertex bit at
+    cycle position p.  A single-color edge's color is read from H.  A
+    multi-color window's is held[j], the color bit (see _edge_index) that
+    the search's matching gave window j, as H's color sets do not say which
+    one it took."""
     pi = Hamperm(tuple(bit.bit_length() - 1 for bit in placed), spec)
-    colors = [bit.bit_length() - 1 - (spec.n + 1) for bit in colors]
-    if palette is not None:
-        colors = [palette[c - 1] for c in colors]
+    if held is None:
+        # edges_of_hamperm sorts each window in Python: np.sort's first call
+        # maps about 0.3 MB more of numpy into the process
+        colors = H.by_rank[lex_ranks(spec.n, np.array(edges_of_hamperm(pi)))].tolist()
+    else:
+        colors = [bit.bit_length() - 1 - (spec.n + 1) for bit in held]
     return RainbowCertificate(pi, tuple(colors))
 
 
@@ -841,7 +845,7 @@ def find_rainbow_cycle(
     window joins the matching or the vertex is pruned.  Color c is bit
     n + 1 + c of those ints, so a single-color instance with r + n + 1 > 63
     searches its present colors numbered by rank instead, which keeps their
-    order and so the tree; the certificate names the original colors.  The
+    order and so the tree; the certificate reads H's own colors.  The
     plan is compiled once into nested loops, one per step, in functions of
     at most CHUNK_STEPS steps (see _search_source); each loop iterates the
     candidates' vertex bits in ascending order, read off the cached
@@ -912,13 +916,11 @@ def find_rainbow_cycle(
     n = spec.n
     multi = H.multi_color
     ranks, slots = _present_edges(H)
-    palette = None
     if not multi and H.r + n + 1 > 63:
         # color c becomes bit n + 1 + c of an int; numbering the present
         # colors by rank keeps those ints small and the colors' order, so
         # the tree is the same
-        palette, slots = np.unique(slots, return_inverse=True)
-        palette, slots = palette.tolist(), slots + 1
+        slots = np.unique(slots, return_inverse=True)[1] + 1
     anchor = 0
     if H.r == m:
         anchor = _rarest_color(H, slots)
@@ -947,17 +949,11 @@ def find_rainbow_cycle(
     # [n] exactly when they sum to bits 1..n
     if sum(placed) != (1 << (n + 1)) - 2:
         raise RuntimeError(f"the search placed {placed}, not a permutation of 1..{n}")
-    if multi:
-        colors = held  # the leaf's matching, in window order
-    else:
-        # each window's edge has one color, read off the table here so that
-        # the outcome holds no index
-        colors = [
-            table[sum(placed[p] for p in window) | (anchored and j == 0)]
-            for j, window in enumerate(spec.windows())
-        ]
-    # the certificate is built when first read (SearchOutcome.certificate)
-    return SearchOutcome(SearchStatus.FOUND, nodes, _pending=(spec, placed, colors, palette))
+    # the certificate is built when first read (SearchOutcome.certificate);
+    # only the multi-color matching, which H cannot give back, is kept
+    return SearchOutcome(
+        SearchStatus.FOUND, nodes, _pending=(spec, placed, H, held if multi else None)
+    )
 
 
 # ---------------------------------------------------------------------------

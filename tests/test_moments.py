@@ -1,6 +1,7 @@
 import math
 import sys
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -255,6 +256,35 @@ def test_thresholds_just_below_the_float_range_are_exact_quotients():
         assert loose_threshold(d + 1, n, 1.0) == math.log(n) / n**d
         assert threshold_general(d + 2, 2, Fraction(1, d), n) == math.exp(d + 1) / n**d
     assert threshold_tight(4, 1, 10**308) == math.exp(2) / 10**308
+
+
+def test_thresholds_refuse_n_below_one_and_divide_past_e_overflow_in_logs():
+    # n counts vertices: n <= 0 is InvalidInput, not a math domain error.
+    # For n >= 1, threshold_general is e^(d+1) / n^d times the prefactor even
+    # where e^(d+1) is past the float range (d >= 709): inf at n = 1, 0.0
+    # from n = 8, and in between the float of the exact quotient (0.0 at
+    # d = 798, n = 7, where that lies below the smallest subnormal)
+    for d in (28, 709, 798):
+        for n in range(-2, 9):
+            if n <= 0:
+                for call in (
+                    lambda: threshold_general(d + 2, 2, 1, n),
+                    lambda: threshold_tight(d, 1, n),
+                    lambda: two_overlap_threshold(d + 2, n, 1.0),
+                    lambda: loose_threshold(d + 1, n, 1.0),
+                ):
+                    with pytest.raises(InvalidInput, match="need n >= 1"):
+                        call()
+                continue
+            with localcontext() as ctx:
+                ctx.prec = 40
+                exact = float(Decimal(d + 1).exp() / Decimal(n) ** d) * tight_prefactor(d)
+            value = threshold_general(d + 2, 2, 1, n)
+            assert value == pytest.approx(exact, rel=1e-12), (d, n)
+            if d >= 709:
+                assert (value == math.inf) == (n == 1), (d, n)
+                # value >= 0, so this is 0.0 exactly from n = 8
+                assert (value > 0) == (n <= 6 or (d, n) == (709, 7)), (d, n)
 
 
 # -- claim ---------------------------------------------------------------------------
